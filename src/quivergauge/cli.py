@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--xres", type=int, default=300, help="grid columns")
     b.add_argument("--yres", type=int, default=300, help="grid rows")
     b.add_argument("--tol", type=float, default=1e-10, help="minors >= -tol count as feasible")
-    b.add_argument("--threads", type=int, default=1, help="row-block workers for the scan")
     b.add_argument("--out", required=True, help="CSV output path")
     b.add_argument("--svg", default=None, help="optional SVG heat-map path")
     b.add_argument("--moments", default=None, help="optional JSON dump of the moment table")
@@ -79,13 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--check-eq", action="store_true", help="check the loop equation instead")
     m.add_argument("--root", default=None, help="rooted edge for --check-eq")
     m.add_argument("--dim-override", type=int, default=None, help="rescale a single-block network to U(N)")
-    m.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; counter-keyed sampling is "
-        "partition-independent, so results never depend on it",
-    )
     m.add_argument("--out", default=None, help="output path (default stdout)")
     return p
 
@@ -152,7 +144,7 @@ def _cmd_bootstrap(args) -> int:
     load_job(args.job)
     xs = np.linspace(args.xmin, args.xmax, args.xres)
     ys = np.linspace(args.ymin, args.ymax, args.yres)
-    fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol, threads=args.threads)
+    fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol)
     fmap.to_csv(args.out)
     if args.svg:
         fmap.to_svg(args.svg)
@@ -163,6 +155,7 @@ def _cmd_bootstrap(args) -> int:
     print(
         f"scanned {len(xs)}x{len(ys)} cells, feasible per order: "
         + ", ".join(f"{k}:{v}" for k, v in counts.items())
+        + f"; overflow cells: {int(fmap.overflow.sum())}"
     )
     return 0
 

@@ -4,63 +4,73 @@ Integrating the triangle weight over two of its three unitaries leaves the
 single-matrix integral over U(N) with weight exp(-N x Tr(U + U*)).  Its
 partition function is the N x N Toeplitz determinant of modified Bessel
 functions I_{k-m} evaluated at z = -2 x N, and the first moment follows by
-differentiating the determinant in the coupling.
+differentiating the determinant in the coupling.  Both come from the
+Levinson-Durbin kernel of :mod:`quivergauge.bootstrap`, run in longdouble:
+Z_N is the product of the prediction errors E_j and d log Z_N / dx the sum
+of dE_j / E_j.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bootstrap import levinson
+
 _Z_GUARD = 700.0  # exp-scale overflow guard on the Bessel argument
 
 
-def bessel_i(q: int, z: float) -> float:
+def bessel_i(q: int, z):
     """Modified Bessel function of the first kind, integer order.
 
-    Power series sum_k (z/2)^(2k+|q|) / (k! (k+|q|)!) with term-ratio
-    stopping; all terms share one sign for real z, so the sum is stable.
+    Power series sum_k (z/2)^(2k+|q|) / (k! (k+|q|)!); all terms share one
+    sign for real z, so the sum is stable.  Works elementwise on arrays and
+    in the dtype of ``z``: a float gives a float64, a longdouble a longdouble.
     """
     q = abs(int(q))
-    if abs(z) > _Z_GUARD:
-        raise OverflowError(f"bessel_i argument |z|={abs(z):.3g} beyond guard {_Z_GUARD}")
-    half = z / 2.0
-    if half == 0.0:
-        return 1.0 if q == 0 else 0.0
-    # leading term (z/2)^q / q!
-    term = 1.0
+    half = np.asarray(z) / 2
+    big = float(np.abs(half).max(initial=0))
+    if big > _Z_GUARD / 2:
+        raise OverflowError(f"bessel_i argument |z|={2 * big:.3g} beyond guard {_Z_GUARD}")
+    term = np.ones_like(half)[()]  # (z/2)^q / q!
     for j in range(1, q + 1):
-        term *= half / j
-    total = term
-    ratio = half * half
-    for k in range(1, 600):
-        term *= ratio / (k * (k + q))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
+        term = term * (half / j)
+    total, ratio = term, half * half
+    # the term ratios (z/2)^2 / (k (k + q)) fall below 1/4 once k > |z|, so
+    # 40 more terms leave a tail below 4^-40 of the sum in any float dtype
+    for k in range(1, 2 * int(big) + 42):
+        term = term * (ratio / (k * (k + q)))
+        total = total + term
     return total
 
 
-def bessel_i_derivative(q: int, z: float) -> float:
+def bessel_i_derivative(q: int, z):
     """d/dz I_q(z) = (I_{q-1}(z) + I_{q+1}(z)) / 2."""
     return 0.5 * (bessel_i(q - 1, z) + bessel_i(q + 1, z))
 
 
-def _toeplitz_values(N: int, z: float, fn) -> np.ndarray:
-    vals = np.array([fn(q, z) for q in range(N)])
-    idx = np.arange(N)
-    return vals[np.abs(idx[:, None] - idx[None, :])]
+def _prediction_errors(N: int, xs: np.ndarray, derivative: bool):
+    """Levinson errors E_j (and dE_j/dx) of [I_{k-m}(-2 x N)] at each x, in longdouble."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    z = np.asarray(xs, dtype=np.longdouble) * (-2 * N)
+    ivals = [bessel_i(q, z) for q in range(N + 1)]
+    r = np.stack(ivals[:N], axis=-1)
+    dr = None
+    if derivative:
+        # dI_q/dx = -2N I_q'(z) with I_q' = (I_{q-1} + I_{q+1}) / 2 and I_{-1} = I_1
+        ivals = [ivals[1]] + ivals
+        dr = np.stack([ivals[q] + ivals[q + 2] for q in range(N)], axis=-1) * (-N)
+    return levinson(r, dr)
 
 
 def partition_function(N: int, x: float) -> float:
-    """det of the N x N Toeplitz matrix [I_{k-m}(-2 x N)] via dense LU."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    z = -2.0 * x * N
-    return float(np.linalg.det(_toeplitz_values(N, z, bessel_i)))
+    """det of the N x N Toeplitz matrix [I_{k-m}(-2 x N)]: the product of
+    its longdouble Levinson prediction errors."""
+    E, _ = _prediction_errors(N, x, derivative=False)
+    return float(np.prod(E))
 
 
 @dataclass
@@ -71,7 +81,7 @@ class GwwCurve:
     x: np.ndarray
     z: np.ndarray  # partition-function values
     y: np.ndarray  # first moment, NaN where flagged
-    flags: list[str]  # per-sample: "" | "near-singular" | "fd-fallback"
+    flags: list[str]  # per-sample: "" | "near-singular" (Z <= 0 or non-finite)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -81,102 +91,22 @@ class GwwCurve:
                 writer.writerow([repr(float(xi)), repr(float(zi)), repr(float(yi))])
 
 
-def _bessel_i_long(q: int, z) -> np.longdouble:
-    """Extended-precision twin of :func:`bessel_i` for the derivative path."""
-    q = abs(int(q))
-    half = np.longdouble(z) / 2
-    if half == 0:
-        return np.longdouble(1.0 if q == 0 else 0.0)
-    term = np.longdouble(1.0)
-    for j in range(1, q + 1):
-        term *= half / j
-    total = term
-    ratio = half * half
-    for k in range(1, 700):
-        term *= ratio / (k * (k + q))
-        total += term
-        if abs(term) <= np.longdouble(1e-21) * abs(total):
-            break
-    return total
-
-
-def _lu_trace_solve(m: np.ndarray, dm: np.ndarray) -> float | None:
-    """trace(M^-1 dM) by partial-pivoting elimination; None on breakdown.
-
-    Runs in longdouble: the Bessel Toeplitz matrices reach condition 1e9
-    at strong coupling, where double precision costs eight digits.
-    """
-    n = m.shape[0]
-    a = np.hstack([m, dm]).astype(np.longdouble)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            return None
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        for row in range(col + 1, n):
-            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
-    x = a[:, n:]
-    for col in range(n - 1, -1, -1):
-        x[col] /= a[col, col]
-        for row in range(col):
-            x[row] -= a[row, col] * x[col]
-    return float(np.trace(x))
-
-
-def _y_analytic(N: int, x: float) -> float | None:
-    """Determinant-derivative identity dZ = Z tr(M^-1 dM); None if ill-conditioned."""
-    z = -2.0 * x * N
-    m = _toeplitz_values(N, z, bessel_i)
-    if not np.isfinite(m).all():
-        return None
-    if np.linalg.cond(m) > 1e12:
-        return None
-    ml = _toeplitz_values(N, np.longdouble(z), _bessel_i_long)
-    # dM/dx = dM/dz * dz/dx with dz/dx = -2N and I_q' = (I_{q-1} + I_{q+1})/2
-    vals = [_bessel_i_long(q, np.longdouble(z)) for q in range(N + 1)]
-    vals = [vals[1]] + vals  # I_{-1} = I_1 prepended at index 0 -> order -1
-    dvals = np.array(
-        [(vals[q] + vals[q + 2]) / 2 for q in range(N)], dtype=np.longdouble
-    )
-    idx = np.arange(N)
-    dml = dvals[np.abs(idx[:, None] - idx[None, :])] * np.longdouble(-2.0 * N)
-    dlog = _lu_trace_solve(ml, dml)  # (1/Z) dZ/dx
-    if dlog is None:
-        return None
-    return -dlog / (2.0 * N * N)
-
-
-def _y_finite_difference(N: int, x: float) -> tuple[float, bool]:
-    h = 1e-5 * max(1.0, abs(x))
-    zp = partition_function(N, x + h)
-    zm = partition_function(N, x - h)
-    z0 = partition_function(N, x)
-    if z0 <= 0 or not np.isfinite([zp, zm, z0]).all():
-        return math.nan, False
-    return -(zp - zm) / (2.0 * h) / (2.0 * z0 * N * N), True
-
-
 def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:
-    """y_N(x) = -(1 / (2 Z_N N^2)) dZ_N/dx on a grid, analytic derivative
-    with a central finite-difference fallback."""
+    """y_N(x) = -(1 / (2 N^2)) d log Z_N/dx on a grid.
+
+    Z_N and its logarithmic derivative come from one longdouble Levinson
+    pass with forward-mode derivatives.  Points where Z_N <= 0 or a value
+    is non-finite get y = NaN and the flag "near-singular".
+    """
     xs = np.asarray(x_grid, dtype=float)
-    zs = np.empty_like(xs)
-    ys = np.empty_like(xs)
-    flags: list[str] = []
-    for i, x in enumerate(xs):
-        zs[i] = partition_function(N, x)
-        flag = ""
-        if zs[i] <= 0 or not np.isfinite(zs[i]):
-            ys[i] = math.nan
-            flags.append("near-singular")
-            continue
-        y = _y_analytic(N, x)
-        if y is None:
-            y, ok = _y_finite_difference(N, x)
-            flag = "fd-fallback" if ok else "near-singular"
-        ys[i] = y
-        flags.append(flag)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        E, dE = _prediction_errors(N, xs, derivative=True)
+        zs = np.prod(E, axis=-1)
+        ys = -np.sum(dE / E, axis=-1) / (2 * N * N)
+    zs, ys = zs.astype(float), ys.astype(float)
+    bad = ~(zs > 0) | ~np.isfinite(zs) | ~np.isfinite(ys)
+    ys[bad] = np.nan
+    flags = ["near-singular" if b else "" for b in bad]
     return GwwCurve(dim=N, x=xs, z=zs, y=ys, flags=flags)
 
 

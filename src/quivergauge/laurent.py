@@ -8,7 +8,6 @@ back by x) may use negative ``b``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,9 +82,6 @@ class YXPoly:
         for a, b, c in self.terms:
             out += c * np.power(y, a) * np.power(x, -float(b))
         return out
-
-    def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
-        return sum((Fraction(c) * y**a * x ** (-b) for a, b, c in self.terms), Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:

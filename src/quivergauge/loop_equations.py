@@ -30,6 +30,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     _cyclic_reduce,
+    _step_key,
     cyclic_canonical,
     is_reduced,
 )
@@ -351,7 +352,7 @@ def factorize_large_N(eq: LoopEquation) -> MomentEquation:
             return prim
         if rev_fwd and not fwd:
             return prim_rev
-        return min(prim, prim_rev, key=lambda c: tuple(_step_sort_key(s) for s in c.steps))
+        return min(prim, prim_rev, key=lambda c: tuple(_step_key(s) for s in c.steps))
 
     def index_of(w: CyclicWord) -> int:
         nonlocal generator
@@ -373,7 +374,3 @@ def factorize_large_N(eq: LoopEquation) -> MomentEquation:
     if generator is None:
         generator = CyclicWord()
     return MomentEquation(generator=generator, lhs=lhs, rhs=rhs)
-
-
-def _step_sort_key(step) -> tuple[str, int]:
-    return (step[0], 0 if step[1] > 0 else 1)

@@ -177,5 +177,5 @@ class TestUsage:
     def test_subcommand_help_mentions_flags(self, capsys):
         assert run(["bootstrap", "--help"]) == 0
         out = capsys.readouterr().out
-        for flag in ("--max-order", "--xmin", "--tol", "--svg", "--threads"):
+        for flag in ("--max-order", "--xmin", "--tol", "--svg"):
             assert flag in out
