@@ -124,6 +124,18 @@ def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex
     return complex(np.trace(holonomy(assignment, steps, dim)))
 
 
+def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], dim: int) -> float:
+    """``sum_g g * Re Tr hol(class)``: the action without its constant part.
+
+    Unchecked: the assignment must hold a dim x dim unitary for every edge
+    the table uses.
+    """
+    total = 0.0
+    for w, g in table.entries.items():
+        total += float(g) * loop_trace(assignment, w.steps, dim).real
+    return total
+
+
 def evaluate_action(
     table: PlaquetteTable,
     assignment: Mapping[str, np.ndarray],
@@ -148,8 +160,4 @@ def evaluate_action(
         dev = np.abs(u @ u.conj().T - np.eye(dim)).max()
         if dev > unitarity_tol:
             raise ValueError(f"edge {eid!r}: matrix is not unitary (deviation {dev:.2e})")
-    total = 0.0 + 0.0j
-    for w, g in table.entries.items():
-        total += float(g) * loop_trace(assignment, w.steps, dim)
-    total += float(table.constant_coeff) * dim
-    return total.real
+    return plaquette_sum(table, assignment, dim) + float(table.constant_coeff) * dim

@@ -17,7 +17,8 @@ from . import bootstrap as bs
 from . import gww
 from .action import expand_action, format_rational
 from .bratteli import dirac_ensemble, representation_dimension
-from .jobfile import JobError, load_job, override_dimension
+from .jobfile import Job, JobError, load_job, override_dimension
+from .laurent import YXPoly
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
 from .quiver import EdgeWord, QuiverError
@@ -139,9 +140,36 @@ def _cmd_loopeq(args) -> int:
     return 0
 
 
+def _check_triangle_recursion(job: Job, max_order: int) -> None:
+    """Refuse a job whose own large-N loop equations are not the scanned recursion.
+
+    The job's first loop, rooted at its first non-self-loop edge, must give
+    factorised relations n = 1 .. max_order - 1 that vanish identically on
+    ``bootstrap.moment`` with every plaquette coupling set to x.
+    """
+    if not job.loops:
+        raise JobError("bootstrap needs a job with a loop to check the moment recursion on")
+    beta = job.loops[0]
+    root = next((e for e, _ in beta.steps if not job.quiver.is_self_loop(e)), None)
+    if root is None:
+        raise JobError(f"loop {beta} has no non-self-loop edge to root at")
+    table = expand_action(job.quiver, job.action)
+    for n in range(1, max_order):
+        eq = generate_loop_equation(job.quiver, table, beta**n, root, mode="large")
+        try:
+            meq = factorize_large_N(eq)
+        except ValueError as exc:
+            raise JobError(f"the job's loop equations do not close on one moment: {exc}") from None
+        residual = meq.residual_polynomial(bs.moment, lambda p: YXPoly.x())
+        if not residual.is_zero:
+            raise JobError(
+                f"the job's large-N loop equation for ({beta})^{n} at root {root} "
+                "is not the triangle moment recursion the scan uses"
+            )
+
+
 def _cmd_bootstrap(args) -> int:
-    # the job fixes context only; the scan itself lives on the (x, y) plane
-    load_job(args.job)
+    _check_triangle_recursion(load_job(args.job), args.max_order)
     xs = np.linspace(args.xmin, args.xmax, args.xres)
     ys = np.linspace(args.ymin, args.ymax, args.yres)
     fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol)
@@ -179,6 +207,8 @@ def _cmd_mc(args) -> int:
     if args.check_eq:
         if not args.root:
             raise JobError("--check-eq requires --root")
+        if args.method != "reweight":
+            raise JobError("--check-eq supports only --method reweight")
         eq = generate_loop_equation(job.quiver, table, word, args.root, mode="finite")
         res = check_loop_equation(job.network, table, eq, args.samples, args.seed)
         payload = {

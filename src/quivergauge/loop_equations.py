@@ -192,38 +192,12 @@ def _sorted_pair(a: CyclicWord, b: CyclicWord) -> tuple[CyclicWord, CyclicWord]:
     return (a, b) if (len(ka), ka) <= (len(kb), kb) else (b, a)
 
 
-def _merge_lhs(terms: list[tuple[int, tuple[CyclicWord, CyclicWord]]]) -> tuple[DoubleTraceTerm, ...]:
-    acc: dict[tuple[CyclicWord, CyclicWord], int] = {}
-    order: list[tuple[CyclicWord, CyclicWord]] = []
-    for c, pair in terms:
-        if pair not in acc:
-            acc[pair] = 0
-            order.append(pair)
-        acc[pair] += c
-    return tuple(DoubleTraceTerm(coeff=acc[p], words=p) for p in order if acc[p] != 0)
-
-
-def _merge_rhs(terms: list[tuple[int, CyclicWord, CyclicWord]]) -> tuple[SingleTraceTerm, ...]:
-    acc: dict[tuple[CyclicWord, CyclicWord], int] = {}
-    order: list[tuple[CyclicWord, CyclicWord]] = []
-    for s, plaq, w in terms:
-        key = (plaq, w)
-        if key not in acc:
-            acc[key] = 0
-            order.append(key)
-        acc[key] += s
-    return tuple(
-        SingleTraceTerm(multiplicity=acc[k], plaquette=k[0], word=k[1])
-        for k in order
-        if acc[k] != 0
-    )
-
-
-def _occurrence_rotations(gamma: CyclicWord, root: str):
-    """Yield (orientation, index) for each root occurrence in the cyclic word."""
-    for i, (e, o) in enumerate(gamma.steps):
-        if e == root:
-            yield o, i
+def _merge(terms: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """Sum integer coefficients per key in first-seen order; drop zero sums."""
+    acc: dict[tuple, int] = {}
+    for c, key in terms:
+        acc[key] = acc.get(key, 0) + c
+    return [(c, key) for key, c in acc.items() if c != 0]
 
 
 def generate_loop_equation(
@@ -287,7 +261,7 @@ def generate_loop_equation(
             lhs_raw.append((sign, pair))
             prefix = prefix + segs[j]
 
-    rhs_raw: list[tuple[int, CyclicWord, CyclicWord]] = []
+    rhs_raw: list[tuple[int, tuple[CyclicWord, CyclicWord]]] = []
     base = dec.rotated.steps
     if dec.p == 0 and beta.steps:
         # splices depart from the root's source; rebase the loop there
@@ -301,7 +275,9 @@ def generate_loop_equation(
                 "the spliced terms are not expressible as closed words"
             )
     for gamma in table.entries:
-        for o, i in _occurrence_rotations(gamma, root):
+        for i, (e, o) in enumerate(gamma.steps):
+            if e != root:
+                continue
             rot_at = gamma.steps[i:] + gamma.steps[:i]  # starts with the occurrence
             rot_after = gamma.steps[i + 1 :] + gamma.steps[: i + 1]  # ends with it
             if forward:
@@ -309,14 +285,17 @@ def generate_loop_equation(
             else:
                 insert = rot_after if o > 0 else rot_at
             word = cyclic_canonical(q, EdgeWord(base + insert))
-            rhs_raw.append((1 if o > 0 else -1, gamma, word))
+            rhs_raw.append((1 if o > 0 else -1, (gamma, word)))
 
     return LoopEquation(
         mode=mode,
         root=root,
         loop=cyclic_canonical(q, beta),
-        lhs=_merge_lhs(lhs_raw),
-        rhs=_merge_rhs(rhs_raw),
+        lhs=tuple(DoubleTraceTerm(coeff=c, words=pair) for c, pair in _merge(lhs_raw)),
+        rhs=tuple(
+            SingleTraceTerm(multiplicity=m, plaquette=plaq, word=w)
+            for m, (plaq, w) in _merge(rhs_raw)
+        ),
     )
 
 

@@ -1,13 +1,16 @@
 """Haar sampling of block unitaries, Dirac assembly and Wilson-loop estimators.
 
-Sampling is counter-based and reproducible: every Haar block draw is keyed
-by (master seed, edge index, block index) with the sample index as the
-Philox counter, so streams are identical for any worker partition.
+Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
+every Haar block draw by (master seed, edge index, block index) with the
+sample index as the Philox counter, so streams are identical for any worker
+partition.  It is the only source of configurations.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
 * ``reweight`` - plain Haar draws reweighted by exp(-N S); exact in
   expectation at any sample size, efficient while N|S| stays moderate.
+  Wilson loops and loop-equation residuals share one sampling loop and one
+  weighted reduction.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
   block with step size tuned to 30-50% acceptance during burn-in.
 """
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .action import PlaquetteTable, loop_trace
+from .action import PlaquetteTable, loop_trace, plaquette_sum
 from .bratteli import BratteliNetwork
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord
@@ -53,17 +56,6 @@ def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) 
             pos += n
     assert pos == dim
     return out
-
-
-def sample_dirac(net: BratteliNetwork, rng: np.random.Generator) -> DiracSample:
-    """Independent Haar blocks per edge factor, embedded along the diagonal
-    in the target vertex's summand order."""
-    unitaries = {}
-    for eid in net.quiver.edge_ids:
-        tgt = net.quiver.target[eid]
-        blocks = [sample_haar(n, rng) for n in net.n[tgt]]
-        unitaries[eid] = _embed_blocks(blocks, net.r[tgt], net.dim)
-    return DiracSample(unitaries=unitaries, dim=net.dim)
 
 
 class KeyedSampler:
@@ -149,45 +141,54 @@ class ResidualResult:
     effective_samples: float
 
 
-class _WeightedAccumulator:
-    """Single-pass weighted mean/stderr for a complex observable stream."""
+def _reweighted_traces(
+    net: BratteliNetwork,
+    table: PlaquetteTable,
+    words: Sequence[tuple],
+    samples: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log weights -N S and normalised traces on keyed draws 0..samples-1.
 
-    def __init__(self) -> None:
-        self.w = 0.0
-        self.w2 = 0.0
-        self.wo = 0.0 + 0.0j
-        self.w2o = 0.0 + 0.0j
-        self.w2o2 = 0.0
-
-    def add(self, weight: float, value: complex) -> None:
-        self.w += weight
-        self.w2 += weight * weight
-        self.wo += weight * value
-        self.w2o += weight * weight * value
-        self.w2o2 += weight * weight * (value.real**2 + value.imag**2)
-
-    @property
-    def mean(self) -> complex:
-        return self.wo / self.w
-
-    @property
-    def stderr(self) -> float:
-        # delta-method error of the ratio estimator sum(w O)/sum(w)
-        r = self.mean
-        num = self.w2o2 - 2.0 * (r.conjugate() * self.w2o).real + abs(r) ** 2 * self.w2
-        return math.sqrt(max(num, 0.0)) / self.w
-
-    @property
-    def effective_samples(self) -> float:
-        return self.w * self.w / self.w2 if self.w2 > 0 else 0.0
+    Returns ``logs`` of shape (samples,) and ``traces`` of shape
+    (len(words), samples); the constant part of S shifts every log weight
+    equally and is left out.
+    """
+    sampler = KeyedSampler(net, seed)
+    dim = net.dim
+    logs = np.empty(samples)
+    traces = np.empty((len(words), samples), dtype=complex)
+    for i in range(samples):
+        u = sampler.sample(i).unitaries
+        logs[i] = -dim * plaquette_sum(table, u, dim)
+        for k, w in enumerate(words):
+            traces[k, i] = loop_trace(u, w, dim) / dim
+    return logs, traces
 
 
-def _action_weight_log(table: PlaquetteTable, assignment, dim: int) -> float:
-    total = 0.0
-    for w, g in table.entries.items():
-        total += float(g) * loop_trace(assignment, w.steps, dim).real
-    # constant part shifts all weights equally; dropped for stability
-    return -dim * total
+def _weighted_mean(
+    logs: np.ndarray, values: np.ndarray, min_effective: float
+) -> tuple[complex, float, float]:
+    """Ratio estimate sum(w v)/sum(w) with w = exp(logs - max logs).
+
+    Returns the mean, its delta-method error sqrt(sum w^2 |v - mean|^2)/sum(w)
+    and the effective sample size (sum w)^2/sum w^2.  Sums run over real
+    arrays, real and imaginary parts apart, so a constant observable gives
+    its value and a zero error exactly.
+    """
+    w = np.exp(logs - logs.max())
+    w_sum = w.sum()
+    ess = float(w_sum * w_sum / (w * w).sum())
+    if ess < min_effective:
+        raise RuntimeError(
+            f"effective sample size {ess:.1f} below threshold {min_effective}; "
+            "increase samples or weaken the coupling"
+        )
+    re = (w * values.real).sum() / w_sum
+    im = (w * values.imag).sum() / w_sum
+    dev2 = (values.real - re) ** 2 + (values.imag - im) ** 2
+    stderr = math.sqrt((w * w * dev2).sum()) / w_sum
+    return complex(re, im), float(stderr), ess
 
 
 def estimate_wilson(
@@ -205,51 +206,14 @@ def estimate_wilson(
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
     if method == "reweight":
-        return _estimate_reweight(net, table, [beta.steps], samples, seed, min_effective)[0]
+        logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
+        mean, stderr, ess = _weighted_mean(logs, traces[0], min_effective)
+        return EstimatorResult(
+            mean=mean, stderr=stderr, samples=samples, effective_samples=ess, method="reweight"
+        )
     if method == "metropolis":
         return _estimate_metropolis(net, table, beta.steps, samples, seed, burnin, thin)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _estimate_reweight(
-    net: BratteliNetwork,
-    table: PlaquetteTable,
-    words: list[tuple],
-    samples: int,
-    seed: int,
-    min_effective: float,
-) -> list[EstimatorResult]:
-    """Shared-stream reweighted estimates for several words at once."""
-    sampler = KeyedSampler(net, seed)
-    dim = net.dim
-    logs = np.empty(samples)
-    values = np.empty((len(words), samples), dtype=complex)
-    for i in range(samples):
-        s = sampler.sample(i)
-        logs[i] = _action_weight_log(table, s.unitaries, dim)
-        for k, w in enumerate(words):
-            values[k, i] = loop_trace(s.unitaries, w, dim) / dim
-    weights = np.exp(logs - logs.max())
-    out = []
-    for k in range(len(words)):
-        acc = _WeightedAccumulator()
-        for i in range(samples):
-            acc.add(weights[i], complex(values[k, i]))
-        if acc.effective_samples < min_effective:
-            raise RuntimeError(
-                f"effective sample size {acc.effective_samples:.1f} below "
-                f"threshold {min_effective}; increase samples or weaken the coupling"
-            )
-        out.append(
-            EstimatorResult(
-                mean=complex(acc.mean),
-                stderr=acc.stderr,
-                samples=samples,
-                effective_samples=acc.effective_samples,
-                method="reweight",
-            )
-        )
-    return out
 
 
 def _estimate_metropolis(
@@ -279,7 +243,8 @@ def _estimate_metropolis(
     assignment = {eid: embedded(eid) for eid in q.edge_ids}
 
     def action() -> float:
-        return -_action_weight_log(table, assignment, dim) / dim  # = S
+        # S without its constant part, which cancels in every difference
+        return plaquette_sum(table, assignment, dim)
 
     s_cur = action()
 
@@ -366,45 +331,15 @@ def check_loop_equation(
     if not eq.lhs and not eq.rhs:
         # both sides structurally empty; nothing to estimate
         return ResidualResult(residual=0.0, stderr=0.0, samples=0, effective_samples=0.0)
-    dim = net.dim
-    sampler = KeyedSampler(net, seed)
-    # distinct words appearing anywhere in the equation
-    words: list[tuple] = []
-    index: dict[tuple, int] = {}
-
-    def wid(steps: tuple) -> int:
-        if steps not in index:
-            index[steps] = len(words)
-            words.append(steps)
-        return index[steps]
-
-    lhs_ix = [(t.coeff, wid(t.words[0].steps), wid(t.words[1].steps)) for t in eq.lhs]
-    rhs_ix = [
-        (float(eq.rhs_coefficient(table, t)), wid(t.word.steps)) for t in eq.rhs
-    ]
-    acc = _WeightedAccumulator()
-    logs = np.empty(samples)
-    residuals = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        s = sampler.sample(i)
-        logs[i] = _action_weight_log(table, s.unitaries, dim)
-        tr = [loop_trace(s.unitaries, w, dim) / dim for w in words]
-        r = 0.0 + 0.0j
-        for c, a, b in lhs_ix:
-            r += c * tr[a] * tr[b]
-        for c, k in rhs_ix:
-            r -= c * tr[k]
-        residuals[i] = r
-    weights = np.exp(logs - logs.max())
-    for i in range(samples):
-        acc.add(weights[i], complex(residuals[i]))
-    if acc.effective_samples < min_effective:
-        raise RuntimeError(
-            f"effective sample size {acc.effective_samples:.1f} below threshold {min_effective}"
-        )
-    return ResidualResult(
-        residual=complex(acc.mean),
-        stderr=acc.stderr,
-        samples=samples,
-        effective_samples=acc.effective_samples,
-    )
+    # distinct words appearing anywhere in the equation, traced once per draw
+    steps = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
+    words = list(dict.fromkeys(steps))
+    row = {w: k for k, w in enumerate(words)}
+    logs, traces = _reweighted_traces(net, table, words, samples, seed)
+    residuals = np.zeros(samples, dtype=complex)
+    for t in eq.lhs:
+        residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
+    for t in eq.rhs:
+        residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
+    mean, stderr, ess = _weighted_mean(logs, residuals, min_effective)
+    return ResidualResult(residual=mean, stderr=stderr, samples=samples, effective_samples=ess)

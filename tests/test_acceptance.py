@@ -94,11 +94,11 @@ def test_c04_spectral_action_oracle(capsys, two_site_quiver, two_site_network, t
         (two_site_quiver, two_site_network),
         (triangle_quiver, triangle_network(triangle_quiver, 5)),
     ]
-    rng = np.random.default_rng(424242)
     for quiver, net in cases:
         table = expand_action(quiver, f)
-        for _ in range(20):
-            s = qg.sample_dirac(net, rng)
+        sampler = qg.KeyedSampler(net, 424242)
+        for i in range(20):
+            s = sampler.sample(i)
             ev = np.linalg.eigvalsh(qg.assemble_dirac(net, s))
             direct = sum(float(c) * (ev**k).sum() for k, c in enumerate(f.coefficients))
             val = evaluate_action(table, s.unitaries)

@@ -130,11 +130,11 @@ class TestEvaluateAction:
         )
         assert evaluate_action(table, ident) == pytest.approx(expected, abs=1e-12)
 
-    def test_matches_dirac_eigentrace(self, triangle_quiver, rng):
+    def test_matches_dirac_eigentrace(self, triangle_quiver):
         f = ActionSpec.from_list([0, 0, 0, 1])
         table = expand_action(triangle_quiver, f)
         net = triangle_network(triangle_quiver, 4)
-        s = qg.sample_dirac(net, rng)
+        s = qg.KeyedSampler(net, 20240901).sample(0)
         d = qg.assemble_dirac(net, s)
         direct = float((np.linalg.eigvalsh(d) ** 3).sum())
         val = evaluate_action(table, s.unitaries)

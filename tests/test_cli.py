@@ -92,6 +92,38 @@ class TestBootstrap:
             assert (int(mo) >= 2) == (abs(float(y)) <= 1.0)
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize(
+        "base, edit, message",
+        [
+            # the two-site loop equations do not close on one moment sequence
+            (TWO_SITE, {}, "not a power of the common generator"),
+            (TRIANGLE, {"loops": []}, "needs a job with a loop"),
+            # a coupling on the doubled triangle adds terms the recursion lacks
+            (TRIANGLE, {"action": {"f": [0, 0, 0, "1/15", 0, 0, "1/10"]}},
+             "not the triangle moment recursion"),
+        ],
+        ids=["two_site", "no_loop", "sextic_triangle"],
+    )
+    def test_job_off_the_recursion_is_domain_error(self, tmp_path, capsys, base, edit, message):
+        job = tmp_path / "job.json"
+        with open(base) as fh:
+            job.write_text(json.dumps({**json.load(fh), **edit}))
+        out = tmp_path / "scan.csv"
+        code = run(
+            ["bootstrap", str(job), "--max-order", "3", "--xres", "5", "--yres", "5",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_triangle_job_matches_builtin(self, tmp_path):
+        a, b = tmp_path / "job.csv", tmp_path / "builtin.csv"
+        grid = ["--max-order", "7", "--xres", "9", "--yres", "11"]
+        assert run(["bootstrap", TRIANGLE, *grid, "--out", str(a)]) == 0
+        assert run(["bootstrap", "builtin:triangle", *grid, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestGww:
     def test_degenerate_single_row(self, tmp_path):
@@ -145,6 +177,17 @@ class TestMc:
         )
         assert code == 1
         assert "--root" in capsys.readouterr().err
+
+    def test_check_eq_rejects_metropolis(self, tmp_path, capsys):
+        out = tmp_path / "eqcheck.json"
+        code = run(
+            ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--check-eq",
+             "--root", "e1", "--method", "metropolis", "--samples", "10", "--seed", "1",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "--method reweight" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dim_override(self, tmp_path):
         out = tmp_path / "mc.json"

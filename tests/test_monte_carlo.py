@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import quivergauge as qg
-from quivergauge.action import ActionSpec, expand_action, evaluate_action
+from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace
 from quivergauge.monte_carlo import (
     KeyedSampler,
     assemble_dirac,
     check_loop_equation,
     estimate_wilson,
-    sample_dirac,
     sample_haar,
 )
 from quivergauge.quiver import EdgeWord
@@ -57,8 +56,10 @@ class TestSampleHaar:
 
 
 class TestSampleDirac:
-    def test_two_site_block_layout(self, two_site_network, rng):
-        s = sample_dirac(two_site_network, rng)
+    """Block layout of the configurations the keyed sampler draws."""
+
+    def test_two_site_block_layout(self, two_site_network):
+        s = KeyedSampler(two_site_network, 20240901).sample(0)
         u = s.unitaries["ov"]
         assert u.shape == (16, 16)
         # 4 copies of a 3-block then 2 copies of a 2-block on the diagonal
@@ -69,37 +70,37 @@ class TestSampleDirac:
         ue = s.unitaries["e"]
         assert np.abs(ue[:8, :8] - ue[8:, 8:]).max() < 1e-14
 
-    def test_unitarity_of_embeddings(self, two_site_network, rng):
-        s = sample_dirac(two_site_network, rng)
+    def test_unitarity_of_embeddings(self, two_site_network):
+        s = KeyedSampler(two_site_network, 20240901).sample(0)
         for u in s.unitaries.values():
             assert np.abs(u @ u.conj().T - np.eye(16)).max() < 1e-12
 
-    def test_triangle_full_blocks(self, triangle_quiver, rng):
+    def test_triangle_full_blocks(self, triangle_quiver):
         net = triangle_network(triangle_quiver, 4)
-        s = sample_dirac(net, rng)
+        s = KeyedSampler(net, 20240901).sample(0)
         assert set(s.unitaries) == {"e1", "e2", "e3"}
         for u in s.unitaries.values():
             assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
 
 class TestAssembleDirac:
-    def test_two_site_structure(self, two_site_network, rng):
-        s = sample_dirac(two_site_network, rng)
+    def test_two_site_structure(self, two_site_network):
+        s = KeyedSampler(two_site_network, 20240901).sample(0)
         d = assemble_dirac(two_site_network, s)
         assert d.shape == (32, 32)
         phi_v = s.unitaries["ov"] + s.unitaries["ov"].conj().T
         assert np.abs(d[:16, :16] - phi_v).max() < 1e-14
         assert np.abs(d[:16, 16:] - s.unitaries["e"]).max() < 1e-14
 
-    def test_self_adjoint(self, two_site_network, rng):
-        s = sample_dirac(two_site_network, rng)
+    def test_self_adjoint(self, two_site_network):
+        s = KeyedSampler(two_site_network, 20240901).sample(0)
         d = assemble_dirac(two_site_network, s)
         assert np.abs(d - d.conj().T).max() < 1e-13
 
-    def test_eigentrace_matches_plaquette_evaluation(self, two_site_quiver, two_site_network, rng):
+    def test_eigentrace_matches_plaquette_evaluation(self, two_site_quiver, two_site_network):
         f = ActionSpec.from_list([0, "1/2", 0, 0, "1/4"])
         table = expand_action(two_site_quiver, f)
-        s = sample_dirac(two_site_network, rng)
+        s = KeyedSampler(two_site_network, 20240901).sample(0)
         ev = np.linalg.eigvalsh(assemble_dirac(two_site_network, s))
         direct = sum(float(c) * (ev**k).sum() for k, c in enumerate(f.coefficients))
         assert evaluate_action(table, s.unitaries) == pytest.approx(direct, rel=1e-9)
@@ -147,6 +148,21 @@ class TestEstimateWilson:
         beta = EdgeWord.from_string("ov+ ov+ e+ ow+ ow+ e-")
         est = estimate_wilson(two_site_network, table, beta, samples=3000, seed=4)
         assert abs(est.mean) < 5 * est.stderr
+
+    def test_flat_weight_reduction_is_the_plain_mean(self, triangle_quiver):
+        # all weights 1: the ratio estimate is the sample mean, its error the
+        # population std / sqrt(n) and the effective size n
+        net = triangle_network(triangle_quiver, 3)
+        table = expand_action(triangle_quiver, ActionSpec.from_list([0]))
+        n = 1500
+        est = estimate_wilson(net, table, ZETA, samples=n, seed=17)
+        sampler = KeyedSampler(net, 17)
+        traces = np.array(
+            [loop_trace(sampler.sample(i).unitaries, ZETA.steps, 3) / 3 for i in range(n)]
+        )
+        assert est.mean == complex(traces.real.mean(), traces.imag.mean())
+        assert est.stderr == pytest.approx(traces.std() / np.sqrt(n), rel=1e-12)
+        assert est.effective_samples == n
 
     def test_constant_loop_is_one(self, tri3):
         job, table = tri3
