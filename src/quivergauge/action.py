@@ -26,14 +26,8 @@ from .quiver import (
 
 def parse_rational(value) -> Fraction:
     """Exact rational from an int or a 'p/q' string."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
 
 

@@ -1,9 +1,9 @@
-"""Triangle-model moment recursion, Toeplitz moment matrix and positivity scans.
+"""Moments from the large-N loop equations, Toeplitz moment matrix and positivity scans.
 
-The large-N loop equations of the triangle close on the moments
-``m_j = lim <(1/N) Tr hol zeta^j>``: with ``m_0 = 1`` and ``m_1 = y`` free,
-
-    m_{n+1} = m_{n-1} + (1/x) * sum_{l=0}^{n-1} m_l * m_{n-l}.
+The factorised large-N loop equation for the n-th power of a job's loop,
+every plaquette coupling set to x, fixes ``m_{n+1}`` from the lower moments
+``m_j = lim <(1/N) Tr hol beta^j>``, with ``m_0 = 1`` and ``m_1 = y`` free.
+For the triangle it reads m_{n+1} = m_{n-1} + (1/x) sum_{l<n} m_l m_{n-l}.
 
 Reality (``m_{-j} = m_j``) arranges the moments into a symmetric Toeplitz
 matrix whose positive semidefiniteness carves out the admissible (x, y)
@@ -14,23 +14,63 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 import numpy as np
 
+from .action import expand_action
+from .jobfile import Job, triangle_job
 from .laurent import YXPoly
+from .loop_equations import factorize_large_N, generate_loop_equation
 
-_MOMENTS: list[YXPoly] = [YXPoly.one(), YXPoly.y()]
+
+def derive_moments(job: Job) -> Iterator[YXPoly]:
+    """Yield m_0, m_1, ... of the job's first loop ``beta``, rooted at its first
+    non-self-loop edge, solving the equation for ``beta**n`` for m_{n+1}.
+
+    Raises ValueError, naming the word, n and the reason, where that fails.
+    """
+    if not job.loops:
+        raise ValueError("bootstrap needs a job with a loop to derive the moments from")
+    beta = job.loops[0]
+    root = next((e for e, _ in beta.steps if not job.quiver.is_self_loop(e)), None)
+    if root is None:
+        raise ValueError(f"loop {beta} has no non-self-loop edge to root at")
+    table = expand_action(job.quiver, job.action)
+    m = [YXPoly.one(), YXPoly.y()]
+    yield from m
+    for n in count(1):
+        where = f"the large-N loop equation for ({beta})^{n} at root {root}"
+        eq = generate_loop_equation(job.quiver, table, beta**n, root, mode="large")
+        try:
+            meq = factorize_large_N(eq)
+        except ValueError as exc:
+            raise ValueError(f"{where} does not close on one moment: {exc}") from None
+        paired = {abs(k) for _, i, j in meq.lhs for k in (i, j)}
+        highest = max(paired | {abs(k) for _, _, k in meq.rhs}, default=0)
+        if highest != n + 1:
+            raise ValueError(f"{where} has highest moment m_{highest} where m_{n + 1} is expected")
+        if n + 1 in paired:
+            raise ValueError(f"{where} has m_{n + 1} on its double-trace side")
+        coeff = sum(mult for mult, _, k in meq.rhs if abs(k) == n + 1)
+        # with m_{n+1} = 0, lhs - rhs is the rest that coeff * x * m_{n+1} must equal
+        m.append(YXPoly.zero())
+        rest = meq.residual_polynomial(lambda k: m[abs(k)], lambda p: YXPoly.x()) * YXPoly.inv_x()
+        if coeff == 0 or any(c % coeff for _, _, c in rest.terms):
+            raise ValueError(f"{where} has coefficient {coeff} on m_{n + 1}, not dividing the rest")
+        m[-1] = YXPoly(tuple((a, b, c // coeff) for a, b, c in rest.terms))
+        yield m[-1]
+
+
+_TRIANGLE, _MOMENTS = derive_moments(triangle_job()), []
 
 
 def moment(n: int) -> YXPoly:
-    """Exact m_n(x, y); memoized.  m_{-n} equals m_n by reality."""
+    """Exact m_n(x, y) of the triangle job (loop e1+ e2+ e3+ at e1); memoized.  m_{-n} = m_n."""
     n = abs(int(n))
     while len(_MOMENTS) <= n:
-        k = len(_MOMENTS) - 1  # compute m_{k+1}
-        s = YXPoly.zero()
-        for l in range(0, k):
-            s = s + _MOMENTS[l] * _MOMENTS[k - l]
-        _MOMENTS.append(_MOMENTS[k - 1] + s * YXPoly.inv_x())
+        _MOMENTS.append(next(_TRIANGLE))
     return _MOMENTS[n]
 
 
@@ -137,6 +177,13 @@ def _first_failure(minors: np.ndarray, tol: float) -> np.ndarray:
     return np.where(any_bad, first, 0)
 
 
+def _check_scan_args(max_order: int, tol: float) -> None:
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+
+
 def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bool, int | None]:
     """Whether all leading principal minors up to ``max_order`` stay >= -tol.
 
@@ -145,10 +192,7 @@ def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bo
     """
     if x == 0:
         raise ValueError("moments are singular at x = 0")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _check_scan_args(max_order, tol)
     mvals = np.array([moment(k).evaluate(x, y) for k in range(max_order)])
     minors = leading_minors(mvals, max_order)
     first = int(_first_failure(minors, tol))
@@ -232,6 +276,7 @@ def scan_region(
     tol: float = 1e-10,
 ) -> FeasibilityMap:
     """Positivity depth of every grid cell; x = 0 columns are undefined."""
+    _check_scan_args(max_order, tol)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     X = xs[:, None]
@@ -272,9 +317,7 @@ def default_grid(
 
 def dump_moment_table(n_max: int) -> list[dict]:
     """JSON-ready moment table: [{n, terms: [{c, a, b}]}]."""
-    table = []
-    for n in range(n_max + 1):
-        table.append(
-            {"n": n, "terms": [{"c": c, "a": a, "b": b} for a, b, c in moment(n).terms]}
-        )
-    return table
+    return [
+        {"n": n, "terms": [{"c": c, "a": a, "b": b} for a, b, c in moment(n).terms]}
+        for n in range(n_max + 1)
+    ]

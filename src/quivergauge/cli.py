@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from . import bootstrap as bs
 from . import gww
 from .action import expand_action, format_rational
 from .bratteli import dirac_ensemble, representation_dimension
-from .jobfile import Job, JobError, load_job, override_dimension
-from .laurent import YXPoly
+from .jobfile import JobError, load_job, override_dimension
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
 from .quiver import EdgeWord, QuiverError
@@ -140,36 +140,17 @@ def _cmd_loopeq(args) -> int:
     return 0
 
 
-def _check_triangle_recursion(job: Job, max_order: int) -> None:
-    """Refuse a job whose own large-N loop equations are not the scanned recursion.
-
-    The job's first loop, rooted at its first non-self-loop edge, must give
-    factorised relations n = 1 .. max_order - 1 that vanish identically on
-    ``bootstrap.moment`` with every plaquette coupling set to x.
-    """
-    if not job.loops:
-        raise JobError("bootstrap needs a job with a loop to check the moment recursion on")
-    beta = job.loops[0]
-    root = next((e for e, _ in beta.steps if not job.quiver.is_self_loop(e)), None)
-    if root is None:
-        raise JobError(f"loop {beta} has no non-self-loop edge to root at")
-    table = expand_action(job.quiver, job.action)
-    for n in range(1, max_order):
-        eq = generate_loop_equation(job.quiver, table, beta**n, root, mode="large")
-        try:
-            meq = factorize_large_N(eq)
-        except ValueError as exc:
-            raise JobError(f"the job's loop equations do not close on one moment: {exc}") from None
-        residual = meq.residual_polynomial(bs.moment, lambda p: YXPoly.x())
-        if not residual.is_zero:
-            raise JobError(
-                f"the job's large-N loop equation for ({beta})^{n} at root {root} "
-                "is not the triangle moment recursion the scan uses"
-            )
-
-
 def _cmd_bootstrap(args) -> int:
-    _check_triangle_recursion(load_job(args.job), args.max_order)
+    job = load_job(args.job)
+    try:
+        derived = list(islice(bs.derive_moments(job), args.max_order))
+        reason = f"its loop {job.loops[0]} gives other moments"
+    except ValueError as exc:
+        derived, reason = None, str(exc)
+    if derived != [bs.moment(k) for k in range(args.max_order)]:
+        raise JobError(
+            f"the job's moments are not the triangle moment recursion the scan uses: {reason}"
+        )
     xs = np.linspace(args.xmin, args.xmax, args.xres)
     ys = np.linspace(args.ymin, args.ymax, args.yres)
     fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol)

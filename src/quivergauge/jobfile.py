@@ -48,18 +48,17 @@ def triangle_job(dim: int = 4, f3: Fraction | str | int = Fraction(1, 15)) -> Jo
         ["v1", "v2", "v3"],
         [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
     )
-    net = validate_network(
-        q,
-        {
-            "l": {v: 1 for v in q.vertices},
-            "n": {v: [dim] for v in q.vertices},
-            "r": {v: [1] for v in q.vertices},
-            "C": {e: [[1]] for e in q.edge_ids},
-        },
-    )
     action = ActionSpec.from_list([0, 0, 0, f3])
     loops = [EdgeWord.from_string("e1+ e2+ e3+")]
-    return Job(quiver=q, network=net, action=action, loops=loops)
+    return Job(quiver=q, network=_single_block_network(q, dim), action=action, loops=loops)
+
+
+def _single_block_network(q: Quiver, dim: int) -> BratteliNetwork:
+    """One multiplicity-one U(dim) block per vertex, identity transitions on every edge."""
+    return validate_network(q, {
+        "l": {v: 1 for v in q.vertices}, "n": {v: [dim] for v in q.vertices},
+        "r": {v: [1] for v in q.vertices}, "C": {e: [[1]] for e in q.edge_ids},
+    })
 
 
 def parse_job_dict(data: dict) -> Job:
@@ -113,13 +112,5 @@ def override_dimension(job: Job, dim: int) -> Job:
     net = job.network
     if any(v != 1 for v in net.l.values()) or any(net.r[v] != (1,) for v in net.l):
         raise JobError("dimension override requires one multiplicity-one block per vertex")
-    new_net = validate_network(
-        job.quiver,
-        {
-            "l": {v: 1 for v in job.quiver.vertices},
-            "n": {v: [dim] for v in job.quiver.vertices},
-            "r": {v: [1] for v in job.quiver.vertices},
-            "C": {e: [[1]] for e in job.quiver.edge_ids},
-        },
-    )
+    new_net = _single_block_network(job.quiver, dim)
     return Job(quiver=job.quiver, network=new_net, action=job.action, loops=job.loops)

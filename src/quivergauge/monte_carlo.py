@@ -225,30 +225,26 @@ def _estimate_metropolis(
     burnin: int,
     thin: int,
 ) -> EstimatorResult:
+    # batch means absorb residual autocorrelation
+    n_batches = max(10, min(50, samples // 20))
+    if samples < n_batches:
+        raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
     q = net.quiver
     dim = net.dim
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
     # initial configuration: identity blocks (cold start)
-    state: dict[str, list[np.ndarray]] = {}
-    eps: dict[tuple[str, int], float] = {}
-    for eid in q.edge_ids:
-        tgt = q.target[eid]
-        state[eid] = [np.eye(n, dtype=complex) for n in net.n[tgt]]
-        for bi in range(len(net.n[tgt])):
-            eps[(eid, bi)] = 0.5
+    state = {eid: [np.eye(n, dtype=complex) for n in net.n[q.target[eid]]] for eid in q.edge_ids}
+    blocks = [(eid, bi) for eid in q.edge_ids for bi in range(len(state[eid]))]
+    eps = dict.fromkeys(blocks, 0.5)
 
     def embedded(eid: str) -> np.ndarray:
         return _embed_blocks(state[eid], net.r[q.target[eid]], dim)
 
     assignment = {eid: embedded(eid) for eid in q.edge_ids}
+    # S without its constant part, which cancels in every difference
+    s_cur = plaquette_sum(table, assignment, dim)
 
-    def action() -> float:
-        # S without its constant part, which cancels in every difference
-        return plaquette_sum(table, assignment, dim)
-
-    s_cur = action()
-
-    def propose(eid: str, bi: int) -> tuple[float, bool]:
+    def propose(eid: str, bi: int) -> bool:
         nonlocal s_cur
         n = net.n[q.target[eid]][bi]
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -259,58 +255,53 @@ def _estimate_metropolis(
         old_u = assignment[eid]
         state[eid][bi] = v @ old_block
         assignment[eid] = embedded(eid)
-        s_new = action()
+        s_new = plaquette_sum(table, assignment, dim)
         if rng.random() < math.exp(min(0.0, -dim * (s_new - s_cur))):
             s_cur = s_new
-            return s_new, True
+            return True
         state[eid][bi] = old_block
         assignment[eid] = old_u
-        return s_cur, False
+        return False
 
-    blocks = [(eid, bi) for eid in q.edge_ids for bi in range(len(net.n[q.target[eid]]))]
-    # burn-in with step-size tuning toward 30-50% acceptance
-    window = {b: [0, 0] for b in blocks}
+    # burn-in with step-size tuning toward 30-50% acceptance over 100-sweep windows
+    window = dict.fromkeys(blocks, 0)
     for sweep in range(burnin):
         for b in blocks:
-            _, ok = propose(*b)
-            window[b][0] += 1
-            window[b][1] += int(ok)
+            window[b] += propose(*b)
         if (sweep + 1) % 100 == 0:
             for b in blocks:
-                total, acc = window[b]
-                rate = acc / total
+                rate = window[b] / 100
                 if rate > 0.5:
                     eps[b] = min(eps[b] * 1.3, math.pi)
                 elif rate < 0.3:
                     eps[b] /= 1.3
-                window[b] = [0, 0]
-    attempted = accepted = 0
+                window[b] = 0
+    accepted = 0
     values = []
     for k in range(samples):
         for _ in range(thin):
             for b in blocks:
-                _, ok = propose(*b)
-                attempted += 1
-                accepted += int(ok)
+                accepted += propose(*b)
         values.append(loop_trace(assignment, word, dim) / dim)
+    attempted = samples * thin * len(blocks)
     rate = accepted / attempted if attempted else 0.0
     if not 0.05 <= rate <= 0.95:
         raise RuntimeError(
             f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
         )
-    # batch means absorb residual autocorrelation
-    n_batches = max(10, min(50, samples // 20))
-    batches = np.array_split(np.asarray(values), n_batches)
-    means = np.array([b.mean() for b in batches])
-    mean = complex(np.asarray(values).mean())
+    values = np.asarray(values)
+    means = np.array([b.mean() for b in np.array_split(values, n_batches)])
+    mean = complex(values.mean())
     stderr = float(
         np.sqrt((np.abs(means - mean) ** 2).sum() / (len(means) * (len(means) - 1)))
     )
+    # the sample count whose independent draws would give the same stderr
+    spread = float((np.abs(values - mean) ** 2).mean())
     return EstimatorResult(
         mean=mean,
         stderr=stderr,
         samples=samples,
-        effective_samples=float(samples),
+        effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
         method="metropolis",
         acceptance=rate,
     )

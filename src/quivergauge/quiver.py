@@ -161,11 +161,8 @@ class Quiver:
         """Visited vertices of a composable word (length ``len(w)+1``)."""
         if not w.steps:
             return []
-        verts = []
-        dep, arr = self.step_endpoints(w.steps[0])
-        verts.append(dep)
-        verts.append(arr)
-        for k, step in enumerate(w.steps[1:], start=1):
+        verts = [self.step_endpoints(w.steps[0])[0]]
+        for k, step in enumerate(w.steps):
             dep, arr = self.step_endpoints(step)
             if dep != verts[-1]:
                 raise QuiverError(
@@ -236,8 +233,8 @@ def _step_key(step: Step) -> tuple[str, int]:
 def _min_rotation(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     if not steps:
         return steps
-    keyed = [tuple(_step_key(s) for s in (steps[k:] + steps[:k])) for k in range(len(steps))]
-    best = min(range(len(steps)), key=lambda k: keyed[k])
+    keys = [_step_key(s) for s in steps] * 2
+    best = min(range(len(steps)), key=lambda k: keys[k : k + len(steps)])
     return steps[best:] + steps[:best]
 
 

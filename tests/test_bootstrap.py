@@ -1,9 +1,13 @@
+from dataclasses import replace
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivergauge.bootstrap import (
+    derive_moments,
     dump_moment_table,
     feasible,
     leading_minors,
@@ -11,7 +15,9 @@ from quivergauge.bootstrap import (
     moment_matrix,
     scan_region,
 )
+from quivergauge.jobfile import triangle_job
 from quivergauge.laurent import YXPoly
+from quivergauge.quiver import EdgeWord
 
 
 def poly(terms: dict) -> YXPoly:
@@ -42,12 +48,18 @@ class TestMoments:
         assert moment(-4) == moment(4)
 
     def test_recursion_consistency(self):
-        # m_{n+1} - m_{n-1} = (1/x) sum_l m_l m_{n-l}
-        for n in range(1, 9):
+        # m_{n+1} - m_{n-1} = (1/x) sum_l m_l m_{n-l}, through every moment
+        # an order-15 scan reads
+        for n in range(1, 15):
             s = YXPoly.zero()
             for l in range(n):
                 s = s + moment(l) * moment(n - l)
             assert moment(n + 1) - moment(n - 1) == s * YXPoly.inv_x()
+
+    def test_reversed_loop_derives_the_same_moments(self):
+        # the reversed 3-cycle indexes the generator negatively; reality folds it back
+        job = replace(triangle_job(), loops=[EdgeWord.from_string("e3- e2- e1-")])
+        assert list(islice(derive_moments(job), 10)) == [moment(k) for k in range(10)]
 
     def test_dump_table_shape(self):
         table = dump_moment_table(3)

@@ -118,11 +118,40 @@ class TestBootstrap:
         assert not out.exists()
 
     def test_triangle_job_matches_builtin(self, tmp_path):
-        a, b = tmp_path / "job.csv", tmp_path / "builtin.csv"
+        # a 4-cycle with only a quartic coupling has the triangle's loop equations
+        square = tmp_path / "square.json"
+        verts = ["v1", "v2", "v3", "v4"]
+        edges = [
+            {"id": f"e{k + 1}", "src": verts[k], "dst": verts[(k + 1) % 4]} for k in range(4)
+        ]
+        square.write_text(json.dumps({
+            "quiver": {"vertices": verts, "edges": edges},
+            "network": {
+                "l": {v: 1 for v in verts}, "n": {v: [4] for v in verts},
+                "r": {v: [1] for v in verts}, "C": {e["id"]: [[1]] for e in edges},
+            },
+            "action": {"f": [0, 0, 0, 0, "1/20"]},
+            "loops": ["e1+ e2+ e3+ e4+"],
+        }))
         grid = ["--max-order", "7", "--xres", "9", "--yres", "11"]
-        assert run(["bootstrap", TRIANGLE, *grid, "--out", str(a)]) == 0
+        b = tmp_path / "builtin.csv"
         assert run(["bootstrap", "builtin:triangle", *grid, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for job in (TRIANGLE, str(square)):
+            a = tmp_path / "job.csv"
+            assert run(["bootstrap", job, *grid, "--out", str(a)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--tol", "-1"], "tol must be >= 0"), (["--max-order", "0"], "max_order must be >= 1")],
+        ids=["negative_tol", "zero_order"],
+    )
+    def test_bad_scan_arguments_are_domain_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "scan.csv"
+        code = run(["bootstrap", *flags, "--xres", "5", "--yres", "5", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGww:
@@ -187,6 +216,16 @@ class TestMc:
         )
         assert code == 1
         assert "--method reweight" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metropolis_needs_a_sample_per_batch(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        code = run(
+            ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--method", "metropolis",
+             "--samples", "5", "--burnin", "10", "--thin", "1", "--seed", "7", "--out", str(out)]
+        )
+        assert code == 1
+        assert "batch means" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dim_override(self, tmp_path):

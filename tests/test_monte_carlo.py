@@ -198,6 +198,16 @@ class TestEstimateWilson:
         combined = np.hypot(rew.stderr, met.stderr)
         assert abs(rew.mean.real - met.mean.real) <= 5 * combined
 
+    def test_metropolis_effective_size_counts_correlation(self, tri3):
+        # consecutive single sweeps are correlated, so the chain is worth
+        # fewer independent draws than it has measurements
+        job, table = tri3
+        met = estimate_wilson(
+            job.network, table, ZETA, samples=2000, seed=7,
+            method="metropolis", burnin=400, thin=1,
+        )
+        assert 0 < met.effective_samples < 0.75 * met.samples
+
 
 class TestCheckLoopEquation:
     @pytest.mark.parametrize("dim", [3, 4, 5])
