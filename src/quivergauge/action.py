@@ -103,23 +103,30 @@ def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
 
 
 def holonomy(assignment: Mapping[str, np.ndarray], steps, dim: int) -> np.ndarray:
-    """Ordered product of edge unitaries along a word (first step leftmost)."""
-    m = np.eye(dim, dtype=complex)
+    """Ordered product of edge unitaries along a word (first step leftmost),
+    per sample when the matrices carry leading batch axes."""
+    m = None
     for eid, o in steps:
         u = assignment[eid]
-        m = m @ (u if o > 0 else u.conj().T)
-    return m
+        u = u if o > 0 else u.conj().swapaxes(-1, -2)
+        m = u.copy() if m is None else m @ u  # never the caller's own array
+    return np.eye(dim, dtype=complex) if m is None else m
 
 
-def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex:
-    """Trace of the holonomy of a closed word; the empty word gives N."""
-    if not steps:
-        return complex(dim)
-    return complex(np.trace(holonomy(assignment, steps, dim)))
+def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex | np.ndarray:
+    """Trace of the holonomy of a closed word; the empty word gives N.
+    One complex per sample for batched matrices."""
+    if steps:
+        tr = np.trace(holonomy(assignment, steps, dim), axis1=-2, axis2=-1)
+    else:
+        batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
+        tr = np.full(batch, complex(dim))
+    return tr if tr.ndim else complex(tr)
 
 
-def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], dim: int) -> float:
-    """``sum_g g * Re Tr hol(class)``: the action without its constant part.
+def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], dim: int):
+    """``sum_g g * Re Tr hol(class)``: the action without its constant part,
+    a float, or one per sample for batched matrices.
 
     Unchecked: the assignment must hold a dim x dim unitary for every edge
     the table uses.

@@ -201,6 +201,8 @@ def _cmd_mc(args) -> int:
             "effective_samples": res.effective_samples,
             "seed": args.seed,
         }
+        ess = res.effective_samples
+        detail = f"largest weight share {res.max_weight_share:.3g}" if res.samples else "no draws"
     else:
         est = estimate_wilson(
             job.network,
@@ -224,7 +226,14 @@ def _cmd_mc(args) -> int:
             "seed": args.seed,
             "dim": job.network.dim,
         }
+        ess = est.effective_samples
+        if est.method == "metropolis":
+            detail = f"acceptance {est.acceptance:.1%}"
+        else:
+            detail = f"largest weight share {est.max_weight_share:.3g}"
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    if args.out is not None:
+        print(f"wrote {args.out}: effective samples {ess:.1f}, {detail}")
     return 0
 
 

@@ -3,14 +3,17 @@
 Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
 every Haar block draw by (master seed, edge index, block index) with the
 sample index as the Philox counter, so streams are identical for any worker
-partition.  It is the only source of configurations.
+partition.  It is the only source of configurations.  Reweighting draws
+chunks of max(1, 4096 // N**2) samples from those streams, with one stacked
+QR, embedding and holonomy product per chunk; estimates do not depend on it.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
 * ``reweight`` - plain Haar draws reweighted by exp(-N S); exact in
   expectation at any sample size, efficient while N|S| stays moderate.
   Wilson loops and loop-equation residuals share one sampling loop and one
-  weighted reduction.
+  weighted reduction, which also reports the effective sample size and the
+  largest weight's share of the total.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
   block with step size tuned to 30-50% acceptance during burn-in.
 """
@@ -28,14 +31,23 @@ from .bratteli import BratteliNetwork
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord
 
+# complex entries per chunk of dim x dim draws: enough to amortise numpy's
+# per-call cost, few enough to add well under a megabyte to peak memory
+_CHUNK_ENTRIES = 4096
+
+
+def _haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from normals (..., 2, n, n), real parts first: QR of the
+    complex Ginibre stack with the phase fix that makes the factors unique."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
 
 def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary: QR of a complex Ginibre matrix with
-    the diagonal phase correction that removes the factorization ambiguity."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed n x n unitary."""
+    return _haar_from_normals(rng.standard_normal((2, n, n)))
 
 
 @dataclass
@@ -47,12 +59,13 @@ class DiracSample:
 
 
 def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
+    """Block-diagonal matrix of r copies of each block, per leading batch index."""
+    out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
     pos = 0
     for u, r in zip(blocks, mults):
-        n = u.shape[0]
+        n = u.shape[-1]
         for _ in range(r):
-            out[pos : pos + n, pos : pos + n] = u
+            out[..., pos : pos + n, pos : pos + n] = u
             pos += n
     assert pos == dim
     return out
@@ -76,32 +89,30 @@ class KeyedSampler:
             for bi in range(len(net.n[tgt])):
                 key = np.random.SeedSequence([self.seed, ei, bi]).generate_state(2, np.uint64)
                 bitgen = np.random.Philox(key=key)
-                template = bitgen.state
-                self._streams[(eid, bi)] = (key, bitgen, np.random.Generator(bitgen), template)
+                # the fresh state at counter 0; a draw rewrites only counter[2]
+                self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
 
-    def _rng_at(self, eid: str, bi: int, index: int) -> np.random.Generator:
-        key, bitgen, gen, template = self._streams[(eid, bi)]
-        state = dict(template)
-        state["state"] = {
-            "counter": np.array([0, 0, index, 0], dtype=np.uint64),
-            "key": key,
-        }
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bitgen.state = state
-        return gen
-
-    def sample(self, index: int) -> DiracSample:
+    def sample_chunk(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge;
+        row k equals ``sample(start + k)`` bit for bit."""
         unitaries = {}
         for eid in self.net.quiver.edge_ids:
             tgt = self.net.quiver.target[eid]
-            blocks = [
-                sample_haar(n, self._rng_at(eid, bi, index))
-                for bi, n in enumerate(self.net.n[tgt])
-            ]
+            blocks = []
+            for bi, n in enumerate(self.net.n[tgt]):
+                bitgen, gen, state = self._streams[(eid, bi)]
+                g = np.empty((stop - start, 2, n, n))
+                for k in range(stop - start):
+                    state["state"]["counter"][2] = start + k
+                    bitgen.state = state
+                    gen.standard_normal(out=g[k])
+                blocks.append(_haar_from_normals(g))
             unitaries[eid] = _embed_blocks(blocks, self.net.r[tgt], self.net.dim)
-        return DiracSample(unitaries=unitaries, dim=self.net.dim)
+        return unitaries
+
+    def sample(self, index: int) -> DiracSample:
+        chunk = self.sample_chunk(index, index + 1)
+        return DiracSample(unitaries={e: u[0] for e, u in chunk.items()}, dim=self.net.dim)
 
 
 def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:
@@ -129,6 +140,7 @@ class EstimatorResult:
     effective_samples: float
     method: str
     acceptance: float | None = None
+    max_weight_share: float | None = None
 
 
 @dataclass
@@ -139,6 +151,7 @@ class ResidualResult:
     stderr: float
     samples: int
     effective_samples: float
+    max_weight_share: float | None = None
 
 
 def _reweighted_traces(
@@ -156,25 +169,30 @@ def _reweighted_traces(
     """
     sampler = KeyedSampler(net, seed)
     dim = net.dim
+    chunk = max(1, _CHUNK_ENTRIES // dim**2)
     logs = np.empty(samples)
     traces = np.empty((len(words), samples), dtype=complex)
-    for i in range(samples):
-        u = sampler.sample(i).unitaries
-        logs[i] = -dim * plaquette_sum(table, u, dim)
+    for a in range(0, samples, chunk):
+        b = min(a + chunk, samples)
+        u = sampler.sample_chunk(a, b)
+        logs[a:b] = -dim * plaquette_sum(table, u, dim)
         for k, w in enumerate(words):
-            traces[k, i] = loop_trace(u, w, dim) / dim
+            # parts apart: numpy divides a complex array by the reciprocal of dim
+            t = loop_trace(u, w, dim)
+            traces[k, a:b].real = t.real / dim
+            traces[k, a:b].imag = t.imag / dim
     return logs, traces
 
 
 def _weighted_mean(
     logs: np.ndarray, values: np.ndarray, min_effective: float
-) -> tuple[complex, float, float]:
+) -> tuple[complex, float, float, float]:
     """Ratio estimate sum(w v)/sum(w) with w = exp(logs - max logs).
 
-    Returns the mean, its delta-method error sqrt(sum w^2 |v - mean|^2)/sum(w)
-    and the effective sample size (sum w)^2/sum w^2.  Sums run over real
-    arrays, real and imaginary parts apart, so a constant observable gives
-    its value and a zero error exactly.
+    Returns the mean, its delta-method error sqrt(sum w^2 |v - mean|^2)/sum(w),
+    the effective sample size (sum w)^2/sum w^2 and the largest weight's share
+    max(w)/sum(w).  Sums run over real arrays, real and imaginary parts apart,
+    so a constant observable gives its value and a zero error exactly.
     """
     w = np.exp(logs - logs.max())
     w_sum = w.sum()
@@ -188,7 +206,7 @@ def _weighted_mean(
     im = (w * values.imag).sum() / w_sum
     dev2 = (values.real - re) ** 2 + (values.imag - im) ** 2
     stderr = math.sqrt((w * w * dev2).sum()) / w_sum
-    return complex(re, im), float(stderr), ess
+    return complex(re, im), float(stderr), ess, float(w.max() / w_sum)
 
 
 def estimate_wilson(
@@ -207,9 +225,10 @@ def estimate_wilson(
         raise ValueError(f"Wilson word {beta} is not closed")
     if method == "reweight":
         logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
-        mean, stderr, ess = _weighted_mean(logs, traces[0], min_effective)
+        mean, stderr, ess, share = _weighted_mean(logs, traces[0], min_effective)
         return EstimatorResult(
-            mean=mean, stderr=stderr, samples=samples, effective_samples=ess, method="reweight"
+            mean=mean, stderr=stderr, samples=samples, effective_samples=ess,
+            method="reweight", max_weight_share=share,
         )
     if method == "metropolis":
         return _estimate_metropolis(net, table, beta.steps, samples, seed, burnin, thin)
@@ -263,7 +282,8 @@ def _estimate_metropolis(
         assignment[eid] = old_u
         return False
 
-    # burn-in with step-size tuning toward 30-50% acceptance over 100-sweep windows
+    # burn-in tunes eps toward 30-50% acceptance over 100-sweep windows; a low
+    # rate shrinks eps in proportion, so a strong coupling tunes in a few windows
     window = dict.fromkeys(blocks, 0)
     for sweep in range(burnin):
         for b in blocks:
@@ -274,7 +294,7 @@ def _estimate_metropolis(
                 if rate > 0.5:
                     eps[b] = min(eps[b] * 1.3, math.pi)
                 elif rate < 0.3:
-                    eps[b] /= 1.3
+                    eps[b] *= max(rate / 0.4, 0.1)
                 window[b] = 0
     accepted = 0
     values = []
@@ -332,5 +352,5 @@ def check_loop_equation(
         residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
     for t in eq.rhs:
         residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
-    mean, stderr, ess = _weighted_mean(logs, residuals, min_effective)
-    return ResidualResult(residual=mean, stderr=stderr, samples=samples, effective_samples=ess)
+    mean, stderr, ess, share = _weighted_mean(logs, residuals, min_effective)
+    return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)

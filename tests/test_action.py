@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import quivergauge as qg
-from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace
+from quivergauge.action import (
+    ActionSpec,
+    evaluate_action,
+    expand_action,
+    loop_trace,
+    plaquette_sum,
+)
 
 from conftest import random_unitary, triangle_network
 
@@ -160,3 +166,24 @@ class TestEvaluateAction:
         table = expand_action(triangle_quiver, ActionSpec.from_list([0, 0, 0, 1]))
         with pytest.raises(ValueError, match="missing edges"):
             evaluate_action(table, {"e1": np.eye(3, dtype=complex)})
+
+
+class TestBatchedTraces:
+    def test_stack_matches_per_matrix(self, two_site_quiver, quartic_table, rng):
+        # a leading sample axis gives, row by row, the 2-D result bit for bit:
+        # self-loops, backward steps and the empty word included
+        m, n = 5, 4
+        stack = {
+            e: np.stack([random_unitary(rng, n) for _ in range(m)])
+            for e in two_site_quiver.edge_ids
+        }
+        rows = [{e: u[i] for e, u in stack.items()} for i in range(m)]
+        words = [w.steps for w in quartic_table.entries] + [
+            (), qg.EdgeWord.from_string("ov- e+ ow- ow- e-").steps
+        ]
+        for steps in words:
+            got = loop_trace(stack, steps, n)
+            assert got.shape == (m,)
+            assert all(got[i] == loop_trace(r, steps, n) for i, r in enumerate(rows))
+        got = plaquette_sum(quartic_table, stack, n)
+        assert all(got[i] == plaquette_sum(quartic_table, r, n) for i, r in enumerate(rows))

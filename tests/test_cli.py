@@ -228,6 +228,39 @@ class TestMc:
         assert "batch means" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_metropolis_tunes_a_strongly_coupled_job(self, tmp_path):
+        # the shipped two-site coupling rejects nearly every step at eps 0.5;
+        # burn-in must shrink eps far enough within its two windows
+        out = tmp_path / "mc.json"
+        code = run(
+            ["mc", TWO_SITE, "--loop", "ov+ ov+ e+ ow+ ow+ e-", "--method", "metropolis",
+             "--samples", "200", "--burnin", "200", "--thin", "2", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert 0.05 <= json.loads(out.read_text())["acceptance"] <= 0.95
+
+    def test_out_reports_sampling_health(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        base = ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--seed", "5"]
+        assert run(base + ["--samples", "2000", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        line = capsys.readouterr().out
+        assert line.startswith(
+            f"wrote {out}: effective samples {data['effective_samples']:.1f}, largest weight share "
+        )
+        # the largest of n weights holds at least 1/n of their sum
+        assert 1 / 2000 <= float(line.split()[-1]) < 1
+        assert run(base + ["--samples", "100", "--method", "metropolis", "--burnin", "100",
+                           "--thin", "1", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert capsys.readouterr().out == (
+            f"wrote {out}: effective samples {data['effective_samples']:.1f}, "
+            f"acceptance {data['acceptance']:.1%}\n"
+        )
+        # without --out, stdout is the JSON alone
+        assert run(base + ["--samples", "2000"]) == 0
+        json.loads(capsys.readouterr().out)
+
     def test_dim_override(self, tmp_path):
         out = tmp_path / "mc.json"
         code = run(

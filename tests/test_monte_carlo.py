@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quivergauge as qg
+from quivergauge import monte_carlo
 from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace
 from quivergauge.monte_carlo import (
     KeyedSampler,
@@ -12,7 +13,7 @@ from quivergauge.monte_carlo import (
 )
 from quivergauge.quiver import EdgeWord
 
-from conftest import triangle_network
+from conftest import REPO, triangle_network
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -124,6 +125,39 @@ class TestKeyedSampler:
         b = KeyedSampler(net, 5).sample(7)
         for e in net.quiver.edge_ids:
             assert np.array_equal(a.unitaries[e], b.unitaries[e])
+
+    def test_chunk_stacks_the_single_draws(self, two_site_network):
+        # blocks 3x4 + 2x2 and 8x2, from an index no chunk boundary aligns to
+        chunk = KeyedSampler(two_site_network, 11).sample_chunk(5, 12)
+        single = KeyedSampler(two_site_network, 11)
+        for e in two_site_network.quiver.edge_ids:
+            assert chunk[e].shape == (7, 16, 16)
+            expected = np.stack([single.sample(i).unitaries[e] for i in range(5, 12)])
+            assert np.array_equal(chunk[e], expected)
+
+
+@pytest.mark.parametrize(
+    "job_path, root, backward",
+    [("builtin:triangle@3", "e1", False), (str(REPO / "jobs" / "two_site.json"), "e", True)],
+    ids=["triangle3", "two_site"],
+)
+def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward):
+    # one draw per chunk, the default chunks (16 at N=16: a partial last one)
+    # and every draw in one chunk give the same arrays
+    job = qg.load_job(job_path)
+    table = expand_action(job.quiver, job.action)
+    eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], root, mode="finite")
+    steps = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
+    words = list(dict.fromkeys(steps))
+    assert () in words and any(o < 0 for w in words for _, o in w) == backward
+    samples, dim = 40, job.network.dim
+    runs = []
+    for budget in (1, monte_carlo._CHUNK_ENTRIES, samples * dim**2):
+        monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
+        runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
+    for logs, traces in runs[1:]:
+        assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
+    assert np.all(runs[0][1][words.index(())] == 1.0)
 
 
 @pytest.fixture(scope="module")
