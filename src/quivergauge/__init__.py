@@ -35,7 +35,6 @@ from .monte_carlo import (
     assemble_dirac,
     check_loop_equation,
     estimate_wilson,
-    sample_haar,
 )
 from .quiver import (
     CyclicWord,
@@ -93,7 +92,6 @@ __all__ = [
     "reduce_word",
     "representation_dimension",
     "root_decompose",
-    "sample_haar",
     "scan_region",
     "triangle_job",
     "validate_network",

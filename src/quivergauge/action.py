@@ -5,6 +5,15 @@ into a sum over closed walks on the underlying graph: length-k walks carry
 weight f_k on the trace of their holonomy.  Grouping walks by the traced
 class of their cyclic reduction yields a table of plaquette couplings; walks
 that reduce to the constant path accumulate into a single coefficient of N.
+
+A walk's class depends only on its free reduction, so walks are not listed
+one by one: they are counted per freely reduced word
+(:func:`~quivergauge.quiver.reduced_closed_walk_counts`), and each distinct
+word is canonicalised once.  Those counts key every word at the first walk,
+in depth-first order, that reduces to it, so table entries come in the order
+in which a walk-by-walk expansion (lengths outer, base vertices inner)
+first meets their classes; float sums over the table (:func:`plaquette_sum`)
+and the loop equations built from it depend on that order.
 """
 
 from __future__ import annotations
@@ -19,8 +28,10 @@ from .quiver import (
     CyclicWord,
     Quiver,
     QuiverError,
-    cyclic_canonical,
-    enumerate_closed_walks,
+    Step,
+    _cyclic_reduce,
+    _min_rotation,
+    reduced_closed_walk_counts,
 )
 
 
@@ -81,23 +92,31 @@ def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
 
     Walks whose cyclic reduction is empty contribute ``f_k * N`` each (the
     trace of the identity on the basepoint's Hilbert space); the degree-0
-    term contributes ``f_0 * N`` per vertex.
+    term contributes ``f_0 * N`` per vertex.  Each class gets ``f_k`` times
+    its walk count at once, in the walk-by-walk order the module describes.
     """
     if not q.connected:
         raise QuiverError("action expansion requires a connected quiver")
     table = PlaquetteTable()
     table.constant_coeff = f[0] * len(q.vertices)
+    walks = [reduced_closed_walk_counts(q, v, f.degree) for v in q.vertices]
+    classes: dict[tuple[Step, ...], CyclicWord] = {}
     for k in range(1, f.degree + 1):
         fk = f[k]
         if fk == 0:
             continue
-        for v in q.vertices:
-            for walk in enumerate_closed_walks(q, v, k):
-                cls = cyclic_canonical(q, walk)
-                if cls.is_empty:
-                    table.constant_coeff += fk
-                else:
-                    table.entries[cls] = table.coupling(cls) + fk
+        counts: dict[CyclicWord, int] = {}
+        for by_word in walks:
+            for word, n in by_word[k].items():
+                cls = classes.get(word)
+                if cls is None:
+                    cls = classes[word] = CyclicWord(_min_rotation(_cyclic_reduce(word)))
+                counts[cls] = counts.get(cls, 0) + n
+        for cls, n in counts.items():
+            if cls.is_empty:
+                table.constant_coeff += fk * n
+            else:
+                table.entries[cls] = table.coupling(cls) + fk * n
     table.entries = {w: g for w, g in table.entries.items() if g != 0}
     return table
 

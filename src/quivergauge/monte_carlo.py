@@ -45,11 +45,6 @@ def _haar_from_normals(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary."""
-    return _haar_from_normals(rng.standard_normal((2, n, n)))
-
-
 @dataclass
 class DiracSample:
     """One gauge configuration: a block-diagonal unitary per edge."""

@@ -220,10 +220,12 @@ def is_reduced(w: EdgeWord) -> bool:
 
 
 def _cyclic_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
+    # a freely reduced word stays reduced once matching ends are peeled off
     cur = _free_reduce(steps)
-    while len(cur) >= 2 and cur[0][0] == cur[-1][0] and cur[0][1] == -cur[-1][1]:
-        cur = _free_reduce(cur[1:-1])
-    return tuple(cur)
+    i, j = 0, len(cur)
+    while j - i >= 2 and cur[i][0] == cur[j - 1][0] and cur[i][1] == -cur[j - 1][1]:
+        i, j = i + 1, j - 1
+    return cur[i:j]
 
 
 def _step_key(step: Step) -> tuple[str, int]:
@@ -269,3 +271,38 @@ def enumerate_closed_walks(q: Quiver, v: str, k: int) -> list[EdgeWord]:
         for step, nxt in reversed(q._moves[cur]):
             stack.append((nxt, steps + (step,)))
     return walks
+
+
+def reduced_closed_walk_counts(
+    q: Quiver, v: str, max_len: int
+) -> list[dict[tuple[Step, ...], int]]:
+    """Closed walks based at ``v`` counted by their free reduction.
+
+    Entry ``k`` (0..``max_len``) maps the free reduction of every length-``k``
+    closed walk at ``v`` to the number of such walks; its counts sum to the
+    ``v`` diagonal entry of the k-th adjacency power.  Counts advance level by
+    level over (vertex, freely reduced prefix) states: a step that inverts the
+    prefix's last step pops it, any other step appends.  States are advanced,
+    and moves taken, in the order :func:`enumerate_closed_walks` explores
+    them, and each level keeps insertion order, so every word is keyed at the
+    lexicographically first walk reducing to it: the keys come in the order
+    in which that enumeration first produces their words.
+    """
+    if max_len < 0:
+        raise QuiverError("walk length must be >= 0")
+    q.vertex_index(v)
+    counts: list[dict[tuple[Step, ...], int]] = [{(): 1}]
+    level: dict[tuple[str, tuple[Step, ...]], int] = {(v, ()): 1}
+    for _ in range(max_len):
+        nxt: dict[tuple[str, tuple[Step, ...]], int] = {}
+        for (cur, prefix), n in level.items():
+            last = prefix[-1] if prefix else None
+            for step, to in q._moves[cur]:
+                if last is not None and last[0] == step[0] and last[1] == -step[1]:
+                    key = (to, prefix[:-1])
+                else:
+                    key = (to, prefix + (step,))
+                nxt[key] = nxt.get(key, 0) + n
+        level = nxt
+        counts.append({prefix: n for (cur, prefix), n in level.items() if cur == v})
+    return counts

@@ -17,7 +17,7 @@ import quivergauge as qg
 from quivergauge.action import ActionSpec, evaluate_action, expand_action
 from quivergauge.cli import run
 from quivergauge.laurent import YXPoly
-from quivergauge.quiver import EdgeWord
+from quivergauge.quiver import EdgeWord, reduced_closed_walk_counts
 
 from conftest import triangle_network
 
@@ -127,11 +127,14 @@ def test_c05_walk_count_oracle(capsys):
         if max(int(powers[8][i, i]) for i in range(nv)) > 20000:
             continue
         quivers += 1
-        for k in range(9):
-            for v in verts:
-                i = q.vertex_index(v)
+        for v in verts:
+            i = q.vertex_index(v)
+            by_reduction = reduced_closed_walk_counts(q, v, 8)
+            for k in range(9):
                 got = len(qg.enumerate_closed_walks(q, v, k))
                 assert got == int(powers[k][i, i]), (verts, edges, v, k)
+                # the per-free-reduction counts the action expansion uses
+                assert sum(by_reduction[k].values()) == got, (verts, edges, v, k)
                 checked += 1
     report(capsys, 5, True, f"{quivers} random quivers, {checked} (vertex, length) counts match adjacency powers")
 

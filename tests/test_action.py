@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quivergauge as qg
 from quivergauge.action import (
@@ -12,7 +14,7 @@ from quivergauge.action import (
     plaquette_sum,
 )
 
-from conftest import random_unitary, triangle_network
+from conftest import REPO, random_unitary, triangle_network
 
 
 def cyc(q, text):
@@ -123,6 +125,101 @@ class TestTableProperties:
             for w, g in t1.entries.items()
         }
         assert mapped == t2.entries
+
+
+def walk_by_walk_expansion(q, f):
+    """Reference expansion: every closed walk listed depth first and
+    canonicalised on its own, lengths outer and base vertices inner."""
+    entries, const = {}, f[0] * len(q.vertices)
+    for k in range(1, f.degree + 1):
+        if f[k] == 0:
+            continue
+        for v in q.vertices:
+            for walk in qg.enumerate_closed_walks(q, v, k):
+                cls = qg.cyclic_canonical(q, walk)
+                if cls.is_empty:
+                    const += f[k]
+                else:
+                    entries[cls] = entries.get(cls, Fraction(0)) + f[k]
+    return [(w, g) for w, g in entries.items() if g != 0], const
+
+
+def assert_matches_walk_by_walk(q, f):
+    table = expand_action(q, f)
+    entries, const = walk_by_walk_expansion(q, f)
+    # order included: Monte Carlo float sums and loop equations follow it
+    assert list(table.entries.items()) == entries
+    assert table.constant_coeff == const
+
+
+def torus_quiver(size):
+    verts = [f"v{i}{j}" for i in range(size) for j in range(size)]
+    edges = []
+    for i in range(size):
+        for j in range(size):
+            edges.append((f"h{i}{j}", f"v{i}{j}", f"v{(i + 1) % size}{j}"))
+            edges.append((f"u{i}{j}", f"v{i}{j}", f"v{i}{(j + 1) % size}"))
+    return qg.build_quiver(verts, edges)
+
+
+MAX_ORACLE_WALKS = 3000
+SELF_LOOP = qg.build_quiver(["a"], [("s", "a", "a")])
+
+
+@st.composite
+def quivers_and_actions(draw):
+    """Small connected quivers with self-loops and multi-edges, and rational
+    f with zeros and negative values, of a degree the reference can list."""
+    nv = draw(st.integers(1, 4))
+    verts = [f"v{i}" for i in range(nv)]
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, nv)]  # spanning tree
+    pairs += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=3))
+    edges = []
+    for j, (a, b) in enumerate(pairs):
+        src, dst = (a, b) if draw(st.booleans()) else (b, a)
+        edges.append((f"e{j}", verts[src], verts[dst]))
+    q = qg.build_quiver(verts, edges)
+    a = q.adjacency()
+    walks, power, max_degree = 0, np.eye(nv, dtype=np.int64), 0
+    while max_degree < 8:
+        power = power @ a
+        walks += int(np.trace(power))
+        if walks > MAX_ORACLE_WALKS:
+            break
+        max_degree += 1
+    degree = draw(st.integers(0, max_degree))
+    coeff = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6))
+    f = ActionSpec.from_list(draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1)))
+    if f.degree >= 2:
+        # cancel one class exactly, so that the g != 0 filter drops it
+        lower = dict(walk_by_walk_expansion(q, ActionSpec(f.coefficients[:-1]))[0])
+        top = walk_by_walk_expansion(q, ActionSpec.from_list([0] * f.degree + [1]))[0]
+        shared = [(w, n) for w, n in top if w in lower]
+        if shared:
+            w, n = draw(st.sampled_from(shared))
+            f = ActionSpec(f.coefficients[:-1] + (-lower[w] / n,))
+    return q, f
+
+
+class TestWalkByWalkOracle:
+    """Counting walks per free reduction gives the walk-by-walk table, in order."""
+
+    @pytest.mark.parametrize("path", sorted((REPO / "jobs").glob("*.json")), ids=lambda p: p.stem)
+    def test_jobs(self, path):
+        job = qg.load_job(str(path))
+        assert_matches_walk_by_walk(job.quiver, job.action)
+
+    def test_two_site_degree_10(self, two_site_quiver):
+        assert_matches_walk_by_walk(two_site_quiver, ActionSpec.from_list([0] * 10 + [1]))
+
+    def test_torus_degree_6(self):
+        assert_matches_walk_by_walk(torus_quiver(3), ActionSpec.from_list([0] * 6 + [1]))
+
+    @given(quivers_and_actions())
+    @example((SELF_LOOP, ActionSpec.from_list([0, 0, 4, 0, -1])))  # square classes cancel
+    @settings(max_examples=60, deadline=None)
+    def test_random_quivers(self, case):
+        assert_matches_walk_by_walk(*case)
 
 
 class TestEvaluateAction:

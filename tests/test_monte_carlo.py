@@ -9,7 +9,6 @@ from quivergauge.monte_carlo import (
     assemble_dirac,
     check_loop_equation,
     estimate_wilson,
-    sample_haar,
 )
 from quivergauge.quiver import EdgeWord
 
@@ -18,36 +17,55 @@ from conftest import REPO, triangle_network
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
 
-class TestSampleHaar:
-    def test_unitarity(self, rng):
-        for n in (1, 2, 5, 9):
-            u = sample_haar(n, rng)
-            assert np.abs(u @ u.conj().T - np.eye(n)).max() < 1e-12
+def one_block_sampler(n, seed):
+    """Keyed sampler of a one-edge network whose edge carries one U(n) block."""
+    q = qg.build_quiver(["a", "b"], [("u", "a", "b")])
+    return KeyedSampler(triangle_network(q, n), seed)
 
-    def test_mean_trace_vanishes(self, rng):
+
+def haar_traces(sampler, draws, left=None):
+    """Tr U, or Tr(left U), over keyed draws 0..draws-1, in stacks of 10^4."""
+    out = []
+    for a in range(0, draws, 10_000):
+        u = sampler.sample_chunk(a, min(a + 10_000, draws))["u"]
+        out.append(np.trace(u if left is None else left @ u, axis1=-2, axis2=-1))
+    return np.concatenate(out)
+
+
+class TestSampleHaar:
+    """Haar properties of the stacked draws every estimate uses."""
+
+    def test_unitarity(self):
+        for n in (1, 2, 5, 9):
+            u = one_block_sampler(n, 20240901).sample_chunk(0, 8)["u"]
+            dev = u @ u.conj().swapaxes(-1, -2) - np.eye(n)
+            assert np.abs(dev).max() < 1e-12
+
+    def test_mean_trace_vanishes(self):
         # translation invariance forces E Tr U = 0
         n, draws = 3, 100000
-        traces = np.array([np.trace(sample_haar(n, rng)) for _ in range(draws)])
+        traces = haar_traces(one_block_sampler(n, 20240901), draws)
         se = traces.std() / np.sqrt(draws)
         assert abs(traces.mean()) < 5 * se
 
-    def test_trace_second_moment_is_one(self, rng):
+    def test_trace_second_moment_is_one(self):
         # E |Tr U|^2 = 1 for every n >= 1; for n = 1 this is the plain
         # circle integral (1/2pi) int |e^(i t)|^2 dt = 1
         for n in (1, 2, 4):
             draws = 100000
-            t = np.array([np.trace(sample_haar(n, rng)) for _ in range(draws)])
+            t = haar_traces(one_block_sampler(n, 20240901), draws)
             m = (np.abs(t) ** 2).mean()
             se = (np.abs(t) ** 2).std() / np.sqrt(draws)
             assert abs(m - 1.0) < 5 * max(se, 1e-12)
 
-    def test_left_invariance_of_trace_distribution(self, rng):
+    def test_left_invariance_of_trace_distribution(self):
         # fixed V: Tr(VU) is distributed like Tr(U); compare the first two
-        # moments of the two sample streams
+        # moments of two independently seeded streams, V drawn past the first
         n, draws = 3, 100000
-        v = sample_haar(n, rng)
-        a = np.array([np.trace(v @ sample_haar(n, rng)) for _ in range(draws)])
-        b = np.array([np.trace(sample_haar(n, rng)) for _ in range(draws)])
+        first = one_block_sampler(n, 20240901)
+        v = first.sample_chunk(draws, draws + 1)["u"][0]
+        a = haar_traces(first, draws, left=v)
+        b = haar_traces(one_block_sampler(n, 20240902), draws)
         se = np.hypot(a.std() / np.sqrt(draws), b.std() / np.sqrt(draws))
         assert abs(a.mean() - b.mean()) < 5 * se
         se2 = np.hypot(
