@@ -228,6 +228,7 @@ def _cmd_mc(args) -> int:
         }
         ess = est.effective_samples
         if est.method == "metropolis":
+            payload["rhat"] = est.rhat
             detail = f"acceptance {est.acceptance:.1%}"
         else:
             detail = f"largest weight share {est.max_weight_share:.3g}"

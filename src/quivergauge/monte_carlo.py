@@ -15,7 +15,12 @@ Two estimators are provided for Boltzmann-weighted expectations:
   weighted reduction, which also reports the effective sample size and the
   largest weight's share of the total.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
-  block with step size tuned to 30-50% acceptance during burn-in.
+  block, run as 10 independent chains stacked on a leading axis so that one
+  eigh, one set of traces and one accept draw serve all of them.  Each chain
+  burns in and tunes its own step size per block to 30-50% acceptance; S is
+  updated locally, only for the plaquettes holding the moved edge.  The
+  error comes from batch means inside each chain, and the Gelman-Rubin
+  R-hat across the chains is reported with it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .quiver import EdgeWord
 # complex entries per chunk of dim x dim draws: enough to amortise numpy's
 # per-call cost, few enough to add well under a megabyte to peak memory
 _CHUNK_ENTRIES = 4096
+# independent Metropolis chains, stacked on a leading axis
+_CHAINS = 10
 
 
 def _haar_from_normals(g: np.ndarray) -> np.ndarray:
@@ -136,6 +143,7 @@ class EstimatorResult:
     method: str
     acceptance: float | None = None
     max_weight_share: float | None = None
+    rhat: float | None = None
 
 
 @dataclass
@@ -204,6 +212,11 @@ def _weighted_mean(
     return complex(re, im), float(stderr), ess, float(w.max() / w_sum)
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def estimate_wilson(
     net: BratteliNetwork,
     table: PlaquetteTable,
@@ -218,6 +231,9 @@ def estimate_wilson(
     """Boltzmann-weighted expectation of the normalised traced holonomy."""
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
+    _check_count("samples", samples, 1)
+    _check_count("burnin", burnin, 0)
+    _check_count("thin", thin, 1)
     if method == "reweight":
         logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
         mean, stderr, ess, share = _weighted_mean(logs, traces[0], min_effective)
@@ -230,6 +246,79 @@ def estimate_wilson(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _rhat(chains: np.ndarray) -> float:
+    """Gelman-Rubin potential scale reduction of draws (chains, n).
+
+    Deviations enter as |.|^2, so a complex observable counts both parts.
+    NaN when a chain has fewer than two draws.
+    """
+    m, n = chains.shape
+    if n < 2:
+        return math.nan
+    means = chains.mean(axis=1)
+    within = (np.abs(chains - means[:, None]) ** 2).sum() / (m * (n - 1))
+    between_n = (np.abs(means - means.mean()) ** 2).sum() / (m - 1)  # B / n
+    return math.sqrt(((n - 1) / n * within + between_n) / within)
+
+
+class _Chains:
+    """``_CHAINS`` Metropolis chains stacked on a leading axis.
+
+    Every (edge, block) is a (_CHAINS, n, n) stack, cold-started at the
+    identity; one proposal moves one block in every chain at once.  S, the
+    action without its constant part (which cancels in every difference), is
+    kept as per-entry terms g Re Tr hol: a proposal recomputes only the
+    entries whose word holds the moved edge and sums all terms in table
+    order from 0.0, so ``s`` equals ``plaquette_sum`` of the state exactly.
+    """
+
+    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int):
+        q = net.quiver
+        self.dim = net.dim
+        self.mults = {eid: net.r[q.target[eid]] for eid in q.edge_ids}
+        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
+        self.blocks = {
+            eid: [np.tile(np.eye(n, dtype=complex), (_CHAINS, 1, 1)) for n in net.n[q.target[eid]]]
+            for eid in q.edge_ids
+        }
+        self.sites = [(eid, bi) for eid in q.edge_ids for bi in range(len(self.blocks[eid]))]
+        self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
+        self.assignment = {
+            eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
+        }
+        self.entries = [(w.steps, float(g)) for w, g in table.entries.items()]
+        self.touched = {
+            eid: [k for k, (w, _) in enumerate(self.entries) if any(e == eid for e, _ in w)]
+            for eid in q.edge_ids
+        }
+        self.terms = [g * loop_trace(self.assignment, w, self.dim).real for w, g in self.entries]
+        self.s = sum(self.terms, 0.0)
+
+    def propose(self, eid: str, bi: int) -> np.ndarray:
+        """Propose U <- exp(i eps H) U on one block of every chain; returns
+        which chains accepted."""
+        old = self.blocks[eid][bi]
+        a = self.rng.standard_normal(old.shape) + 1j * self.rng.standard_normal(old.shape)
+        evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+        phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
+        blocks = list(self.blocks[eid])
+        blocks[bi] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
+        trial = {**self.assignment, eid: _embed_blocks(blocks, self.mults[eid], self.dim)}
+        terms = list(self.terms)
+        for k in self.touched[eid]:
+            w, g = self.entries[k]
+            terms[k] = g * loop_trace(trial, w, self.dim).real
+        s_new = sum(terms, 0.0)
+        accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
+        keep = accept[:, None, None]
+        self.blocks[eid][bi] = np.where(keep, blocks[bi], old)
+        self.assignment[eid] = np.where(keep, trial[eid], self.assignment[eid])
+        for k in self.touched[eid]:
+            self.terms[k] = np.where(accept, terms[k], self.terms[k])
+        self.s = np.where(accept, s_new, self.s)
+        return accept
+
+
 def _estimate_metropolis(
     net: BratteliNetwork,
     table: PlaquetteTable,
@@ -239,79 +328,50 @@ def _estimate_metropolis(
     burnin: int,
     thin: int,
 ) -> EstimatorResult:
-    # batch means absorb residual autocorrelation
+    # batch means absorb residual autocorrelation; no batch spans two chains
     n_batches = max(10, min(50, samples // 20))
     if samples < n_batches:
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
-    q = net.quiver
     dim = net.dim
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
-    # initial configuration: identity blocks (cold start)
-    state = {eid: [np.eye(n, dtype=complex) for n in net.n[q.target[eid]]] for eid in q.edge_ids}
-    blocks = [(eid, bi) for eid in q.edge_ids for bi in range(len(state[eid]))]
-    eps = dict.fromkeys(blocks, 0.5)
-
-    def embedded(eid: str) -> np.ndarray:
-        return _embed_blocks(state[eid], net.r[q.target[eid]], dim)
-
-    assignment = {eid: embedded(eid) for eid in q.edge_ids}
-    # S without its constant part, which cancels in every difference
-    s_cur = plaquette_sum(table, assignment, dim)
-
-    def propose(eid: str, bi: int) -> bool:
-        nonlocal s_cur
-        n = net.n[q.target[eid]][bi]
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (a + a.conj().T) / 2.0
-        evals, vecs = np.linalg.eigh(h)
-        v = (vecs * np.exp(1j * eps[(eid, bi)] * evals)) @ vecs.conj().T
-        old_block = state[eid][bi]
-        old_u = assignment[eid]
-        state[eid][bi] = v @ old_block
-        assignment[eid] = embedded(eid)
-        s_new = plaquette_sum(table, assignment, dim)
-        if rng.random() < math.exp(min(0.0, -dim * (s_new - s_cur))):
-            s_cur = s_new
-            return True
-        state[eid][bi] = old_block
-        assignment[eid] = old_u
-        return False
-
-    # burn-in tunes eps toward 30-50% acceptance over 100-sweep windows; a low
-    # rate shrinks eps in proportion, so a strong coupling tunes in a few windows
-    window = dict.fromkeys(blocks, 0)
+    chains = _Chains(net, table, seed)
+    # burn-in tunes eps per chain and block toward 30-50% acceptance over
+    # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
+    # coupling tunes in a few windows
+    window = dict.fromkeys(chains.sites, 0)
     for sweep in range(burnin):
-        for b in blocks:
-            window[b] += propose(*b)
+        for b in chains.sites:
+            window[b] += chains.propose(*b)
         if (sweep + 1) % 100 == 0:
-            for b in blocks:
-                rate = window[b] / 100
-                if rate > 0.5:
-                    eps[b] = min(eps[b] * 1.3, math.pi)
-                elif rate < 0.3:
-                    eps[b] *= max(rate / 0.4, 0.1)
+            for b in chains.sites:
+                rate, eps = window[b] / 100, chains.eps[b]
+                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
+                chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
                 window[b] = 0
+    # chain c keeps the first counts[c] of its measurements, samples in all
+    counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
+    values = np.empty((_CHAINS, counts[0]), dtype=complex)
     accepted = 0
-    values = []
-    for k in range(samples):
+    for k in range(counts[0]):
         for _ in range(thin):
-            for b in blocks:
-                accepted += propose(*b)
-        values.append(loop_trace(assignment, word, dim) / dim)
-    attempted = samples * thin * len(blocks)
-    rate = accepted / attempted if attempted else 0.0
+            for b in chains.sites:
+                accepted += int(chains.propose(*b).sum())
+        values[:, k] = loop_trace(chains.assignment, word, dim) / dim
+    attempted = counts[0] * thin * len(chains.sites) * _CHAINS
+    rate = accepted / attempted
     if not 0.05 <= rate <= 0.95:
         raise RuntimeError(
             f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
         )
-    values = np.asarray(values)
-    means = np.array([b.mean() for b in np.array_split(values, n_batches)])
-    mean = complex(values.mean())
+    runs = [values[c, :m] for c, m in enumerate(counts)]
+    per_run = [len(c) for c in np.array_split(range(n_batches), _CHAINS)]
+    means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])
+    flat = np.concatenate(runs)
+    mean = complex(flat.mean())
     stderr = float(
         np.sqrt((np.abs(means - mean) ** 2).sum() / (len(means) * (len(means) - 1)))
     )
     # the sample count whose independent draws would give the same stderr
-    spread = float((np.abs(values - mean) ** 2).mean())
+    spread = float((np.abs(flat - mean) ** 2).mean())
     return EstimatorResult(
         mean=mean,
         stderr=stderr,
@@ -319,6 +379,7 @@ def _estimate_metropolis(
         effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
         method="metropolis",
         acceptance=rate,
+        rhat=_rhat(values[:, : counts[-1]]),
     )
 
 
@@ -334,6 +395,7 @@ def check_loop_equation(
     stream; correlated terms cancel most of the variance."""
     if eq.mode != "finite":
         raise ValueError("finite-N mode equation required")
+    _check_count("samples", samples, 1)
     if not eq.lhs and not eq.rhs:
         # both sides structurally empty; nothing to estimate
         return ResidualResult(residual=0.0, stderr=0.0, samples=0, effective_samples=0.0)

@@ -187,6 +187,7 @@ class TestMc:
         assert data["samples"] == 2000
         assert data["dim"] == 3
         assert data["method"] == "reweight"
+        assert "rhat" not in data
         assert abs(data["mean_re"] + 0.2) < 0.05
 
     def test_check_eq_output(self, tmp_path):
@@ -238,6 +239,30 @@ class TestMc:
         )
         assert code == 0
         assert 0.05 <= json.loads(out.read_text())["acceptance"] <= 0.95
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [(["--samples", "0"], "samples"), (["--samples", "-2"], "samples"),
+         (["--method", "metropolis", "--samples", "100", "--thin", "0"], "thin"),
+         (["--method", "metropolis", "--samples", "100", "--burnin", "-3"], "burnin"),
+         (["--check-eq", "--root", "e1", "--samples", "0"], "samples")],
+    )
+    def test_bad_counts_exit_1(self, tmp_path, capsys, args, name):
+        out = tmp_path / "mc.json"
+        code = run(["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--seed", "7",
+                    "--out", str(out)] + args)
+        assert code == 1
+        assert f"{name} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metropolis_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--method", "metropolis",
+                "--samples", "200", "--burnin", "100", "--thin", "2", "--seed", "42"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert 0.9 < json.loads(a.read_text())["rhat"] < 1.1
 
     def test_out_reports_sampling_health(self, tmp_path, capsys):
         out = tmp_path / "mc.json"

@@ -3,7 +3,7 @@ import pytest
 
 import quivergauge as qg
 from quivergauge import monte_carlo
-from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace
+from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace, plaquette_sum
 from quivergauge.monte_carlo import (
     KeyedSampler,
     assemble_dirac,
@@ -259,6 +259,46 @@ class TestEstimateWilson:
             method="metropolis", burnin=400, thin=1,
         )
         assert 0 < met.effective_samples < 0.75 * met.samples
+
+    def test_metropolis_uses_every_sample(self, tri3):
+        # 1003 measurements do not split evenly over the chains
+        job, table = tri3
+        met = estimate_wilson(
+            job.network, table, ZETA, samples=1003, seed=17,
+            method="metropolis", burnin=200, thin=2,
+        )
+        assert met.samples == 1003
+        y3 = qg.first_moment_curve(3, np.array([0.2])).y[0]
+        assert abs(met.mean.real - y3) <= 5 * met.stderr
+
+
+class TestChains:
+    def test_rhat_of_iid_chains_is_one(self, rng):
+        assert abs(monte_carlo._rhat(rng.standard_normal((10, 1000))) - 1) < 0.05
+
+    def test_rhat_flags_chains_that_disagree(self, rng):
+        shifted = rng.standard_normal((10, 1000)) + 4 * np.arange(10)[:, None]
+        assert monte_carlo._rhat(shifted) > 1.5
+
+    def test_rhat_of_the_pinned_triangle_run(self, tri3):
+        # the pinned run of TestEstimateWilson.test_metropolis_agrees_with_reweight
+        job, table = tri3
+        met = estimate_wilson(
+            job.network, table, ZETA, samples=1500, seed=5,
+            method="metropolis", burnin=400, thin=5,
+        )
+        assert met.rhat < 1.1
+
+    def test_local_update_tracks_the_full_action(self):
+        job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+        table = expand_action(job.quiver, job.action)
+        chains = monte_carlo._Chains(job.network, table, seed=3)
+        assert {e: len(k) for e, k in chains.touched.items()} == {"ov": 8, "e": 4, "ow": 8}
+        for b in chains.sites:
+            chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
+        accepted = sum(int(chains.propose(*b).sum()) for _ in range(10) for b in chains.sites)
+        assert 0 < accepted < 10 * len(chains.sites) * monte_carlo._CHAINS
+        assert (chains.s == plaquette_sum(table, chains.assignment, job.network.dim)).all()
 
 
 class TestCheckLoopEquation:
