@@ -17,8 +17,7 @@ Two estimators are provided for Boltzmann-weighted expectations:
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
   block, run as 10 independent chains stacked on a leading axis so that one
   eigh, one set of traces and one accept draw serve all of them.  Each chain
-  burns in and tunes its own step size per block to 30-50% acceptance; S is
-  updated locally, only for the plaquettes holding the moved edge.  The
+  burns in and tunes its own step size per block to 30-50% acceptance.  The
   error comes from batch means inside each chain, and the Gelman-Rubin
   R-hat across the chains is reported with it.
 """
@@ -246,17 +245,20 @@ def estimate_wilson(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _rhat(chains: np.ndarray) -> float:
+def _rhat(chains: np.ndarray) -> float | None:
     """Gelman-Rubin potential scale reduction of draws (chains, n).
 
     Deviations enter as |.|^2, so a complex observable counts both parts.
-    NaN when a chain has fewer than two draws.
+    None when it is undefined: a chain with fewer than two draws, or no
+    spread within the chains.
     """
     m, n = chains.shape
     if n < 2:
-        return math.nan
+        return None
     means = chains.mean(axis=1)
     within = (np.abs(chains - means[:, None]) ** 2).sum() / (m * (n - 1))
+    if within == 0:
+        return None
     between_n = (np.abs(means - means.mean()) ** 2).sum() / (m - 1)  # B / n
     return math.sqrt(((n - 1) / n * within + between_n) / within)
 
@@ -265,11 +267,9 @@ class _Chains:
     """``_CHAINS`` Metropolis chains stacked on a leading axis.
 
     Every (edge, block) is a (_CHAINS, n, n) stack, cold-started at the
-    identity; one proposal moves one block in every chain at once.  S, the
-    action without its constant part (which cancels in every difference), is
-    kept as per-entry terms g Re Tr hol: a proposal recomputes only the
-    entries whose word holds the moved edge and sums all terms in table
-    order from 0.0, so ``s`` equals ``plaquette_sum`` of the state exactly.
+    identity; one proposal moves one block in every chain at once.  ``s`` is
+    the batched ``plaquette_sum`` of the state: the action without its
+    constant part, which cancels in every difference.
     """
 
     def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int):
@@ -286,13 +286,8 @@ class _Chains:
         self.assignment = {
             eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
         }
-        self.entries = [(w.steps, float(g)) for w, g in table.entries.items()]
-        self.touched = {
-            eid: [k for k, (w, _) in enumerate(self.entries) if any(e == eid for e, _ in w)]
-            for eid in q.edge_ids
-        }
-        self.terms = [g * loop_trace(self.assignment, w, self.dim).real for w, g in self.entries]
-        self.s = sum(self.terms, 0.0)
+        self.table = table
+        self.s = plaquette_sum(table, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
         """Propose U <- exp(i eps H) U on one block of every chain; returns
@@ -304,17 +299,11 @@ class _Chains:
         blocks = list(self.blocks[eid])
         blocks[bi] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
         trial = {**self.assignment, eid: _embed_blocks(blocks, self.mults[eid], self.dim)}
-        terms = list(self.terms)
-        for k in self.touched[eid]:
-            w, g = self.entries[k]
-            terms[k] = g * loop_trace(trial, w, self.dim).real
-        s_new = sum(terms, 0.0)
+        s_new = plaquette_sum(self.table, trial, self.dim)
         accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
         keep = accept[:, None, None]
         self.blocks[eid][bi] = np.where(keep, blocks[bi], old)
         self.assignment[eid] = np.where(keep, trial[eid], self.assignment[eid])
-        for k in self.touched[eid]:
-            self.terms[k] = np.where(accept, terms[k], self.terms[k])
         self.s = np.where(accept, s_new, self.s)
         return accept
 

@@ -264,6 +264,19 @@ class TestMc:
         assert a.read_bytes() == b.read_bytes()
         assert 0.9 < json.loads(a.read_text())["rhat"] < 1.1
 
+    def test_metropolis_rhat_undefined_is_null(self, tmp_path):
+        # 15 samples leave the last chains one measurement each: no R-hat
+        out = tmp_path / "mc.json"
+        code = run(["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--method", "metropolis",
+                    "--samples", "15", "--burnin", "100", "--thin", "1", "--seed", "7",
+                    "--out", str(out)])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert json.loads(out.read_text(), parse_constant=reject)["rhat"] is None
+
     def test_out_reports_sampling_health(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         base = ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--seed", "5"]

@@ -249,6 +249,7 @@ class TestEstimateWilson:
         assert met.acceptance is not None and 0.05 <= met.acceptance <= 0.95
         combined = np.hypot(rew.stderr, met.stderr)
         assert abs(rew.mean.real - met.mean.real) <= 5 * combined
+        assert met.rhat < 1.1
 
     def test_metropolis_effective_size_counts_correlation(self, tri3):
         # consecutive single sweeps are correlated, so the chain is worth
@@ -280,20 +281,15 @@ class TestChains:
         shifted = rng.standard_normal((10, 1000)) + 4 * np.arange(10)[:, None]
         assert monte_carlo._rhat(shifted) > 1.5
 
-    def test_rhat_of_the_pinned_triangle_run(self, tri3):
-        # the pinned run of TestEstimateWilson.test_metropolis_agrees_with_reweight
-        job, table = tri3
-        met = estimate_wilson(
-            job.network, table, ZETA, samples=1500, seed=5,
-            method="metropolis", burnin=400, thin=5,
-        )
-        assert met.rhat < 1.1
+    def test_rhat_is_undefined_without_spread(self, rng):
+        assert monte_carlo._rhat(rng.standard_normal((10, 1))) is None
+        assert monte_carlo._rhat(np.ones((10, 50))) is None
 
-    def test_local_update_tracks_the_full_action(self):
+    def test_tracked_action_matches_plaquette_sum(self):
+        # accepted and rejected chains mixed by np.where keep S equal to the state's
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         table = expand_action(job.quiver, job.action)
         chains = monte_carlo._Chains(job.network, table, seed=3)
-        assert {e: len(k) for e, k in chains.touched.items()} == {"ov": 8, "e": 4, "ow": 8}
         for b in chains.sites:
             chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
         accepted = sum(int(chains.propose(*b).sum()) for _ in range(10) for b in chains.sites)
