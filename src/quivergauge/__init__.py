@@ -22,10 +22,8 @@ from .laurent import YXPoly
 from .loop_equations import (
     LoopEquation,
     MomentEquation,
-    RootedDecomposition,
     factorize_large_N,
     generate_loop_equation,
-    root_decompose,
 )
 from .monte_carlo import (
     DiracSample,
@@ -69,7 +67,6 @@ __all__ = [
     "Quiver",
     "QuiverError",
     "ResidualResult",
-    "RootedDecomposition",
     "YXPoly",
     "assemble_dirac",
     "bessel_i",
@@ -91,7 +88,6 @@ __all__ = [
     "partition_function",
     "reduce_word",
     "representation_dimension",
-    "root_decompose",
     "scan_region",
     "triangle_job",
     "validate_network",

@@ -180,7 +180,7 @@ def _cmd_gww(args) -> int:
 
 def _cmd_mc(args) -> int:
     job = load_job(args.job)
-    if args.dim_override:
+    if args.dim_override is not None:
         job = override_dimension(job, args.dim_override)
     table = expand_action(job.quiver, job.action)
     word = EdgeWord.from_string(args.loop)

@@ -109,6 +109,8 @@ def load_job(path: str) -> Job:
 
 def override_dimension(job: Job, dim: int) -> Job:
     """Rebuild a single-block-per-vertex network at a different block size."""
+    if dim < 1:
+        raise JobError(f"dimension override must be >= 1, got {dim}")
     net = job.network
     if any(v != 1 for v in net.l.values()) or any(net.r[v] != (1,) for v in net.l):
         raise JobError("dimension override requires one multiplicity-one block per vertex")

@@ -1,19 +1,23 @@
 """Exact finite-N loop equations for Wilson loops rooted at an edge.
 
 Left-translation invariance of the Haar measure at a rooted non-self-loop
-edge turns into an exact relation: a signed sum of double-trace terms built
-from the Wilson word's decomposition at the root equals a signed sum of
+edge turns into an exact relation: a signed sum of double-trace terms, one
+per cut of the Wilson word at a root step, equals a signed sum of
 single-trace terms in which each action plaquette containing the root is
 spliced into the Wilson word.  All traces carry a 1/N normalisation.
 
 Conventions (fixed here, verified against Monte Carlo at finite N):
 
 * Holonomy is the matrix product in word order.
-* If the word contains the root forward, it is rotated to start there and
-  the left-translation form is used; if it contains the root only backward,
-  it is rotated to start at the reversed root and the mirrored
-  (right-translation) form is used.  Both are exact; the choice only keeps
-  every emitted term a closed word.
+* The cyclically reduced word is rotated once: to its first forward root
+  step if it has one (left translation), else to its first backward one
+  (right translation).  Both forms are exact; the choice only keeps every
+  emitted term a closed word.
+* One cut rule serves both sides.  A root step at position ``i`` with
+  orientation ``o`` is cut at ``c = i`` when ``o`` matches the translation
+  (forward for left, backward for right) and at ``c = i + 1`` otherwise.
+  It gives the double-trace term ``o * tr(rot[:c]) tr(rot[c:])``, and a
+  plaquette's root step gives ``o * g * tr(rot + plaquette rotated to c)``.
 """
 
 from __future__ import annotations
@@ -34,25 +38,6 @@ from .quiver import (
     cyclic_canonical,
     is_reduced,
 )
-
-
-@dataclass(frozen=True)
-class RootedDecomposition:
-    """A closed word split at every occurrence of the rooted edge.
-
-    ``rotated`` is the input rotated to start at an occurrence;
-    ``signs[j]`` is the orientation of the j-th occurrence and ``between[j]``
-    the root-free subword following it.  ``p == 0`` when the root is absent.
-    """
-
-    root: str
-    signs: tuple[int, ...]
-    between: tuple[EdgeWord, ...]
-    rotated: EdgeWord
-
-    @property
-    def p(self) -> int:
-        return len(self.signs)
 
 
 @dataclass(frozen=True)
@@ -154,42 +139,8 @@ class MomentEquation:
         return acc
 
 
-def root_decompose(q: Quiver, beta: EdgeWord, root: str) -> RootedDecomposition:
-    """Split a reduced closed word at every occurrence of the rooted edge.
-
-    The word is rotated to start at an occurrence (forward preferred); when
-    the root is absent the decomposition is empty.
-    """
-    if q.is_self_loop(root):
-        raise QuiverError(f"rooted edge {root!r} is a self-loop")
-    if not is_reduced(beta):
-        raise QuiverError("word must be reduced before decomposition")
-    if beta.steps and not q.is_closed(beta):
-        raise QuiverError(f"word {beta} is not closed")
-    occ_fwd = [i for i, (e, o) in enumerate(beta.steps) if e == root and o > 0]
-    occ_any = [i for i, (e, o) in enumerate(beta.steps) if e == root]
-    if not occ_any:
-        return RootedDecomposition(root=root, signs=(), between=(), rotated=beta)
-    start = occ_fwd[0] if occ_fwd else occ_any[0]
-    rotated = beta.rotate(start)
-    signs: list[int] = []
-    segments: list[list] = []
-    for step in rotated.steps:
-        if step[0] == root:
-            signs.append(step[1])
-            segments.append([])
-        else:
-            segments[-1].append(step)
-    between = [EdgeWord(tuple(seg)) for seg in segments]
-    return RootedDecomposition(
-        root=root, signs=tuple(signs), between=tuple(between), rotated=rotated
-    )
-
-
 def _sorted_pair(a: CyclicWord, b: CyclicWord) -> tuple[CyclicWord, CyclicWord]:
-    ka = tuple((e, o) for e, o in a.steps)
-    kb = tuple((e, o) for e, o in b.steps)
-    return (a, b) if (len(ka), ka) <= (len(kb), kb) else (b, a)
+    return (a, b) if (len(a), a.steps) <= (len(b), b.steps) else (b, a)
 
 
 def _merge(terms: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
@@ -221,71 +172,42 @@ def generate_loop_equation(
         raise QuiverError("Wilson word must be reduced")
     if beta.steps and not q.is_closed(beta):
         raise QuiverError(f"word {beta} is not closed")
-    # the trace only sees the cyclic reduction; normalise before splitting
+    # the trace only sees the cyclic reduction; normalise before cutting
     beta = EdgeWord(_cyclic_reduce(beta.steps))
-    dec = root_decompose(q, beta, root)
-    forward = not dec.signs or dec.signs[0] > 0
-
-    lhs_raw: list[tuple[int, tuple[CyclicWord, CyclicWord]]] = []
-    if dec.p:
-        root_fwd = ((root, 1),)
-        root_bwd = ((root, -1),)
-        segs = []  # full segment steps: root occurrence + following subword
-        for s, mu in zip(dec.signs, dec.between):
-            segs.append(((root, s),) + mu.steps)
-        prefix: tuple = ()
-        for j in range(dec.p):
-            sj = dec.signs[j]
-            suffix = tuple(st for seg in segs[j:] for st in seg)
-            mu_j = dec.between[j].steps
-            rest = tuple(st for seg in segs[j + 1 :] for st in seg)
-            if forward:
-                # left translation: U -> exp(iY) U
-                if sj > 0:
-                    w1, w2 = prefix, suffix
-                    sign = 1
-                else:
-                    w1, w2 = prefix + root_bwd, mu_j + rest
-                    sign = -1
-            else:
-                # right translation: U -> U exp(iY)
-                if sj > 0:
-                    w1, w2 = prefix + root_fwd, mu_j + rest
-                    sign = 1
-                else:
-                    w1, w2 = prefix, suffix
-                    sign = -1
-            pair = _sorted_pair(
-                cyclic_canonical(q, EdgeWord(w1)), cyclic_canonical(q, EdgeWord(w2))
-            )
-            lhs_raw.append((sign, pair))
-            prefix = prefix + segs[j]
-
-    rhs_raw: list[tuple[int, tuple[CyclicWord, CyclicWord]]] = []
-    base = dec.rotated.steps
-    if dec.p == 0 and beta.steps:
+    # rotate to the first forward root step (left translation, U -> exp(iY) U),
+    # else to the first backward one (right translation, U -> U exp(iY))
+    at = [i for i, (e, _) in enumerate(beta.steps) if e == root]
+    at_fwd = [i for i in at if beta.steps[i][1] > 0]
+    forward = bool(at_fwd) or not at
+    rot = beta.rotate((at_fwd or at or [0])[0]).steps
+    if not at and rot:
         # splices depart from the root's source; rebase the loop there
         verts = q.word_vertices(beta)
         anchor = q.source[root]
         if anchor in verts:
-            base = beta.rotate(verts.index(anchor)).steps
+            rot = beta.rotate(verts.index(anchor)).steps
         elif any(e == root for w in table.entries for e, _ in w.steps):
             raise QuiverError(
                 f"loop {beta} does not visit the source of rooted edge {root!r}; "
                 "the spliced terms are not expressible as closed words"
             )
-    for gamma in table.entries:
-        for i, (e, o) in enumerate(gamma.steps):
-            if e != root:
-                continue
-            rot_at = gamma.steps[i:] + gamma.steps[:i]  # starts with the occurrence
-            rot_after = gamma.steps[i + 1 :] + gamma.steps[: i + 1]  # ends with it
-            if forward:
-                insert = rot_at if o > 0 else rot_after
-            else:
-                insert = rot_after if o > 0 else rot_at
-            word = cyclic_canonical(q, EdgeWord(base + insert))
-            rhs_raw.append((1 if o > 0 else -1, (gamma, word)))
+
+    def cuts(steps: tuple) -> list[tuple[int, int]]:
+        # (cut, orientation) per root step: the cut falls before a step whose
+        # orientation matches the translation, after one that opposes it
+        return [
+            (i if (o > 0) == forward else i + 1, o) for i, (e, o) in enumerate(steps) if e == root
+        ]
+
+    def canon(steps: tuple) -> CyclicWord:
+        return cyclic_canonical(q, EdgeWord(steps))
+
+    lhs_raw = [(o, _sorted_pair(canon(rot[:c]), canon(rot[c:]))) for c, o in cuts(rot)]
+    rhs_raw = [
+        (o, (gamma, canon(rot + gamma.steps[c:] + gamma.steps[:c])))
+        for gamma in table.entries
+        for c, o in cuts(gamma.steps)
+    ]
 
     return LoopEquation(
         mode=mode,

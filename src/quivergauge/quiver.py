@@ -146,6 +146,8 @@ class Quiver:
         return len(seen) == len(self.vertices)
 
     def is_self_loop(self, eid: str) -> bool:
+        if eid not in self.source:
+            raise QuiverError(f"unknown edge {eid!r}")
         return self.source[eid] == self.target[eid]
 
     def step_endpoints(self, step: Step) -> tuple[str, str]:

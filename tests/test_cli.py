@@ -73,6 +73,10 @@ class TestLoopeq:
         assert run(["loopeq", TWO_SITE, "--loop", "ov+", "--root", "ov"]) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    def test_unknown_root_is_domain_error(self, capsys):
+        assert run(["loopeq", "builtin:triangle", "--loop", "e1+ e2+ e3+", "--root", "nope"]) == 1
+        assert capsys.readouterr().err == "error: unknown edge 'nope'\n"
+
 
 class TestBootstrap:
     def test_small_scan(self, tmp_path, capsys):
@@ -208,6 +212,16 @@ class TestMc:
         assert code == 1
         assert "--root" in capsys.readouterr().err
 
+    def test_check_eq_unknown_root_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        code = run(
+            ["mc", "builtin:triangle", "--loop", "e1+ e2+ e3+", "--check-eq",
+             "--root", "nope", "--samples", "100", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown edge 'nope'\n"
+        assert not out.exists()
+
     def test_check_eq_rejects_metropolis(self, tmp_path, capsys):
         out = tmp_path / "eqcheck.json"
         code = run(
@@ -307,6 +321,16 @@ class TestMc:
         )
         assert code == 0
         assert json.loads(out.read_text())["dim"] == 2
+
+    def test_zero_dim_override_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        code = run(
+            ["mc", TRIANGLE, "--loop", "e1+ e2+ e3+", "--dim-override", "0",
+             "--samples", "500", "--seed", "2", "--out", str(out)]
+        )
+        assert code == 1
+        assert "dimension override must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -86,3 +86,8 @@ class TestOverrideDimension:
         job = load_job(str(REPO / "jobs" / "two_site.json"))
         with pytest.raises(JobError, match="one multiplicity-one block"):
             override_dimension(job, 5)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_rejects_nonpositive_dim(self, dim):
+        with pytest.raises(JobError, match="must be >= 1"):
+            override_dimension(triangle_job(dim=4), dim)

@@ -1,14 +1,16 @@
+import re
+
 import pytest
+from hypothesis import given, settings
 
 import quivergauge as qg
 from quivergauge.action import ActionSpec, expand_action
 from quivergauge.laurent import YXPoly
-from quivergauge.loop_equations import (
-    factorize_large_N,
-    generate_loop_equation,
-    root_decompose,
-)
-from quivergauge.quiver import EdgeWord, QuiverError
+from quivergauge.loop_equations import factorize_large_N, generate_loop_equation
+from quivergauge.quiver import EdgeWord, QuiverError, _cyclic_reduce, reduced_closed_walk_counts
+
+from conftest import REPO
+from test_action import quivers_and_actions, torus_quiver
 
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
@@ -26,36 +28,118 @@ def cyc(q, w):
     return qg.cyclic_canonical(q, w)
 
 
-class TestRootDecompose:
-    def test_triangle_zeta(self, triangle_quiver):
-        dec = root_decompose(triangle_quiver, ZETA, "e1")
-        assert dec.p == 1
-        assert dec.signs == (1,)
-        assert dec.between == (EdgeWord.from_string("e2+ e3+"),)
+def four_branch_reference(q, table, beta, root):
+    """Both sides of the loop equation, built by splitting and regluing.
 
-    def test_zeta_squared(self, triangle_quiver):
-        dec = root_decompose(triangle_quiver, ZETA**2, "e1")
-        assert dec.p == 2
-        assert dec.signs == (1, 1)
-        mu = EdgeWord.from_string("e2+ e3+")
-        assert dec.between == (mu, mu)
+    The cyclically reduced word is split into its root steps and the
+    root-free segments between them.  Double-trace pairs and plaquette
+    splices are then glued back through four branches: left or right
+    translation, times a forward or backward root step.  Returns the merged
+    (sign, key) lists of both sides, in first-seen order.
+    """
+    beta = EdgeWord(_cyclic_reduce(beta.steps))
+    occ = [i for i, (e, _) in enumerate(beta.steps) if e == root]
+    fwd = [i for i in occ if beta.steps[i][1] > 0]
+    rotated = beta.rotate((fwd or occ)[0]) if occ else beta
+    signs, between = [], []
+    for step in rotated.steps if occ else ():
+        if step[0] == root:
+            signs.append(step[1])
+            between.append(())
+        else:
+            between[-1] += (step,)
+    forward = not signs or signs[0] > 0
 
-    def test_absent_root(self, two_site_quiver):
-        w = EdgeWord.from_string("ov+ ov+")
-        dec = root_decompose(two_site_quiver, w, "e")
-        assert dec.p == 0 and dec.between == ()
+    lhs = []
+    segs = [((root, s),) + mu for s, mu in zip(signs, between)]
+    prefix = ()
+    for j, (sj, mu_j) in enumerate(zip(signs, between)):
+        suffix, rest = sum(segs[j:], ()), sum(segs[j + 1 :], ())
+        if forward:  # left translation: U -> exp(iY) U
+            w1, w2, sign = (prefix, suffix, 1) if sj > 0 else (prefix + ((root, -1),), mu_j + rest, -1)
+        else:  # right translation: U -> U exp(iY)
+            w1, w2, sign = (prefix + ((root, 1),), mu_j + rest, 1) if sj > 0 else (prefix, suffix, -1)
+        pair = sorted((cyc(q, EdgeWord(w1)), cyc(q, EdgeWord(w2))), key=lambda c: (len(c), c.steps))
+        lhs.append((sign, tuple(pair)))
+        prefix += segs[j]
 
-    def test_rotation_to_forward_occurrence(self, triangle_quiver):
-        dec = root_decompose(triangle_quiver, ZETA.rotate(1), "e1")
-        assert dec.rotated.steps[0] == ("e1", 1)
+    base = rotated.steps
+    if not signs and beta.steps:
+        verts = q.word_vertices(beta)
+        if q.source[root] in verts:
+            base = beta.rotate(verts.index(q.source[root])).steps
+        elif any(e == root for w in table.entries for e, _ in w.steps):
+            raise QuiverError(f"loop {beta} does not visit the source of rooted edge {root!r}")
+    rhs = []
+    for gamma in table.entries:
+        for i, (e, o) in enumerate(gamma.steps):
+            if e != root:
+                continue
+            rot_at = gamma.steps[i:] + gamma.steps[:i]  # starts with the root step
+            rot_after = gamma.steps[i + 1 :] + gamma.steps[: i + 1]  # ends with it
+            if forward:
+                insert = rot_at if o > 0 else rot_after
+            else:
+                insert = rot_after if o > 0 else rot_at
+            rhs.append((1 if o > 0 else -1, (gamma, cyc(q, EdgeWord(base + insert)))))
+    return merged(lhs), merged(rhs)
 
-    def test_self_loop_root_rejected(self, two_site_quiver):
-        with pytest.raises(QuiverError, match="self-loop"):
-            root_decompose(two_site_quiver, EdgeWord.from_string("ov+"), "ov")
 
-    def test_unreduced_rejected(self, triangle_quiver):
-        with pytest.raises(QuiverError, match="reduced"):
-            root_decompose(triangle_quiver, EdgeWord.from_string("e1+ e1- e1+ e2+ e3+"), "e1")
+def merged(terms):
+    acc = {}
+    for c, key in terms:
+        acc[key] = acc.get(key, 0) + c
+    return [(c, key) for key, c in acc.items() if c != 0]
+
+
+def assert_matches_reference(q, table, beta, root):
+    """The cut rule gives the reference's terms, order included, in both modes."""
+    try:
+        expected = four_branch_reference(q, table, beta, root)
+    except QuiverError as exc:
+        for mode in ("finite", "large"):
+            with pytest.raises(QuiverError, match=re.escape(str(exc))):
+                generate_loop_equation(q, table, beta, root, mode=mode)
+        return
+    for mode in ("finite", "large"):
+        eq = generate_loop_equation(q, table, beta, root, mode=mode)
+        lhs = [(t.coeff, t.words) for t in eq.lhs]
+        rhs = [(t.multiplicity, (t.plaquette, t.word)) for t in eq.rhs]
+        assert (lhs, rhs) == expected, f"{beta} at {root} ({mode})"
+
+
+def assert_reduced_words_match(q, table, max_len):
+    """Every reduced closed word up to ``max_len``, at every non-self-loop root."""
+    words = set()
+    for v in q.vertices:
+        for level in reduced_closed_walk_counts(q, v, max_len):
+            words.update(level)
+    roots = [e for e in q.edge_ids if not q.is_self_loop(e)]
+    for steps in sorted(words):
+        for root in roots:
+            assert_matches_reference(q, table, EdgeWord(steps), root)
+
+
+class TestFourBranchReference:
+    """One cut per root step gives what the four translation branches gave."""
+
+    @pytest.mark.parametrize("path", sorted((REPO / "jobs").glob("*.json")), ids=lambda p: p.stem)
+    def test_jobs(self, path):
+        job = qg.load_job(str(path))
+        assert_reduced_words_match(job.quiver, expand_action(job.quiver, job.action), 5)
+
+    def test_torus_degree_6(self):
+        q = torus_quiver(3)
+        table = expand_action(q, ActionSpec.from_list([0] * 6 + [1]))
+        for cls in table.entries:
+            for root in ("h00", "u00"):
+                assert_matches_reference(q, table, cls.word(), root)
+
+    @given(quivers_and_actions())
+    @settings(max_examples=40, deadline=None)
+    def test_random_quivers(self, case):
+        q, f = case
+        assert_reduced_words_match(q, expand_action(q, f), 4)
 
 
 class TestGenerateLoopEquation:
@@ -129,6 +213,25 @@ class TestGenerateLoopEquation:
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1")
         assert len(eq.rhs) == 2
         assert {t.multiplicity for t in eq.rhs} == {1, -1}
+
+    def test_self_loop_root_rejected(self, two_site_quiver):
+        table = expand_action(two_site_quiver, ActionSpec.from_list([0, 0, 1]))
+        with pytest.raises(QuiverError, match="self-loop"):
+            generate_loop_equation(two_site_quiver, table, EdgeWord.from_string("ov+"), "ov")
+
+    def test_unreduced_rejected(self, triangle_quiver, tri_table):
+        with pytest.raises(QuiverError, match="reduced"):
+            generate_loop_equation(
+                triangle_quiver, tri_table, EdgeWord.from_string("e1+ e1- e1+ e2+ e3+"), "e1"
+            )
+
+    def test_loop_off_the_root_source_rejected(self):
+        # the quartic two-site table splices e into ov/ow plaquettes, but ow+ ow+
+        # stays at w and never reaches v, the source of e
+        job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+        table = expand_action(job.quiver, job.action)
+        with pytest.raises(QuiverError, match="does not visit the source of rooted edge 'e'"):
+            generate_loop_equation(job.quiver, table, EdgeWord.from_string("ow+ ow+"), "e")
 
     def test_serialization_roundtrip(self, triangle_quiver, tri_table):
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1")

@@ -4,13 +4,17 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO
 
 
-def test_wide_mc_pass_is_correct():
-    # wide_mc ends with the Metropolis estimate checked against the exact curve
+@pytest.mark.parametrize("workload", ["triangle_pipeline", "wide_mc", "exact_band"])
+def test_pass_is_correct(workload):
+    # every op is checked by an oracle: wide_mc ends with the Metropolis estimate
+    # against the exact curve, exact_band balances the torus loop equations
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "wide_mc", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=REPO, capture_output=True, text=True, timeout=300,
     )

@@ -24,6 +24,10 @@ class TestBuildQuiver:
         assert two_site_quiver.is_self_loop("ov")
         assert not two_site_quiver.is_self_loop("e")
 
+    def test_self_loop_query_on_unknown_edge(self, two_site_quiver):
+        with pytest.raises(QuiverError, match="unknown edge 'nope'"):
+            two_site_quiver.is_self_loop("nope")
+
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(QuiverError, match="unknown"):
             qg.build_quiver(["a"], [("e", "a", "b")])
