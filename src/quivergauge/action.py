@@ -14,6 +14,11 @@ in depth-first order, that reduces to it, so table entries come in the order
 in which a walk-by-walk expansion (lengths outer, base vertices inner)
 first meets their classes; float sums over the table (:func:`plaquette_sum`)
 and the loop equations built from it depend on that order.
+
+Every numeric trace goes through one kernel, :func:`trace_words`.  It visits
+sorted words over a stack of prefix products, built by the left fold of
+:func:`holonomy`, so a shared prefix is multiplied once.  Action weights
+trace each class once with its equal-coupling reverse (:func:`action_plan`).
 """
 
 from __future__ import annotations
@@ -121,26 +126,73 @@ def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
     return table
 
 
+def _step_matrices(assignment: Mapping[str, np.ndarray], words) -> dict[Step, np.ndarray]:
+    """The matrix of every step the words take; each edge's adjoint is formed once."""
+    mats = {(e, o): assignment[e] for w in words for e, o in w}
+    return {(e, o): u if o > 0 else u.conj().swapaxes(-1, -2) for (e, o), u in mats.items()}
+
+
+def _fold(mats: Mapping[Step, np.ndarray], steps, prefix: list) -> list:
+    """Extend ``prefix``, the left fold over steps[:1], steps[:2], ..., to all of ``steps``."""
+    for step in steps[len(prefix) :]:
+        prefix.append(mats[step] if not prefix else prefix[-1] @ mats[step])
+    return prefix
+
+
 def holonomy(assignment: Mapping[str, np.ndarray], steps, dim: int) -> np.ndarray:
     """Ordered product of edge unitaries along a word (first step leftmost),
     per sample when the matrices carry leading batch axes."""
-    m = None
-    for eid, o in steps:
-        u = assignment[eid]
-        u = u if o > 0 else u.conj().swapaxes(-1, -2)
-        m = u.copy() if m is None else m @ u  # never the caller's own array
-    return np.eye(dim, dtype=complex) if m is None else m
+    products = _fold(_step_matrices(assignment, [steps]), steps, []) or [np.eye(dim, dtype=complex)]
+    return products[-1].copy()  # never the caller's own array
+
+
+def trace_words(assignment: Mapping[str, np.ndarray], words: Sequence[tuple], dim: int) -> list:
+    """Traces of closed words (one per sample for batched matrices); the empty
+    word gives N.  The last factor U of each enters as sum_ij M_ij U_ji, and a
+    word's trace is the same bits whatever other words share the call."""
+    mats = _step_matrices(assignment, words)
+    batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
+    traces = {(): np.full(batch, complex(dim))} if () in words else {}
+    prefix, last = [], ()
+    for steps in sorted(set(words) - {()}):
+        # keep the products over the steps shared with the last (sorted: smaller) word
+        differ = (i for i, (a, b) in enumerate(zip(steps, last)) if a != b)
+        del prefix[next(differ, len(prefix)) :]
+        if len(steps) == 1:
+            traces[steps] = np.trace(mats[steps[0]], axis1=-2, axis2=-1)
+        else:
+            m = _fold(mats, steps[:-1], prefix)[-1]
+            traces[steps] = np.einsum("...ij,...ji->...", m, mats[steps[-1]])
+        last = steps
+    return [traces[w] for w in words]
 
 
 def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex | np.ndarray:
-    """Trace of the holonomy of a closed word; the empty word gives N.
-    One complex per sample for batched matrices."""
-    if steps:
-        tr = np.trace(holonomy(assignment, steps, dim), axis1=-2, axis2=-1)
-    else:
-        batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
-        tr = np.full(batch, complex(dim))
+    """Trace of the holonomy of a closed word: :func:`trace_words` for one word."""
+    tr = trace_words(assignment, [tuple(steps)], dim)[0]
     return tr if tr.ndim else complex(tr)
+
+
+def action_plan(table: PlaquetteTable) -> tuple[list[tuple[Step, ...]], list[float]]:
+    """Words and float weights whose ``sum weight * Re Tr hol(word)`` is the
+    plaquette sum: as Re Tr hol(w^-1) = Re Tr hol(w), a class whose reverse has
+    an equal coupling (all, for real f) takes weight 2g in the reverse's place."""
+    plan: dict[tuple[Step, ...], Fraction] = {}
+    for w, g in table.entries.items():
+        r = w.reverse().steps  # r can be in plan only unpaired: its one reverse is w
+        if r in plan and plan[r] == g:
+            plan[r] = 2 * g
+        else:
+            plan[w.steps] = g
+    return list(plan), [float(g) for g in plan.values()]
+
+
+def plan_sum(plan: tuple[list, list[float]], assignment: Mapping[str, np.ndarray], dim: int):
+    """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`."""
+    total = 0.0
+    for g, tr in zip(plan[1], trace_words(assignment, plan[0], dim)):
+        total += g * tr.real
+    return total
 
 
 def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], dim: int):
@@ -150,10 +202,7 @@ def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], d
     Unchecked: the assignment must hold a dim x dim unitary for every edge
     the table uses.
     """
-    total = 0.0
-    for w, g in table.entries.items():
-        total += float(g) * loop_trace(assignment, w.steps, dim).real
-    return total
+    return plan_sum(action_plan(table), assignment, dim)
 
 
 def evaluate_action(
@@ -162,10 +211,9 @@ def evaluate_action(
     dim: int | None = None,
     unitarity_tol: float = 1e-8,
 ) -> float:
-    """Numeric action value for one unitary assignment of the edges.
-
-    The result is real for real f: the table is closed under word reversal
-    with equal couplings, pairing each trace with its conjugate.
+    """Numeric action value for one unitary assignment of the edges, through
+    :func:`plaquette_sum`.  Real f gives a table closed under word reversal
+    with equal couplings; each pair is traced once, as twice its real part.
     """
     needed = table.edge_ids()
     missing = needed - set(assignment)

@@ -23,6 +23,8 @@ from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
 from .quiver import EdgeWord, QuiverError
 
+RHAT_LIMIT = 1.1  # Metropolis chains whose R-hat exceeds this disagree
+
 
 def _build_parser() -> argparse.ArgumentParser:
     fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
@@ -230,6 +232,8 @@ def _cmd_mc(args) -> int:
         if est.method == "metropolis":
             payload["rhat"] = est.rhat
             detail = f"acceptance {est.acceptance:.1%}"
+            if est.rhat is not None and est.rhat > RHAT_LIMIT:
+                detail += f", R-hat {est.rhat:.3g} above {RHAT_LIMIT}: chains disagree"
         else:
             detail = f"largest weight share {est.max_weight_share:.3g}"
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

@@ -4,8 +4,9 @@ Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
 every Haar block draw by (master seed, edge index, block index) with the
 sample index as the Philox counter, so streams are identical for any worker
 partition.  It is the only source of configurations.  Reweighting draws
-chunks of max(1, 4096 // N**2) samples from those streams, with one stacked
-QR, embedding and holonomy product per chunk; estimates do not depend on it.
+chunks of max(1, 4096 // N**2) samples: per chunk one stacked QR and embedding,
+one trace-kernel call for the action plan (built once per estimate) and one
+for the observable's words.  Estimates do not depend on the chunking.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -16,7 +17,7 @@ Two estimators are provided for Boltzmann-weighted expectations:
   largest weight's share of the total.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
   block, run as 10 independent chains stacked on a leading axis so that one
-  eigh, one set of traces and one accept draw serve all of them.  Each chain
+  eigh, one kernel call and one accept draw serve all of them.  Each chain
   burns in and tunes its own step size per block to 30-50% acceptance.  The
   error comes from batch means inside each chain, and the Gelman-Rubin
   R-hat across the chains is reported with it.
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .action import PlaquetteTable, loop_trace, plaquette_sum
+from .action import PlaquetteTable, action_plan, loop_trace, plan_sum, trace_words
 from .bratteli import BratteliNetwork
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord
@@ -61,6 +62,8 @@ class DiracSample:
 
 def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) -> np.ndarray:
     """Block-diagonal matrix of r copies of each block, per leading batch index."""
+    if len(blocks) == 1 and mults[0] == 1:
+        return blocks[0]  # a lone block is its own embedding, uncopied
     out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
     pos = 0
     for u, r in zip(blocks, mults):
@@ -174,13 +177,13 @@ def _reweighted_traces(
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
     logs = np.empty(samples)
     traces = np.empty((len(words), samples), dtype=complex)
+    plan = action_plan(table)
     for a in range(0, samples, chunk):
         b = min(a + chunk, samples)
         u = sampler.sample_chunk(a, b)
-        logs[a:b] = -dim * plaquette_sum(table, u, dim)
-        for k, w in enumerate(words):
+        logs[a:b] = -dim * plan_sum(plan, u, dim)
+        for k, t in enumerate(trace_words(u, words, dim)):
             # parts apart: numpy divides a complex array by the reciprocal of dim
-            t = loop_trace(u, w, dim)
             traces[k, a:b].real = t.real / dim
             traces[k, a:b].imag = t.imag / dim
     return logs, traces
@@ -286,8 +289,8 @@ class _Chains:
         self.assignment = {
             eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
         }
-        self.table = table
-        self.s = plaquette_sum(table, self.assignment, self.dim)
+        self.plan = action_plan(table)
+        self.s = plan_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
         """Propose U <- exp(i eps H) U on one block of every chain; returns
@@ -299,7 +302,7 @@ class _Chains:
         blocks = list(self.blocks[eid])
         blocks[bi] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
         trial = {**self.assignment, eid: _embed_blocks(blocks, self.mults[eid], self.dim)}
-        s_new = plaquette_sum(self.table, trial, self.dim)
+        s_new = plan_sum(self.plan, trial, self.dim)
         accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
         keep = accept[:, None, None]
         self.blocks[eid][bi] = np.where(keep, blocks[bi], old)

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 import quivergauge as qg
 from quivergauge.action import (
     ActionSpec,
+    PlaquetteTable,
+    action_plan,
     evaluate_action,
     expand_action,
+    holonomy,
     loop_trace,
     plaquette_sum,
+    trace_words,
 )
 
 from conftest import REPO, random_unitary, triangle_network
@@ -284,3 +288,81 @@ class TestBatchedTraces:
             assert all(got[i] == loop_trace(r, steps, n) for i, r in enumerate(rows))
         got = plaquette_sum(quartic_table, stack, n)
         assert all(got[i] == plaquette_sum(quartic_table, r, n) for i, r in enumerate(rows))
+        # one call over every word: each stacked row is its 2-D call
+        got = trace_words(stack, words, n)
+        for i, r in enumerate(rows):
+            assert all(t[i] == t2 for t, t2 in zip(got, trace_words(r, words, n)))
+
+
+@st.composite
+def quivers_and_words(draw):
+    """A quiver from ``quivers_and_actions`` and some of its closed walks of
+    length 1 to 4, backward steps and unreduced walks included."""
+    q, _ = draw(quivers_and_actions())
+    closed = [
+        w.steps for v in q.vertices for k in range(1, 5) for w in qg.enumerate_closed_walks(q, v, k)
+    ]
+    return q, draw(st.lists(st.sampled_from(closed), max_size=8)) if closed else []
+
+
+class TestTraceWords:
+    @given(quivers_and_words())
+    @example((SELF_LOOP, [(("s", 1),), (("s", -1), ("s", 1), ("s", -1))]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_words(self, case):
+        # duplicates, the empty word and words that are prefixes of others
+        q, picked = case
+        words = picked + [w + w for w in picked] + picked[:1] + [()]
+        n = 3
+        rng = np.random.default_rng(len(words))
+        us = {e: random_unitary(rng, n) for e in q.edge_ids}
+        got = trace_words(us, words, n)
+        assert len(got) == len(words)
+        for w, t in zip(words, got):
+            assert abs(t - np.trace(holonomy(us, w, n))) <= 1e-12 * n
+            # a word's trace never depends on the other words in the call
+            assert t == trace_words(us, [w], n)[0]
+
+
+def entry_by_entry(table, us, n):
+    return sum(float(g) * np.trace(holonomy(us, w.steps, n)).real for w, g in table.entries.items())
+
+
+class TestReversePairing:
+    """Re Tr hol(w^-1) = Re Tr hol(w): a class and its equal-coupling reverse
+    are traced once, with twice the coupling."""
+
+    @pytest.mark.parametrize(
+        "quiver, f",
+        [("triangle_quiver", ["1/2", "1/3", "1/5", "1/7"]), ("two_site_quiver", [0, 0, 0, 0, 1]),
+         ("two_site_quiver", [0] * 10 + [1]), ("torus", [0] * 6 + [1])],
+        ids=["triangle", "two_site_4", "two_site_10", "torus_6"],
+    )
+    def test_half_the_table_same_sum(self, quiver, f, request, rng):
+        q = torus_quiver(3) if quiver == "torus" else request.getfixturevalue(quiver)
+        table = expand_action(q, ActionSpec.from_list(f))
+        words, weights = action_plan(table)
+        assert 2 * len(words) == len(table.entries)
+        coupling = {w.steps: g for w, g in table.entries.items()}
+        assert weights == [float(2 * coupling[w]) for w in words]
+        n = 3
+        us = {e: random_unitary(rng, n) for e in q.edge_ids}
+        bound = 1e-12 * sum(abs(float(g)) for g in table.entries.values()) * n
+        assert abs(plaquette_sum(table, us, n) - entry_by_entry(table, us, n)) <= bound
+
+    def test_unpaired_classes_traced_alone(self, triangle_quiver, two_site_quiver, rng):
+        # a class without its reverse, and a pair whose couplings differ
+        zeta = cyc(triangle_quiver, "e1+ e2+ e3+")
+        mixed = cyc(two_site_quiver, "ov+ e+ ow+ e-")
+        square = cyc(two_site_quiver, "ov+ ov+")
+        for table, q in (
+            (PlaquetteTable({zeta: Fraction(3)}), triangle_quiver),
+            (PlaquetteTable({zeta: Fraction(1, 2), zeta.reverse(): Fraction(-2)}), triangle_quiver),
+            (PlaquetteTable({mixed: Fraction(1), square: Fraction(2)}), two_site_quiver),
+        ):
+            words, weights = action_plan(table)
+            assert words == [w.steps for w in table.entries]
+            assert weights == [float(g) for g in table.entries.values()]
+            us = {e: random_unitary(rng, 4) for e in q.edge_ids}
+            expected = entry_by_entry(table, us, 4)
+            assert plaquette_sum(table, us, 4) == pytest.approx(expected, abs=1e-12)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quivergauge.cli import run
+from quivergauge.cli import RHAT_LIMIT, run
 
 from conftest import REPO
 
@@ -243,7 +243,7 @@ class TestMc:
         assert "batch means" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_metropolis_tunes_a_strongly_coupled_job(self, tmp_path):
+    def test_metropolis_tunes_a_strongly_coupled_job(self, tmp_path, capsys):
         # the shipped two-site coupling rejects nearly every step at eps 0.5;
         # burn-in must shrink eps far enough within its two windows
         out = tmp_path / "mc.json"
@@ -252,7 +252,13 @@ class TestMc:
              "--samples", "200", "--burnin", "200", "--thin", "2", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
-        assert 0.05 <= json.loads(out.read_text())["acceptance"] <= 0.95
+        data = json.loads(out.read_text())
+        assert 0.05 <= data["acceptance"] <= 0.95
+        # these short chains disagree, and the confirmation line says so
+        assert data["rhat"] > RHAT_LIMIT
+        assert capsys.readouterr().out.endswith(
+            f", R-hat {data['rhat']:.3g} above {RHAT_LIMIT}: chains disagree\n"
+        )
 
     @pytest.mark.parametrize(
         "args, name",
@@ -269,7 +275,7 @@ class TestMc:
         assert f"{name} must be at least" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_metropolis_byte_identical_reruns(self, tmp_path):
+    def test_metropolis_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--method", "metropolis",
                 "--samples", "200", "--burnin", "100", "--thin", "2", "--seed", "42"]
@@ -277,6 +283,7 @@ class TestMc:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert 0.9 < json.loads(a.read_text())["rhat"] < 1.1
+        assert "chains disagree" not in capsys.readouterr().out
 
     def test_metropolis_rhat_undefined_is_null(self, tmp_path):
         # 15 samples leave the last chains one measurement each: no R-hat

@@ -176,6 +176,15 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
+    # and each draw on its own, through the 2-D action sum and loop_trace
+    sampler = KeyedSampler(job.network, 3)
+    logs, traces = runs[0]
+    for i in range(samples):
+        u = sampler.sample(i).unitaries
+        assert logs[i] == -dim * plaquette_sum(table, u, dim)
+        for k, w in enumerate(words):
+            t = loop_trace(u, w, dim)
+            assert traces[k, i] == complex(t.real / dim, t.imag / dim)
 
 
 @pytest.fixture(scope="module")
