@@ -221,15 +221,13 @@ class FeasibilityMap:
         return int((self.max_feasible >= order).sum())
 
     def to_csv(self, path: str) -> None:
+        ys = [repr(float(y)) for y in self.ys]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "max_feasible_order", "first_failing_order"])
             for i, x in enumerate(self.xs):
-                for j, y in enumerate(self.ys):
-                    writer.writerow(
-                        [repr(float(x)), repr(float(y)),
-                         int(self.max_feasible[i, j]), int(self.first_failing[i, j])]
-                    )
+                feasible, failing = self.max_feasible[i].tolist(), self.first_failing[i].tolist()
+                writer.writerows(zip([repr(float(x))] * len(ys), ys, feasible, failing))
 
     def to_svg(self, path: str, cell: float = 2.0) -> None:
         """Compact heat map: one run-length-merged rect per row segment."""

@@ -1,12 +1,12 @@
 """Haar sampling of block unitaries, Dirac assembly and Wilson-loop estimators.
 
 Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
-every Haar block draw by (master seed, edge index, block index) with the
-sample index as the Philox counter, so streams are identical for any worker
-partition.  It is the only source of configurations.  Reweighting draws
-chunks of max(1, 4096 // N**2) samples: per chunk one stacked QR and embedding,
-one trace-kernel call for the action plan (built once per estimate) and one
-for the observable's words.  Estimates do not depend on the chunking.
+every Haar block by (master seed, edge index, block index), and draw i owns
+a fixed span of that Philox stream, so estimates do not depend on the
+chunking or worker partition.  It is the only source of configurations.
+Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and block
+one ``random`` call and one stacked QR, then one trace-kernel call for the
+action plan (built once per estimate) and one for the observable's words.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -43,10 +43,9 @@ _CHUNK_ENTRIES = 4096
 _CHAINS = 10
 
 
-def _haar_from_normals(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries from normals (..., 2, n, n), real parts first: QR of the
-    complex Ginibre stack with the phase fix that makes the factors unique."""
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a complex Ginibre stack (..., n, n): QR with the
+    phase fix that makes the factors unique."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -78,10 +77,11 @@ def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) 
 class KeyedSampler:
     """Reproducible per-sample gauge configurations from a master seed.
 
-    Each Haar block draw i is Philox keyed by (seed, edge, block) at counter
-    (0, 0, i, 0), independent of chunking or worker partition.  One bit
-    generator per block is reused by resetting its counter state, which is
-    stream-identical to constructing it fresh.
+    Each (edge, block) owns a Philox stream keyed by (seed, edge, block); draw
+    i of an n x n block spans B = ceil(n**2 / 2) counter blocks of 4 uniforms
+    from counter (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one
+    ``random`` call per block.  Uniform pairs (u0, u1) give polar Box-Muller
+    Ginibre entries sqrt(-log1p(-u0)) exp(2 pi i u1), E|z|^2 = 1.
     """
 
     def __init__(self, net: BratteliNetwork, seed: int):
@@ -93,24 +93,26 @@ class KeyedSampler:
             for bi in range(len(net.n[tgt])):
                 key = np.random.SeedSequence([self.seed, ei, bi]).generate_state(2, np.uint64)
                 bitgen = np.random.Philox(key=key)
-                # the fresh state at counter 0; a draw rewrites only counter[2]
+                # the fresh state at counter 0; a chunk rewrites only counter[0]
                 self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
 
     def sample_chunk(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge;
         row k equals ``sample(start + k)`` bit for bit."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"sample range [{start}, {stop}) needs 0 <= start <= stop")
         unitaries = {}
         for eid in self.net.quiver.edge_ids:
             tgt = self.net.quiver.target[eid]
             blocks = []
             for bi, n in enumerate(self.net.n[tgt]):
                 bitgen, gen, state = self._streams[(eid, bi)]
-                g = np.empty((stop - start, 2, n, n))
-                for k in range(stop - start):
-                    state["state"]["counter"][2] = start + k
-                    bitgen.state = state
-                    gen.standard_normal(out=g[k])
-                blocks.append(_haar_from_normals(g))
+                span = (n * n + 1) // 2
+                state["state"]["counter"][0] = start * span
+                bitgen.state = state
+                u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
+                z = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+                blocks.append(_haar_from_ginibre(z))
             unitaries[eid] = _embed_blocks(blocks, self.net.r[tgt], self.net.dim)
         return unitaries
 

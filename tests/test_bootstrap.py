@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 from itertools import islice
 
@@ -189,6 +190,25 @@ class TestScanRegion:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,max_feasible_order,first_failing_order"
         assert len(lines) == 1 + 40 * 41
+
+    def test_csv_matches_per_cell_writer(self, tmp_path):
+        # the row-at-a-time writer must give the bytes of one repr per cell,
+        # on a grid with an undefined x = 0 column
+        fmap = scan_region(np.linspace(-2, 2, 9), np.linspace(-1.5, 1.5, 13), 6)
+        assert fmap.undefined[4].all()
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "max_feasible_order", "first_failing_order"])
+            for i, x in enumerate(fmap.xs):
+                for j, y in enumerate(fmap.ys):
+                    writer.writerow(
+                        [repr(float(x)), repr(float(y)),
+                         int(fmap.max_feasible[i, j]), int(fmap.first_failing[i, j])]
+                    )
+        out = tmp_path / "scan.csv"
+        fmap.to_csv(str(out))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_svg_output(self, small_map, tmp_path):
         out = tmp_path / "scan.svg"

@@ -58,6 +58,22 @@ class TestSampleHaar:
             se = (np.abs(t) ** 2).std() / np.sqrt(draws)
             assert abs(m - 1.0) < 5 * max(se, 1e-12)
 
+    def test_u1_powers_vanish(self):
+        # at n = 1, U = z/|z| = exp(2 pi i u1): E U^k = 0 for k != 0 checks
+        # the phase half of the Box-Muller transform
+        draws = 100000
+        u = haar_traces(one_block_sampler(1, 20240901), draws)
+        for k in (1, 2, 3):
+            v = u**k
+            assert abs(v.mean()) < 5 * v.std() / np.sqrt(draws)
+
+    def test_trace_fourth_moment_is_two(self):
+        # E |Tr U|^4 = 2 for every n >= 2 (the number of permutations of 2)
+        for n in (2, 4):
+            draws = 100000
+            t4 = np.abs(haar_traces(one_block_sampler(n, 20240901), draws)) ** 4
+            assert abs(t4.mean() - 2.0) < 5 * t4.std() / np.sqrt(draws)
+
     def test_left_invariance_of_trace_distribution(self):
         # fixed V: Tr(VU) is distributed like Tr(U); compare the first two
         # moments of two independently seeded streams, V drawn past the first
@@ -153,6 +169,36 @@ class TestKeyedSampler:
             expected = np.stack([single.sample(i).unitaries[e] for i in range(5, 12)])
             assert np.array_equal(chunk[e], expected)
 
+    def test_stream_layout(self, two_site_network):
+        # draw i of an n x n block is Philox keyed by (seed, edge, block) from
+        # counter (i*B, 0, 0, 0), B = ceil(n^2 / 2): its first 2n^2 uniforms,
+        # in pairs (u0, u1), are the polar Box-Muller Ginibre entries
+        net, seed = two_site_network, 11
+        sampler = KeyedSampler(net, seed)
+        for ei, e in enumerate(net.quiver.edge_ids):
+            tgt = net.quiver.target[e]
+            for i in (0, 5, 17):
+                blocks = []
+                for bi, n in enumerate(net.n[tgt]):
+                    span = -(-n * n // 2)
+                    key = np.random.SeedSequence([seed, ei, bi]).generate_state(2, np.uint64)
+                    bitgen = np.random.Philox(key=key, counter=[i * span, 0, 0, 0])
+                    pairs = np.random.Generator(bitgen).random(4 * span)[: 2 * n * n]
+                    pairs = pairs.reshape(n, n, 2)
+                    z = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
+                    blocks.append(monte_carlo._haar_from_ginibre(z))
+                expected = monte_carlo._embed_blocks(blocks, net.r[tgt], net.dim)
+                assert np.array_equal(sampler.sample(i).unitaries[e], expected)
+
+    @pytest.mark.parametrize("start, stop", [(5, 3), (-1, 0)])
+    def test_chunk_range_checked(self, two_site_network, start, stop):
+        with pytest.raises(ValueError, match=r"0 <= start <= stop"):
+            KeyedSampler(two_site_network, 11).sample_chunk(start, stop)
+
+    def test_empty_chunk(self, two_site_network):
+        chunk = KeyedSampler(two_site_network, 11).sample_chunk(4, 4)
+        assert {e: u.shape for e, u in chunk.items()} == dict.fromkeys(chunk, (0, 16, 16))
+
 
 @pytest.mark.parametrize(
     "job_path, root, backward",
@@ -160,8 +206,9 @@ class TestKeyedSampler:
     ids=["triangle3", "two_site"],
 )
 def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward):
-    # one draw per chunk, the default chunks (16 at N=16: a partial last one)
-    # and every draw in one chunk give the same arrays
+    # one draw per chunk, chunks of 7 (boundaries mid-stream), the default
+    # chunks (16 at N=16: a partial last one) and every draw in one chunk
+    # give the same arrays
     job = qg.load_job(job_path)
     table = expand_action(job.quiver, job.action)
     eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], root, mode="finite")
@@ -170,7 +217,7 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     assert () in words and any(o < 0 for w in words for _, o in w) == backward
     samples, dim = 40, job.network.dim
     runs = []
-    for budget in (1, monte_carlo._CHUNK_ENTRIES, samples * dim**2):
+    for budget in (1, 7 * dim**2, monte_carlo._CHUNK_ENTRIES, samples * dim**2):
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
         runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
     for logs, traces in runs[1:]:
