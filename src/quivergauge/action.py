@@ -36,6 +36,7 @@ from .quiver import (
     Step,
     _cyclic_reduce,
     _min_rotation,
+    gauge_fixed_steps,
     reduced_closed_walk_counts,
 )
 
@@ -91,6 +92,18 @@ class PlaquetteTable:
     def edge_ids(self) -> set[str]:
         return {e for w in self.entries for e, _ in w.steps}
 
+    def add(self, w: CyclicWord, g: Fraction) -> None:
+        """Add g to the coupling of w; the empty class traces N, so it adds to
+        ``constant_coeff``."""
+        if w.is_empty:
+            self.constant_coeff += g
+        else:
+            self.entries[w] = self.coupling(w) + g
+
+    def drop_zeros(self) -> "PlaquetteTable":
+        self.entries = {w: g for w, g in self.entries.items() if g != 0}
+        return self
+
 
 def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
     """Accumulate f_k over all length-k closed walks into traced-class couplings.
@@ -118,12 +131,19 @@ def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
                     cls = classes[word] = CyclicWord(_min_rotation(_cyclic_reduce(word)))
                 counts[cls] = counts.get(cls, 0) + n
         for cls, n in counts.items():
-            if cls.is_empty:
-                table.constant_coeff += fk * n
-            else:
-                table.entries[cls] = table.coupling(cls) + fk * n
-    table.entries = {w: g for w, g in table.entries.items() if g != 0}
-    return table
+            table.add(cls, fk * n)
+    return table.drop_zeros()
+
+
+def gauge_fixed_table(table: PlaquetteTable, tree) -> PlaquetteTable:
+    """The same action where the ``tree`` edges carry 1: each class rewritten
+    by :func:`~quivergauge.quiver.gauge_fixed_steps`.  Classes that coincide
+    merge at the first one's place, and a class that empties moves into
+    ``constant_coeff``; an empty tree gives an equal table, in equal order."""
+    fixed = PlaquetteTable(constant_coeff=table.constant_coeff)
+    for w, g in table.entries.items():
+        fixed.add(CyclicWord(_min_rotation(gauge_fixed_steps(w.steps, tree))), g)
+    return fixed.drop_zeros()
 
 
 def _step_matrices(assignment: Mapping[str, np.ndarray], words) -> dict[Step, np.ndarray]:

@@ -137,6 +137,38 @@ def representation_dimension(b: BratteliNetwork) -> int:
     return b.dim
 
 
+def _is_identity(c: tuple[tuple[int, ...], ...]) -> bool:
+    return all(row == tuple(int(i == j) for j in range(len(c))) for i, row in enumerate(c))
+
+
+def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
+    """Edges of the maximal tree whose unitaries a vertex gauge transform sets
+    to 1, in declaration order.
+
+    The tree grows from the first vertex over non-self-loop edges whose C_e
+    is the identity (validation then gives both ends one (n, r) layout):
+    passes over the edges in declaration order take each edge that reaches a
+    new vertex, until a pass takes none.  Transforming each reached vertex by
+    its tree-path product keeps every other edge in its Haar block ensemble
+    unless an edge leaves the reached region, so then the tree is empty.
+    """
+    q = b.quiver
+    eligible = [eid for eid, src, dst in q.edges if src != dst and _is_identity(b.C[eid])]
+    region, tree = {q.vertices[0]}, set()
+    grown = True
+    while grown:
+        grown = False
+        for eid in eligible:
+            ends = {q.source[eid], q.target[eid]}
+            if len(ends & region) == 1:
+                region |= ends
+                tree.add(eid)
+                grown = True
+    if any(src in region and dst not in region for _, src, dst in q.edges):
+        return ()
+    return tuple(e for e in q.edge_ids if e in tree)
+
+
 def dirac_ensemble(b: BratteliNetwork) -> EnsembleDescriptor:
     """Unitary factors per edge: U(n_{t(e),j}) with multiplicity r_{t(e),j}."""
     factors = {}

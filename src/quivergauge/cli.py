@@ -17,7 +17,7 @@ import numpy as np
 from . import bootstrap as bs
 from . import gww
 from .action import expand_action, format_rational
-from .bratteli import dirac_ensemble, representation_dimension
+from .bratteli import dirac_ensemble, gauge_tree, representation_dimension
 from .jobfile import JobError, load_job, override_dimension
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="validate a job file; print N and the ensemble", **fmt)
+    v = sub.add_parser("validate", help="validate a job file; print N, ensemble, gauge tree", **fmt)
     v.add_argument("job", help="job file path or builtin:triangle")
 
     e = sub.add_parser("expand", help="expand the action into a plaquette table (JSON)", **fmt)
@@ -100,6 +100,9 @@ def _cmd_validate(args) -> int:
     n = representation_dimension(job.network)
     print(f"N={n}")
     print(dirac_ensemble(job.network).describe())
+    tree = gauge_tree(job.network)
+    fixed = f"{' '.join(tree)} ({len(tree)} of {len(job.quiver.edge_ids)})" if tree else "none"
+    print(f"gauge-fixed edges: {fixed}")
     if job.loops:
         print("loops: " + "; ".join(str(w) for w in job.loops))
     return 0

@@ -1,12 +1,21 @@
 """Haar sampling of block unitaries, Dirac assembly and Wilson-loop estimators.
 
+Every configuration is in the maximal-tree gauge: the edges of
+:func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
+word's trace by Haar invariance, so only the other edges are drawn and the
+action and the observables are traced as rewritten words in those edges
+(:func:`~quivergauge.action.gauge_fixed_table`,
+:func:`~quivergauge.quiver.gauge_fixed_steps`).  On the triangle this leaves
+one unitary, e3, and the plaquettes e3+ and e3-.
+
 Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
 every Haar block by (master seed, edge index, block index), and draw i owns
 a fixed span of that Philox stream, so estimates do not depend on the
 chunking or worker partition.  It is the only source of configurations.
-Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and block
-one ``random`` call and one stacked QR, then one trace-kernel call for the
-action plan (built once per estimate) and one for the observable's words.
+Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and
+off-tree block one ``random`` call and one stacked QR, then one trace-kernel
+call for the action plan (built once per estimate) and one for the
+observable's words.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -16,8 +25,8 @@ Two estimators are provided for Boltzmann-weighted expectations:
   weighted reduction, which also reports the effective sample size and the
   largest weight's share of the total.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
-  block, run as 10 independent chains stacked on a leading axis so that one
-  eigh, one kernel call and one accept draw serve all of them.  Each chain
+  off-tree block, run as 10 independent chains stacked on a leading axis so
+  that one eigh, one kernel call and one accept draw serve all of them.  Each chain
   burns in and tunes its own step size per block to 30-50% acceptance.  The
   error comes from batch means inside each chain, and the Gelman-Rubin
   R-hat across the chains is reported with it.
@@ -31,10 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .action import PlaquetteTable, action_plan, loop_trace, plan_sum, trace_words
-from .bratteli import BratteliNetwork
+from .action import PlaquetteTable, action_plan, gauge_fixed_table, loop_trace, plan_sum, trace_words
+from .bratteli import BratteliNetwork, gauge_tree
 from .loop_equations import LoopEquation
-from .quiver import EdgeWord
+from .quiver import EdgeWord, gauge_fixed_steps
 
 # complex entries per chunk of dim x dim draws: enough to amortise numpy's
 # per-call cost, few enough to add well under a megabyte to peak memory
@@ -75,20 +84,25 @@ def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) 
 
 
 class KeyedSampler:
-    """Reproducible per-sample gauge configurations from a master seed.
+    """Reproducible per-sample gauge configurations from a master seed, in the
+    maximal-tree gauge: the edges of ``tree`` (:func:`gauge_tree`) are 1.
 
-    Each (edge, block) owns a Philox stream keyed by (seed, edge, block); draw
-    i of an n x n block spans B = ceil(n**2 / 2) counter blocks of 4 uniforms
-    from counter (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one
-    ``random`` call per block.  Uniform pairs (u0, u1) give polar Box-Muller
-    Ginibre entries sqrt(-log1p(-u0)) exp(2 pi i u1), E|z|^2 = 1.
+    Each off-tree (edge, block) owns a Philox stream keyed by (seed, edge
+    index, block), the edge's index among all edges; draw i of an n x n block
+    spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
+    (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one ``random``
+    call per block.  Uniform pairs (u0, u1) give polar Box-Muller Ginibre
+    entries sqrt(-log1p(-u0)) exp(2 pi i u1), E|z|^2 = 1.
     """
 
     def __init__(self, net: BratteliNetwork, seed: int):
         self.net = net
         self.seed = int(seed)
+        self.tree = gauge_tree(net)
         self._streams: dict[tuple[str, int], tuple] = {}
         for ei, eid in enumerate(net.quiver.edge_ids):
+            if eid in self.tree:
+                continue
             tgt = net.quiver.target[eid]
             for bi in range(len(net.n[tgt])):
                 key = np.random.SeedSequence([self.seed, ei, bi]).generate_state(2, np.uint64)
@@ -97,12 +111,18 @@ class KeyedSampler:
                 self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
 
     def sample_chunk(self, start: int, stop: int) -> dict[str, np.ndarray]:
-        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge;
-        row k equals ``sample(start + k)`` bit for bit."""
+        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge,
+        a read-only identity stack on tree edges; row k equals
+        ``sample(start + k)`` bit for bit."""
         if not 0 <= start <= stop:
             raise ValueError(f"sample range [{start}, {stop}) needs 0 <= start <= stop")
+        dim = self.net.dim
+        identity = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
         unitaries = {}
         for eid in self.net.quiver.edge_ids:
+            if eid in self.tree:
+                unitaries[eid] = identity
+                continue
             tgt = self.net.quiver.target[eid]
             blocks = []
             for bi, n in enumerate(self.net.n[tgt]):
@@ -113,7 +133,7 @@ class KeyedSampler:
                 u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
                 z = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
                 blocks.append(_haar_from_ginibre(z))
-            unitaries[eid] = _embed_blocks(blocks, self.net.r[tgt], self.net.dim)
+            unitaries[eid] = _embed_blocks(blocks, self.net.r[tgt], dim)
         return unitaries
 
     def sample(self, index: int) -> DiracSample:
@@ -172,14 +192,16 @@ def _reweighted_traces(
 
     Returns ``logs`` of shape (samples,) and ``traces`` of shape
     (len(words), samples); the constant part of S shifts every log weight
-    equally and is left out.
+    equally and is left out.  The action and the words are traced as
+    rewritten in the sampler's off-tree edges.
     """
     sampler = KeyedSampler(net, seed)
     dim = net.dim
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
     logs = np.empty(samples)
     traces = np.empty((len(words), samples), dtype=complex)
-    plan = action_plan(table)
+    plan = action_plan(gauge_fixed_table(table, sampler.tree))
+    words = [gauge_fixed_steps(w, sampler.tree) for w in words]
     for a in range(0, samples, chunk):
         b = min(a + chunk, samples)
         u = sampler.sample_chunk(a, b)
@@ -271,27 +293,36 @@ def _rhat(chains: np.ndarray) -> float | None:
 class _Chains:
     """``_CHAINS`` Metropolis chains stacked on a leading axis.
 
-    Every (edge, block) is a (_CHAINS, n, n) stack, cold-started at the
-    identity; one proposal moves one block in every chain at once.  ``s`` is
-    the batched ``plaquette_sum`` of the state: the action without its
+    Every off-tree (edge, block) is a (_CHAINS, n, n) stack, cold-started at
+    the identity; one proposal moves one block in every chain at once.  The
+    tree edges stay 1, so ``assignment`` holds the off-tree edges only.  A
+    ``sweep`` still makes one proposal per block of the whole network: the
+    tree blocks' turns go round the off-tree blocks, so burn-in and thinning
+    keep their meaning (on the triangle, a proposal on e1 or e2 moved the
+    holonomy by a step of the same law as one on e3).  ``s`` is the batched
+    ``plaquette_sum`` of the gauge-fixed table: the action without its
     constant part, which cancels in every difference.
     """
 
     def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int):
         q = net.quiver
         self.dim = net.dim
-        self.mults = {eid: net.r[q.target[eid]] for eid in q.edge_ids}
+        self.tree = gauge_tree(net)
+        edges = [eid for eid in q.edge_ids if eid not in self.tree]
+        self.mults = {eid: net.r[q.target[eid]] for eid in edges}
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.blocks = {
             eid: [np.tile(np.eye(n, dtype=complex), (_CHAINS, 1, 1)) for n in net.n[q.target[eid]]]
-            for eid in q.edge_ids
+            for eid in edges
         }
-        self.sites = [(eid, bi) for eid in q.edge_ids for bi in range(len(self.blocks[eid]))]
+        self.sites = [(eid, bi) for eid in edges for bi in range(len(self.blocks[eid]))]
+        n_blocks = sum(len(net.n[q.target[eid]]) for eid in q.edge_ids)
+        self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
         self.assignment = {
             eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
         }
-        self.plan = action_plan(table)
+        self.plan = action_plan(gauge_fixed_table(table, self.tree))
         self.s = plan_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
@@ -328,16 +359,17 @@ def _estimate_metropolis(
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
     dim = net.dim
     chains = _Chains(net, table, seed)
+    word = gauge_fixed_steps(word, chains.tree)
     # burn-in tunes eps per chain and block toward 30-50% acceptance over
     # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
     # coupling tunes in a few windows
     window = dict.fromkeys(chains.sites, 0)
     for sweep in range(burnin):
-        for b in chains.sites:
+        for b in chains.sweep:
             window[b] += chains.propose(*b)
         if (sweep + 1) % 100 == 0:
             for b in chains.sites:
-                rate, eps = window[b] / 100, chains.eps[b]
+                rate, eps = window[b] / (100 * chains.sweep.count(b)), chains.eps[b]
                 shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
                 chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
                 window[b] = 0
@@ -347,11 +379,12 @@ def _estimate_metropolis(
     accepted = 0
     for k in range(counts[0]):
         for _ in range(thin):
-            for b in chains.sites:
+            for b in chains.sweep:
                 accepted += int(chains.propose(*b).sum())
         values[:, k] = loop_trace(chains.assignment, word, dim) / dim
-    attempted = counts[0] * thin * len(chains.sites) * _CHAINS
-    rate = accepted / attempted
+    attempted = counts[0] * thin * len(chains.sweep) * _CHAINS
+    # no off-tree block: nothing moves, as when every proposal is accepted
+    rate = accepted / attempted if attempted else 1.0
     if not 0.05 <= rate <= 0.95:
         raise RuntimeError(
             f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"

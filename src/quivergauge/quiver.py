@@ -230,6 +230,13 @@ def _cyclic_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
     return cur[i:j]
 
 
+def gauge_fixed_steps(steps: Sequence[Step], tree) -> tuple[Step, ...]:
+    """A closed word as traced where the ``tree`` edges carry 1: its tree
+    steps deleted, then cyclically reduced.  An empty tree leaves a
+    cyclically reduced word as it is."""
+    return _cyclic_reduce([s for s in steps if s[0] not in tree])
+
+
 def _step_key(step: Step) -> tuple[str, int]:
     return (step[0], 0 if step[1] > 0 else 1)
 

@@ -28,6 +28,16 @@ def triangle_network(q, dim):
     )
 
 
+def torus_quiver(size):
+    verts = [f"v{i}{j}" for i in range(size) for j in range(size)]
+    edges = []
+    for i in range(size):
+        for j in range(size):
+            edges.append((f"h{i}{j}", f"v{i}{j}", f"v{(i + 1) % size}{j}"))
+            edges.append((f"u{i}{j}", f"v{i}{j}", f"v{i}{(j + 1) % size}"))
+    return qg.build_quiver(verts, edges)
+
+
 TWO_SITE_DATA = {
     "l": {"v": 2, "w": 1},
     "n": {"v": [3, 2], "w": [8]},

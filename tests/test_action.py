@@ -12,13 +12,16 @@ from quivergauge.action import (
     action_plan,
     evaluate_action,
     expand_action,
+    gauge_fixed_table,
     holonomy,
     loop_trace,
     plaquette_sum,
     trace_words,
 )
+from quivergauge.bratteli import gauge_tree
+from quivergauge.quiver import CyclicWord, gauge_fixed_steps
 
-from conftest import REPO, random_unitary, triangle_network
+from conftest import REPO, random_unitary, torus_quiver, triangle_network
 
 
 def cyc(q, text):
@@ -154,16 +157,6 @@ def assert_matches_walk_by_walk(q, f):
     # order included: Monte Carlo float sums and loop equations follow it
     assert list(table.entries.items()) == entries
     assert table.constant_coeff == const
-
-
-def torus_quiver(size):
-    verts = [f"v{i}{j}" for i in range(size) for j in range(size)]
-    edges = []
-    for i in range(size):
-        for j in range(size):
-            edges.append((f"h{i}{j}", f"v{i}{j}", f"v{(i + 1) % size}{j}"))
-            edges.append((f"u{i}{j}", f"v{i}{j}", f"v{i}{(j + 1) % size}"))
-    return qg.build_quiver(verts, edges)
 
 
 MAX_ORACLE_WALKS = 3000
@@ -366,3 +359,98 @@ class TestReversePairing:
             us = {e: random_unitary(rng, 4) for e in q.edge_ids}
             expected = entry_by_entry(table, us, 4)
             assert plaquette_sum(table, us, 4) == pytest.approx(expected, abs=1e-12)
+
+
+def tree_gauge(q, tree, us, n):
+    """U'_e = P_src U_e P_tgt^-1, with P_v the product of the unitaries along
+    the tree path from the first vertex to v (1 off the tree's region)."""
+    p = {q.vertices[0]: np.eye(n)}
+    while len(p) <= len(tree):
+        for e in tree:
+            src, tgt = q.source[e], q.target[e]
+            if src in p and tgt not in p:
+                p[tgt] = p[src] @ us[e]
+            elif tgt in p and src not in p:
+                p[src] = p[tgt] @ us[e].conj().T
+    one = np.eye(n)
+    return {
+        e: p.get(q.source[e], one) @ u @ p.get(q.target[e], one).conj().T for e, u in us.items()
+    }
+
+
+def assert_gauge_invariant(q, table, words, n, rng):
+    """Tree edges become 1; every class, every word and the action trace the
+    same on the full configuration and, rewritten, on the gauge-fixed one."""
+    tree = gauge_tree(triangle_network(q, n))
+    us = {e: random_unitary(rng, n) for e in q.edge_ids}
+    fixed_us = tree_gauge(q, tree, us, n)
+    for e in tree:
+        assert np.abs(fixed_us[e] - np.eye(n)).max() <= 1e-12
+    for steps in [w.steps for w in table.entries] + list(words):
+        rewritten = gauge_fixed_steps(steps, tree)
+        assert not {e for e, _ in rewritten} & set(tree)
+        full = np.trace(holonomy(us, steps, n))
+        assert abs(full - np.trace(holonomy(fixed_us, rewritten, n))) <= 1e-12 * n
+    fixed = gauge_fixed_table(table, tree)
+    assert not fixed.edge_ids() & set(tree)
+    action = float(table.constant_coeff) * n + plaquette_sum(table, us, n)
+    fixed_action = float(fixed.constant_coeff) * n + plaquette_sum(fixed, fixed_us, n)
+    bound = 1e-12 * (1 + sum(abs(float(g)) for g in table.entries.values())) * n
+    assert abs(action - fixed_action) <= bound
+
+
+class TestGaugeFixing:
+    """Maximal-tree gauge: closed-word traces are unchanged configuration by
+    configuration, so the rewritten words in the off-tree edges replace them."""
+
+    def test_triangle(self, triangle_quiver, rng):
+        table = expand_action(triangle_quiver, ActionSpec.from_list(["1/2", "1/3", "1/5", "1/7"]))
+        zeta = qg.EdgeWord.from_string("e1+ e2+ e3+")
+        words = [(zeta**k).steps for k in (-2, -1, 1, 3)] + [
+            qg.EdgeWord.from_string("e1+ e2+ e3+ e1+ e1- e3- e2- e1-").steps, ()
+        ]
+        for n in (1, 3, 4):
+            assert_gauge_invariant(triangle_quiver, table, words, n, rng)
+
+    def test_triangle_table(self, triangle_quiver):
+        # e1 e2 e3 and its reverse become e3+ and e3-, one plan word at 2g
+        table = expand_action(triangle_quiver, ActionSpec.from_list([0, 0, 0, "1/15"]))
+        fixed = gauge_fixed_table(table, ("e1", "e2"))
+        e3 = CyclicWord((("e3", 1),))
+        assert fixed.entries == {e3: Fraction(1, 5), e3.reverse(): Fraction(1, 5)}
+        assert fixed.constant_coeff == table.constant_coeff
+        assert action_plan(fixed) == ([(("e3", 1),)], [0.4])
+
+    def test_empty_tree_is_the_identity(self, two_site_quiver):
+        table = expand_action(two_site_quiver, ActionSpec.from_list([0] * 6 + [1]))
+        fixed = gauge_fixed_table(table, ())
+        assert list(fixed.entries.items()) == list(table.entries.items())
+        assert fixed.constant_coeff == table.constant_coeff
+
+    def test_classes_merge_and_empty(self, triangle_quiver):
+        # tables that are not expansions: e1 e3 and e2 e3 coincide as e3, and a
+        # class in tree edges alone traces N
+        zeta = cyc(triangle_quiver, "e1+ e2+ e3+")
+        raw = PlaquetteTable(
+            {CyclicWord((("e1", 1), ("e3", 1))): Fraction(1), zeta: Fraction(2),
+             CyclicWord((("e2", 1), ("e3", 1))): Fraction(3),
+             CyclicWord((("e1", 1), ("e2", 1))): Fraction(5)},
+            constant_coeff=Fraction(7),
+        )
+        fixed = gauge_fixed_table(raw, ("e1", "e2"))
+        assert fixed.entries == {CyclicWord((("e3", 1),)): Fraction(6)}  # at e1 e3's place
+        assert fixed.constant_coeff == 12
+
+    def test_torus(self, rng):
+        q = torus_quiver(3)
+        table = expand_action(q, ActionSpec.from_list([0] * 6 + [1]))
+        words = [w.steps for w in qg.enumerate_closed_walks(q, "v11", 4)[::7]]
+        assert_gauge_invariant(q, table, words, 2, rng)
+
+    @given(quivers_and_words(), st.integers(1, 3))
+    @example((SELF_LOOP, [(("s", 1),), (("s", -1), ("s", 1), ("s", -1))]), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_random_single_layout_quivers(self, case, n):
+        q, words = case
+        table = expand_action(q, ActionSpec.from_list([0, 1, "1/2", "1/3", "-1/5"]))
+        assert_gauge_invariant(q, table, words, n, np.random.default_rng(len(words)))

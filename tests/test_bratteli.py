@@ -3,9 +3,9 @@ import copy
 import pytest
 
 import quivergauge as qg
-from quivergauge.bratteli import NetworkError
+from quivergauge.bratteli import NetworkError, gauge_tree
 
-from conftest import TWO_SITE_DATA, triangle_network
+from conftest import TWO_SITE_DATA, torus_quiver, triangle_network
 
 
 class TestValidateNetwork:
@@ -111,3 +111,50 @@ class TestEnsemble:
         desc = qg.dirac_ensemble(two_site_network)
         for blocks in desc.factors.values():
             assert sum(n * r for n, r in blocks) == two_site_network.dim
+
+
+def layout_network(vertices, edges, layouts, c):
+    """Network with one block per vertex: layouts[v] = (n, r), C_e = [[c[e]]]."""
+    q = qg.build_quiver(vertices, edges)
+    return qg.validate_network(q, {
+        "l": {v: 1 for v in vertices},
+        "n": {v: [layouts[v][0]] for v in vertices},
+        "r": {v: [layouts[v][1]] for v in vertices},
+        "C": {e: [[c.get(e, 1)]] for e, _, _ in edges},
+    })
+
+
+class TestGaugeTree:
+    def test_triangle(self, triangle_quiver):
+        # passes in declaration order: e1 reaches v2, e2 then reaches v3
+        assert gauge_tree(triangle_network(triangle_quiver, 4)) == ("e1", "e2")
+
+    def test_two_site_fixes_nothing(self, two_site_network):
+        # the one non-self-loop edge has C = [[2], [1]], not the identity
+        assert gauge_tree(two_site_network) == ()
+
+    def test_torus_spanning_tree(self):
+        q = torus_quiver(3)
+        tree = gauge_tree(triangle_network(q, 2))
+        # 8 edges that join all 9 vertices: a spanning tree
+        assert len(tree) == 8 == len(q.vertices) - 1
+        assert qg.build_quiver(q.vertices, [(e, q.source[e], q.target[e]) for e in tree]).connected
+
+    def test_self_loops_and_parallel_edges(self):
+        q = qg.build_quiver(["a", "b"], [("s", "a", "a"), ("p", "a", "b"), ("p2", "a", "b")])
+        assert gauge_tree(triangle_network(q, 3)) == ("p",)
+
+    def test_edge_leaving_the_region_empties_the_tree(self):
+        # a and b carry U(2) twice, c one U(4): the edge b -> c leaves the
+        # region, and a vertex transform would move it out of its ensemble
+        layouts = {"a": (2, 2), "b": (2, 2), "c": (4, 1)}
+        edges = [("ab", "a", "b"), ("ba", "b", "a")]
+        assert gauge_tree(layout_network(["a", "b"], edges, layouts, {})) == ("ab",)
+        net = layout_network(["a", "b", "c"], edges + [("bc", "b", "c")], layouts, {"bc": 2})
+        assert gauge_tree(net) == ()
+
+    def test_edge_entering_the_region_keeps_the_tree(self):
+        # c -> a ends in the region, in the region's own U(4) ensemble
+        layouts = {"a": (4, 1), "b": (4, 1), "c": (2, 2)}
+        edges = [("ab", "a", "b"), ("ba", "b", "a"), ("ca", "c", "a")]
+        assert gauge_tree(layout_network(["a", "b", "c"], edges, layouts, {"ca": 2})) == ("ab",)

@@ -17,10 +17,13 @@ class TestValidate:
         assert "N=16" in out
         assert "U(3) (mult 4) x U(2) (mult 2)" in out
         assert "U(8) (mult 2)" in out
+        assert "gauge-fixed edges: none\n" in out
 
     def test_builtin(self, capsys):
         assert run(["validate", "builtin:triangle"]) == 0
-        assert "N=4" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "N=4" in out
+        assert "gauge-fixed edges: e1 e2 (2 of 3)\n" in out
 
     def test_malformed_job_is_domain_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -3,23 +3,32 @@ import pytest
 
 import quivergauge as qg
 from quivergauge import monte_carlo
-from quivergauge.action import ActionSpec, evaluate_action, expand_action, loop_trace, plaquette_sum
+from quivergauge.action import (
+    ActionSpec,
+    evaluate_action,
+    expand_action,
+    gauge_fixed_table,
+    loop_trace,
+    plaquette_sum,
+)
+from quivergauge.bratteli import gauge_tree
 from quivergauge.monte_carlo import (
     KeyedSampler,
     assemble_dirac,
     check_loop_equation,
     estimate_wilson,
 )
-from quivergauge.quiver import EdgeWord
+from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
-from conftest import REPO, triangle_network
+from conftest import REPO, torus_quiver, triangle_network
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
 
 def one_block_sampler(n, seed):
-    """Keyed sampler of a one-edge network whose edge carries one U(n) block."""
-    q = qg.build_quiver(["a", "b"], [("u", "a", "b")])
+    """Keyed sampler of a one-edge network whose edge carries one U(n) block;
+    a self-loop, so that gauge fixing leaves it drawn."""
+    q = qg.build_quiver(["a"], [("u", "a", "a")])
     return KeyedSampler(triangle_network(q, n), seed)
 
 
@@ -190,6 +199,22 @@ class TestKeyedSampler:
                 expected = monte_carlo._embed_blocks(blocks, net.r[tgt], net.dim)
                 assert np.array_equal(sampler.sample(i).unitaries[e], expected)
 
+    def test_triangle_draws_only_off_tree_streams(self, triangle_quiver):
+        # e1, e2 are the tree, drawn as 1; e3 keeps its stream keyed by edge
+        # index 2, so it is the draw of a lone edge under that key
+        net, seed = triangle_network(triangle_quiver, 4), 11
+        sampler = KeyedSampler(net, seed)
+        assert sampler.tree == ("e1", "e2")
+        assert set(sampler._streams) == {("e3", 0)}
+        chunk = sampler.sample_chunk(3, 9)
+        for e in ("e1", "e2"):
+            assert np.array_equal(chunk[e], np.broadcast_to(np.eye(4), (6, 4, 4)))
+        key = np.random.SeedSequence([seed, 2, 0]).generate_state(2, np.uint64)
+        bitgen = np.random.Philox(key=key, counter=[3 * 8, 0, 0, 0])
+        pairs = np.random.Generator(bitgen).random((6, 32)).reshape(6, 4, 4, 2)
+        z = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
+        assert np.array_equal(chunk["e3"], monte_carlo._haar_from_ginibre(z))
+
     @pytest.mark.parametrize("start, stop", [(5, 3), (-1, 0)])
     def test_chunk_range_checked(self, two_site_network, start, stop):
         with pytest.raises(ValueError, match=r"0 <= start <= stop"):
@@ -223,14 +248,17 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
-    # and each draw on its own, through the 2-D action sum and loop_trace
+    # and each draw on its own, through the 2-D action sum and loop_trace of
+    # the gauge-fixed table and words (the identity rewrite on the two-site job)
     sampler = KeyedSampler(job.network, 3)
+    assert sampler.tree == (("e1", "e2") if job_path.startswith("builtin") else ())
+    fixed = gauge_fixed_table(table, sampler.tree)
     logs, traces = runs[0]
     for i in range(samples):
         u = sampler.sample(i).unitaries
-        assert logs[i] == -dim * plaquette_sum(table, u, dim)
+        assert logs[i] == -dim * plaquette_sum(fixed, u, dim)
         for k, w in enumerate(words):
-            t = loop_trace(u, w, dim)
+            t = loop_trace(u, gauge_fixed_steps(w, sampler.tree), dim)
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
 
 
@@ -265,9 +293,9 @@ class TestEstimateWilson:
         n = 1500
         est = estimate_wilson(net, table, ZETA, samples=n, seed=17)
         sampler = KeyedSampler(net, 17)
-        traces = np.array(
-            [loop_trace(sampler.sample(i).unitaries, ZETA.steps, 3) / 3 for i in range(n)]
-        )
+        zeta = gauge_fixed_steps(ZETA.steps, sampler.tree)  # e3+: e1, e2 are gauge-fixed
+        assert zeta == (("e3", 1),)
+        traces = np.array([loop_trace(sampler.sample(i).unitaries, zeta, 3) / 3 for i in range(n)])
         assert est.mean == complex(traces.real.mean(), traces.imag.mean())
         assert est.stderr == pytest.approx(traces.std() / np.sqrt(n), rel=1e-12)
         assert est.effective_samples == n
@@ -329,6 +357,16 @@ class TestEstimateWilson:
         assert abs(met.mean.real - y3) <= 5 * met.stderr
 
 
+def test_metropolis_without_off_tree_blocks():
+    # a quiver with no cycle is all tree: no block moves, and every closed
+    # word traces N, as when every proposal is accepted
+    q = qg.build_quiver(["a", "b"], [("u", "a", "b")])
+    table = expand_action(q, ActionSpec.from_list([0, 0, 1]))
+    with pytest.raises(RuntimeError, match=r"acceptance rate 100\.0%"):
+        estimate_wilson(triangle_network(q, 2), table, EdgeWord.from_string("u+ u-"),
+                        samples=20, seed=1, method="metropolis", burnin=0, thin=1)
+
+
 class TestChains:
     def test_rhat_of_iid_chains_is_one(self, rng):
         assert abs(monte_carlo._rhat(rng.standard_normal((10, 1000))) - 1) < 0.05
@@ -340,6 +378,14 @@ class TestChains:
     def test_rhat_is_undefined_without_spread(self, rng):
         assert monte_carlo._rhat(rng.standard_normal((10, 1))) is None
         assert monte_carlo._rhat(np.ones((10, 50))) is None
+
+    def test_triangle_moves_only_the_off_tree_block(self, tri3):
+        # a sweep keeps the network's 3 proposals, all on e3
+        job, table = tri3
+        chains = monte_carlo._Chains(job.network, table, seed=3)
+        assert chains.sites == [("e3", 0)] and chains.sweep == [("e3", 0)] * 3
+        assert set(chains.assignment) == {"e3"}
+        assert chains.plan == ([(("e3", 1),)], [0.4])
 
     def test_tracked_action_matches_plaquette_sum(self):
         # accepted and rejected chains mixed by np.where keep S equal to the state's
@@ -362,6 +408,39 @@ class TestCheckLoopEquation:
         table = expand_action(job.quiver, job.action)
         eq = qg.generate_loop_equation(job.quiver, table, ZETA**power, "e1", mode="finite")
         res = check_loop_equation(job.network, table, eq, samples=20000, seed=7)
+        assert abs(res.residual) <= 5 * res.stderr
+
+    def test_two_independent_cycles(self):
+        # two triangles sharing e3: the equation at root e3 ties the first
+        # triangle to the 4-cycle e1 e2 e4 e5 and to a word around both
+        q = qg.build_quiver(
+            ["a", "b", "c", "d"],
+            [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+             ("e4", "c", "d"), ("e5", "d", "a")],
+        )
+        net = triangle_network(q, 3)
+        table = expand_action(q, ActionSpec.from_list([0, 0, 0, "1/15"]))
+        eq = qg.generate_loop_equation(q, table, ZETA, "e3", mode="finite")
+        rhs = {str(t.word) for t in eq.rhs}
+        assert "e1+ e2+ e4+ e5+" in rhs and "e1+ e2+ e3+ e5- e4- e3+" in rhs
+        # gauge-fixed, every traced word lies in the off-tree unitaries e3, e5
+        tree = gauge_tree(net)
+        assert tree == ("e1", "e2", "e4")
+        words = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
+        edges = {e for w in words for e, _ in gauge_fixed_steps(w, tree)}
+        assert edges == {"e3", "e5"}
+        res = check_loop_equation(net, table, eq, samples=20000, seed=7)
+        assert abs(res.residual) <= 5 * res.stderr
+
+    def test_torus_plaquette_at_a_tree_root(self):
+        # 3x3 torus, 10 independent cycles; the root h00 is gauge-fixed to 1
+        q = torus_quiver(3)
+        net = triangle_network(q, 2)
+        table = expand_action(q, ActionSpec.from_list([0, 0, 0, 0, "1/40"]))
+        assert "h00" in gauge_tree(net)
+        word = EdgeWord.from_string("h00+ u10+ h01- u00-")
+        eq = qg.generate_loop_equation(q, table, word, "h00", mode="finite")
+        res = check_loop_equation(net, table, eq, samples=20000, seed=7)
         assert abs(res.residual) <= 5 * res.stderr
 
     def test_structurally_empty_equation(self, two_site_quiver, two_site_network):
