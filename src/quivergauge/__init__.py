@@ -6,14 +6,13 @@ the triangle moment bootstrap, the exact one-unitary-matrix solution, and
 Haar Monte Carlo estimators that tie it all together.
 """
 
-from .action import ActionSpec, PlaquetteTable, evaluate_action, expand_action
-from .bootstrap import FeasibilityMap, feasible, moment, moment_matrix, scan_region
+from .action import ActionSpec, PlaquetteTable, expand_action
+from .bootstrap import FeasibilityMap, feasible, moment, scan_region
 from .bratteli import (
     BratteliNetwork,
     EnsembleDescriptor,
     NetworkError,
     dirac_ensemble,
-    representation_dimension,
     validate_network,
 )
 from .gww import GwwCurve, bessel_i, first_moment_curve, partition_function
@@ -30,7 +29,6 @@ from .monte_carlo import (
     EstimatorResult,
     KeyedSampler,
     ResidualResult,
-    assemble_dirac,
     check_loop_equation,
     estimate_wilson,
 )
@@ -39,7 +37,6 @@ from .quiver import (
     EdgeWord,
     Quiver,
     QuiverError,
-    build_quiver,
     cyclic_canonical,
     enumerate_closed_walks,
     reduce_word,
@@ -68,15 +65,12 @@ __all__ = [
     "QuiverError",
     "ResidualResult",
     "YXPoly",
-    "assemble_dirac",
     "bessel_i",
-    "build_quiver",
     "check_loop_equation",
     "cyclic_canonical",
     "dirac_ensemble",
     "enumerate_closed_walks",
     "estimate_wilson",
-    "evaluate_action",
     "expand_action",
     "factorize_large_N",
     "feasible",
@@ -84,10 +78,8 @@ __all__ = [
     "generate_loop_equation",
     "load_job",
     "moment",
-    "moment_matrix",
     "partition_function",
     "reduce_word",
-    "representation_dimension",
     "scan_region",
     "triangle_job",
     "validate_network",

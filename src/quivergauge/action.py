@@ -12,7 +12,7 @@ one by one: they are counted per freely reduced word
 word is canonicalised once.  Those counts key every word at the first walk,
 in depth-first order, that reduces to it, so table entries come in the order
 in which a walk-by-walk expansion (lengths outer, base vertices inner)
-first meets their classes; float sums over the table (:func:`plaquette_sum`)
+first meets their classes; float sums over the table (:func:`plan_sum`)
 and the loop equations built from it depend on that order.
 
 Every numeric trace goes through one kernel, :func:`trace_words`.  It visits
@@ -34,8 +34,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     Step,
-    _cyclic_reduce,
-    _min_rotation,
     gauge_fixed_steps,
     reduced_closed_walk_counts,
 )
@@ -46,10 +44,6 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:
             for word, n in by_word[k].items():
                 cls = classes.get(word)
                 if cls is None:
-                    cls = classes[word] = CyclicWord(_min_rotation(_cyclic_reduce(word)))
+                    cls = classes[word] = CyclicWord.of(word)
                 counts[cls] = counts.get(cls, 0) + n
         for cls, n in counts.items():
             table.add(cls, fk * n)
@@ -142,7 +136,7 @@ def gauge_fixed_table(table: PlaquetteTable, tree) -> PlaquetteTable:
     ``constant_coeff``; an empty tree gives an equal table, in equal order."""
     fixed = PlaquetteTable(constant_coeff=table.constant_coeff)
     for w, g in table.entries.items():
-        fixed.add(CyclicWord(_min_rotation(gauge_fixed_steps(w.steps, tree))), g)
+        fixed.add(CyclicWord.of(gauge_fixed_steps(w.steps, tree)), g)
     return fixed.drop_zeros()
 
 
@@ -208,44 +202,9 @@ def action_plan(table: PlaquetteTable) -> tuple[list[tuple[Step, ...]], list[flo
 
 
 def plan_sum(plan: tuple[list, list[float]], assignment: Mapping[str, np.ndarray], dim: int):
-    """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`."""
+    """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`, unchecked:
+    a float, or one per sample for batched matrices."""
     total = 0.0
     for g, tr in zip(plan[1], trace_words(assignment, plan[0], dim)):
         total += g * tr.real
     return total
-
-
-def plaquette_sum(table: PlaquetteTable, assignment: Mapping[str, np.ndarray], dim: int):
-    """``sum_g g * Re Tr hol(class)``: the action without its constant part,
-    a float, or one per sample for batched matrices.
-
-    Unchecked: the assignment must hold a dim x dim unitary for every edge
-    the table uses.
-    """
-    return plan_sum(action_plan(table), assignment, dim)
-
-
-def evaluate_action(
-    table: PlaquetteTable,
-    assignment: Mapping[str, np.ndarray],
-    dim: int | None = None,
-    unitarity_tol: float = 1e-8,
-) -> float:
-    """Numeric action value for one unitary assignment of the edges, through
-    :func:`plaquette_sum`.  Real f gives a table closed under word reversal
-    with equal couplings; each pair is traced once, as twice its real part.
-    """
-    needed = table.edge_ids()
-    missing = needed - set(assignment)
-    if missing:
-        raise ValueError(f"assignment missing edges: {sorted(missing)}")
-    if dim is None:
-        probe = next(iter(assignment.values()))
-        dim = probe.shape[0]
-    for eid, u in assignment.items():
-        if u.shape != (dim, dim):
-            raise ValueError(f"edge {eid!r}: matrix shape {u.shape} != ({dim}, {dim})")
-        dev = np.abs(u @ u.conj().T - np.eye(dim)).max()
-        if dev > unitarity_tol:
-            raise ValueError(f"edge {eid!r}: matrix is not unitary (deviation {dev:.2e})")
-    return plaquette_sum(table, assignment, dim) + float(table.constant_coeff) * dim

@@ -80,15 +80,6 @@ def _toeplitz(r: np.ndarray, order: int) -> np.ndarray:
     return r[..., np.abs(idx[:, None] - idx[None, :])]
 
 
-def moment_matrix(order: int, x: float, y: float) -> np.ndarray:
-    """Symmetric Toeplitz matrix with (i, j) entry m_{|i-j|}(x, y)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if x == 0:
-        raise ValueError("moments are singular at x = 0")
-    return _toeplitz(np.array([moment(k).evaluate(x, y) for k in range(order)]), order)
-
-
 def levinson(
     r: np.ndarray, dr: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -211,7 +202,6 @@ class FeasibilityMap:
     xs: np.ndarray
     ys: np.ndarray
     max_order: int
-    tol: float
     max_feasible: np.ndarray
     first_failing: np.ndarray
     undefined: np.ndarray
@@ -229,8 +219,9 @@ class FeasibilityMap:
                 feasible, failing = self.max_feasible[i].tolist(), self.first_failing[i].tolist()
                 writer.writerows(zip([repr(float(x))] * len(ys), ys, feasible, failing))
 
-    def to_svg(self, path: str, cell: float = 2.0) -> None:
+    def to_svg(self, path: str) -> None:
         """Compact heat map: one run-length-merged rect per row segment."""
+        cell = 2.0  # pixels per grid cell
         colors = _order_palette(self.max_order)
         rows = []
         for i in range(len(self.xs)):
@@ -294,7 +285,6 @@ def scan_region(
         xs=xs,
         ys=ys,
         max_order=max_order,
-        tol=tol,
         max_feasible=max_feasible.astype(np.int64),
         first_failing=first.astype(np.int64),
         undefined=undefined,
@@ -302,15 +292,13 @@ def scan_region(
     )
 
 
-def default_grid(
-    xmin: float = -3.0,
-    xmax: float = 3.0,
-    ymin: float = -1.2,
-    ymax: float = 1.2,
-    xres: int = 300,
-    yres: int = 300,
-) -> tuple[np.ndarray, np.ndarray]:
-    return np.linspace(xmin, xmax, xres), np.linspace(ymin, ymax, yres)
+# the scan window of default_grid() and of the bootstrap subcommand's defaults
+GRID = {"xmin": -3.0, "xmax": 3.0, "ymin": -1.2, "ymax": 1.2, "xres": 300, "yres": 300}
+
+
+def default_grid() -> tuple[np.ndarray, np.ndarray]:
+    g = GRID
+    return np.linspace(g["xmin"], g["xmax"], g["xres"]), np.linspace(g["ymin"], g["ymax"], g["yres"])
 
 
 def dump_moment_table(n_max: int) -> list[dict]:

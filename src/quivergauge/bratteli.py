@@ -35,7 +35,7 @@ class BratteliNetwork:
     n: dict[str, tuple[int, ...]]
     r: dict[str, tuple[int, ...]]
     C: dict[str, tuple[tuple[int, ...], ...]]
-    dim: int
+    dim: int  # the shared Hilbert-space dimension N = <n_v, r_v>
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,6 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
     if len(values) > 1:
         raise NetworkError(f"<n, r> is not constant across vertices: {dims}")
     return BratteliNetwork(quiver=q, l=l, n=n, r=r, C=C, dim=values.pop())
-
-
-def representation_dimension(b: BratteliNetwork) -> int:
-    """The shared Hilbert-space dimension N = <n_v, r_v>."""
-    return b.dim
 
 
 def _is_identity(c: tuple[tuple[int, ...], ...]) -> bool:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bootstrap as bs
 from . import gww
-from .action import expand_action, format_rational
-from .bratteli import dirac_ensemble, gauge_tree, representation_dimension
+from .action import expand_action
+from .bratteli import dirac_ensemble, gauge_tree
 from .jobfile import JobError, load_job, override_dimension
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
@@ -52,12 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bootstrap", help="scan moment-matrix positivity over (x, y)", **fmt)
     b.add_argument("job", nargs="?", default="builtin:triangle")
     b.add_argument("--max-order", type=int, default=7, help="deepest principal minor tested")
-    b.add_argument("--xmin", type=float, default=-3.0, help="coupling range")
-    b.add_argument("--xmax", type=float, default=3.0, help="coupling range")
-    b.add_argument("--ymin", type=float, default=-1.2, help="first-moment range")
-    b.add_argument("--ymax", type=float, default=1.2, help="first-moment range")
-    b.add_argument("--xres", type=int, default=300, help="grid columns")
-    b.add_argument("--yres", type=int, default=300, help="grid rows")
+    b.add_argument("--xmin", type=float, default=bs.GRID["xmin"], help="coupling range")
+    b.add_argument("--xmax", type=float, default=bs.GRID["xmax"], help="coupling range")
+    b.add_argument("--ymin", type=float, default=bs.GRID["ymin"], help="first-moment range")
+    b.add_argument("--ymax", type=float, default=bs.GRID["ymax"], help="first-moment range")
+    b.add_argument("--xres", type=int, default=bs.GRID["xres"], help="grid columns")
+    b.add_argument("--yres", type=int, default=bs.GRID["yres"], help="grid rows")
     b.add_argument("--tol", type=float, default=1e-10, help="minors >= -tol count as feasible")
     b.add_argument("--out", required=True, help="CSV output path")
     b.add_argument("--svg", default=None, help="optional SVG heat-map path")
@@ -97,8 +97,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     job = load_job(args.job)
-    n = representation_dimension(job.network)
-    print(f"N={n}")
+    print(f"N={job.network.dim}")
     print(dirac_ensemble(job.network).describe())
     tree = gauge_tree(job.network)
     fixed = f"{' '.join(tree)} ({len(tree)} of {len(job.quiver.edge_ids)})" if tree else "none"
@@ -112,9 +111,9 @@ def _cmd_expand(args) -> int:
     job = load_job(args.job)
     table = expand_action(job.quiver, job.action)
     payload = {
-        "constant_coeff": format_rational(table.constant_coeff),
+        "constant_coeff": str(table.constant_coeff),
         "entries": [
-            {"word": str(w), "coeff": format_rational(g)}
+            {"word": str(w), "coeff": str(g)}
             for w, g in sorted(table.entries.items(), key=lambda kv: (len(kv[0].steps), str(kv[0])))
         ],
     }

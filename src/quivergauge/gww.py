@@ -46,11 +46,6 @@ def bessel_i(q: int, z):
     return total
 
 
-def bessel_i_derivative(q: int, z):
-    """d/dz I_q(z) = (I_{q-1}(z) + I_{q+1}(z)) / 2."""
-    return 0.5 * (bessel_i(q - 1, z) + bessel_i(q + 1, z))
-
-
 def _prediction_errors(N: int, xs: np.ndarray, derivative: bool):
     """Levinson errors E_j (and dE_j/dx) of [I_{k-m}(-2 x N)] at each x, in longdouble."""
     if N < 1:

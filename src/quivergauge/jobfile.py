@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .action import ActionSpec
 from .bratteli import BratteliNetwork, validate_network
-from .quiver import EdgeWord, Quiver, build_quiver
+from .quiver import EdgeWord, Quiver
 
 
 class JobError(ValueError):
@@ -44,7 +44,7 @@ def triangle_job(dim: int = 4, f3: Fraction | str | int = Fraction(1, 15)) -> Jo
     The cubic coupling turns into a plaquette weight 3*f3 on each
     orientation of the 3-cycle; the default gives coupling 1/5.
     """
-    q = build_quiver(
+    q = Quiver(
         ["v1", "v2", "v3"],
         [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
     )
@@ -68,7 +68,7 @@ def parse_job_dict(data: dict) -> Job:
         edges = [(e["id"], e["src"], e["dst"]) for e in qsec["edges"]]
     except (KeyError, TypeError) as exc:
         raise JobError(f"bad or missing 'quiver' section: {exc}") from None
-    quiver = build_quiver(vertices, edges)
+    quiver = Quiver(vertices, edges)
     if "network" not in data:
         raise JobError("missing 'network' section")
     network = validate_network(quiver, data["network"])

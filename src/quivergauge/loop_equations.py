@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .action import PlaquetteTable, format_rational
+from .action import PlaquetteTable
 from .laurent import YXPoly
 from .quiver import (
     CyclicWord,
@@ -66,17 +66,7 @@ class LoopEquation:
     def rhs_coefficient(self, table: PlaquetteTable, term: SingleTraceTerm) -> Fraction:
         return term.multiplicity * table.coupling(term.plaquette)
 
-    def to_json_dict(self, table: PlaquetteTable | None = None) -> dict:
-        rhs = []
-        for t in self.rhs:
-            entry = {
-                "multiplicity": t.multiplicity,
-                "plaquette": str(t.plaquette),
-                "word": str(t.word),
-            }
-            if table is not None:
-                entry["coefficient"] = format_rational(self.rhs_coefficient(table, t))
-            rhs.append(entry)
+    def to_json_dict(self, table: PlaquetteTable) -> dict:
         return {
             "mode": self.mode,
             "root": self.root,
@@ -85,10 +75,18 @@ class LoopEquation:
                 {"coefficient": t.coeff, "words": [str(t.words[0]), str(t.words[1])]}
                 for t in self.lhs
             ],
-            "rhs": rhs,
+            "rhs": [
+                {
+                    "multiplicity": t.multiplicity,
+                    "plaquette": str(t.plaquette),
+                    "word": str(t.word),
+                    "coefficient": str(self.rhs_coefficient(table, t)),
+                }
+                for t in self.rhs
+            ],
         }
 
-    def render(self, table: PlaquetteTable | None = None) -> str:
+    def render(self, table: PlaquetteTable) -> str:
         def tr(w: CyclicWord) -> str:
             return f"tr({w})"
 
@@ -96,15 +94,9 @@ class LoopEquation:
             (f"{t.coeff}*" if t.coeff != 1 else "") + f"{tr(t.words[0])}{tr(t.words[1])}"
             for t in self.lhs
         ) or "0"
-        parts = []
-        for t in self.rhs:
-            if table is not None:
-                c = self.rhs_coefficient(table, t)
-                parts.append(f"({format_rational(c)})*{tr(t.word)}")
-            else:
-                mult = "" if t.multiplicity == 1 else f"{t.multiplicity}*"
-                parts.append(f"{mult}g[{t.plaquette}]*{tr(t.word)}")
-        right = " + ".join(parts) or "0"
+        right = " + ".join(
+            f"({self.rhs_coefficient(table, t)!s})*{tr(t.word)}" for t in self.rhs
+        ) or "0"
         return f"< {left} > = < {right} >   [{self.mode}-N, root {self.root}]"
 
 
@@ -260,8 +252,7 @@ def factorize_large_N(eq: LoopEquation) -> MomentEquation:
         if w.is_empty:
             return 0
         prim_steps, power = _primitive_root(w)
-        # a rotation block of a canonical cyclic word is itself canonical
-        prim = CyclicWord(prim_steps)
+        prim = CyclicWord.of(prim_steps)
         if generator is None:
             generator = orient(prim)
         if prim == generator:

@@ -1,4 +1,4 @@
-"""Haar sampling of block unitaries, Dirac assembly and Wilson-loop estimators.
+"""Haar sampling of block unitaries and Wilson-loop estimators.
 
 Every configuration is in the maximal-tree gauge: the edges of
 :func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
@@ -50,6 +50,8 @@ from .quiver import EdgeWord, gauge_fixed_steps
 _CHUNK_ENTRIES = 4096
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
+# fewest effective samples a reweighted estimate may rest on
+_MIN_EFFECTIVE = 100.0
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -141,24 +143,14 @@ class KeyedSampler:
         return DiracSample(unitaries={e: u[0] for e, u in chunk.items()}, dim=self.net.dim)
 
 
-def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:
-    """Self-adjoint block matrix: block (v, w) sums U_e over edges v -> w
-    and U_e-dagger over edges w -> v."""
-    q = net.quiver
-    n_v = len(q.vertices)
-    dim = net.dim
-    d = np.zeros((n_v * dim, n_v * dim), dtype=complex)
-    for eid, src, dst in q.edges:
-        i, j = q.vertex_index(src), q.vertex_index(dst)
-        u = sample.unitaries[eid]
-        d[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] += u
-        d[j * dim : (j + 1) * dim, i * dim : (i + 1) * dim] += u.conj().T
-    return d
-
-
 @dataclass
 class EstimatorResult:
-    """Normalised Wilson-loop estimate E[(1/N) Tr hol beta]."""
+    """Normalised Wilson-loop estimate E[(1/N) Tr hol beta].
+
+    ``stderr`` is the error of the complex ``mean``: where the real and
+    imaginary parts spread alike, it is about sqrt(2) times the error of
+    ``mean.real`` alone.
+    """
 
     mean: complex
     stderr: float
@@ -172,13 +164,22 @@ class EstimatorResult:
 
 @dataclass
 class ResidualResult:
-    """Loop-equation residual lhs - rhs with its statistical error."""
+    """Loop-equation residual lhs - rhs with its statistical error, which
+    is that of the complex residual, as in :class:`EstimatorResult`."""
 
     residual: complex
     stderr: float
     samples: int
     effective_samples: float
     max_weight_share: float | None = None
+
+
+def _gauge_fixed(net: BratteliNetwork, table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
+    """The maximal tree of ``net``, then the action plan of ``table`` and the
+    ``words``, both rewritten for configurations whose tree edges carry 1."""
+    tree = gauge_tree(net)
+    plan = action_plan(gauge_fixed_table(table, tree))
+    return tree, plan, [gauge_fixed_steps(w, tree) for w in words]
 
 
 def _reweighted_traces(
@@ -195,13 +196,12 @@ def _reweighted_traces(
     equally and is left out.  The action and the words are traced as
     rewritten in the sampler's off-tree edges.
     """
+    _, plan, words = _gauge_fixed(net, table, words)
     sampler = KeyedSampler(net, seed)
     dim = net.dim
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
     logs = np.empty(samples)
     traces = np.empty((len(words), samples), dtype=complex)
-    plan = action_plan(gauge_fixed_table(table, sampler.tree))
-    words = [gauge_fixed_steps(w, sampler.tree) for w in words]
     for a in range(0, samples, chunk):
         b = min(a + chunk, samples)
         u = sampler.sample_chunk(a, b)
@@ -213,9 +213,7 @@ def _reweighted_traces(
     return logs, traces
 
 
-def _weighted_mean(
-    logs: np.ndarray, values: np.ndarray, min_effective: float
-) -> tuple[complex, float, float, float]:
+def _weighted_mean(logs: np.ndarray, values: np.ndarray) -> tuple[complex, float, float, float]:
     """Ratio estimate sum(w v)/sum(w) with w = exp(logs - max logs).
 
     Returns the mean, its delta-method error sqrt(sum w^2 |v - mean|^2)/sum(w),
@@ -226,9 +224,9 @@ def _weighted_mean(
     w = np.exp(logs - logs.max())
     w_sum = w.sum()
     ess = float(w_sum * w_sum / (w * w).sum())
-    if ess < min_effective:
+    if ess < _MIN_EFFECTIVE:
         raise RuntimeError(
-            f"effective sample size {ess:.1f} below threshold {min_effective}; "
+            f"effective sample size {ess:.1f} below threshold {_MIN_EFFECTIVE}; "
             "increase samples or weaken the coupling"
         )
     re = (w * values.real).sum() / w_sum
@@ -252,7 +250,6 @@ def estimate_wilson(
     method: str = "reweight",
     burnin: int = 1000,
     thin: int = 10,
-    min_effective: float = 100.0,
 ) -> EstimatorResult:
     """Boltzmann-weighted expectation of the normalised traced holonomy."""
     if net.quiver.is_closed(beta) is False:
@@ -262,7 +259,7 @@ def estimate_wilson(
     _check_count("thin", thin, 1)
     if method == "reweight":
         logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
-        mean, stderr, ess, share = _weighted_mean(logs, traces[0], min_effective)
+        mean, stderr, ess, share = _weighted_mean(logs, traces[0])
         return EstimatorResult(
             mean=mean, stderr=stderr, samples=samples, effective_samples=ess,
             method="reweight", max_weight_share=share,
@@ -300,14 +297,15 @@ class _Chains:
     tree blocks' turns go round the off-tree blocks, so burn-in and thinning
     keep their meaning (on the triangle, a proposal on e1 or e2 moved the
     holonomy by a step of the same law as one on e3).  ``s`` is the batched
-    ``plaquette_sum`` of the gauge-fixed table: the action without its
-    constant part, which cancels in every difference.
+    ``plan_sum`` of the gauge-fixed table: the action without its constant
+    part, which cancels in every difference.  ``words`` are the measured
+    words as traced on ``assignment``.
     """
 
-    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int):
+    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
         q = net.quiver
         self.dim = net.dim
-        self.tree = gauge_tree(net)
+        self.tree, self.plan, self.words = _gauge_fixed(net, table, words)
         edges = [eid for eid in q.edge_ids if eid not in self.tree]
         self.mults = {eid: net.r[q.target[eid]] for eid in edges}
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
@@ -322,7 +320,6 @@ class _Chains:
         self.assignment = {
             eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
         }
-        self.plan = action_plan(gauge_fixed_table(table, self.tree))
         self.s = plan_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
@@ -358,8 +355,8 @@ def _estimate_metropolis(
     if samples < n_batches:
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
     dim = net.dim
-    chains = _Chains(net, table, seed)
-    word = gauge_fixed_steps(word, chains.tree)
+    chains = _Chains(net, table, seed, [word])
+    (word,) = chains.words
     # burn-in tunes eps per chain and block toward 30-50% acceptance over
     # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
     # coupling tunes in a few windows
@@ -416,7 +413,6 @@ def check_loop_equation(
     eq: LoopEquation,
     samples: int,
     seed: int,
-    min_effective: float = 100.0,
 ) -> ResidualResult:
     """Estimate lhs - rhs of a finite-N loop equation on one shared sample
     stream; correlated terms cancel most of the variance."""
@@ -436,5 +432,5 @@ def check_loop_equation(
         residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
     for t in eq.rhs:
         residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
-    mean, stderr, ess, share = _weighted_mean(logs, residuals, min_effective)
+    mean, stderr, ess, share = _weighted_mean(logs, residuals)
     return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)

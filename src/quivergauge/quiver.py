@@ -66,9 +66,6 @@ class EdgeWord:
         k %= len(self.steps)
         return EdgeWord(self.steps[k:] + self.steps[:k])
 
-    def __mul__(self, other: "EdgeWord") -> "EdgeWord":
-        return EdgeWord(self.steps + other.steps)
-
     def __pow__(self, n: int) -> "EdgeWord":
         if n >= 0:
             return EdgeWord(self.steps * n)
@@ -80,11 +77,16 @@ class CyclicWord:
     """A traced-loop class: cyclically reduced, minimal-rotation word.
 
     Two based closed words with the same traced holonomy for every unitary
-    assignment share one ``CyclicWord``.  Construct via
+    assignment share one ``CyclicWord``.  Construct via :meth:`of` or
     :func:`cyclic_canonical`, never directly.
     """
 
     steps: tuple[Step, ...] = ()
+
+    @classmethod
+    def of(cls, steps: Sequence[Step]) -> "CyclicWord":
+        """The class of a closed word's steps: cyclic reduction, then minimal rotation."""
+        return cls(_min_rotation(_cyclic_reduce(steps)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -100,7 +102,7 @@ class CyclicWord:
         return EdgeWord(self.steps)
 
     def reverse(self) -> "CyclicWord":
-        return CyclicWord(_min_rotation(tuple((e, -o) for e, o in reversed(self.steps))))
+        return CyclicWord.of(tuple((e, -o) for e, o in reversed(self.steps)))
 
 
 class Quiver:
@@ -194,11 +196,6 @@ class Quiver:
             raise QuiverError(f"unknown vertex {v!r}") from None
 
 
-def build_quiver(vertices: Sequence[str], edges: Sequence[tuple[str, str, str]]) -> Quiver:
-    """Validate and construct a quiver from vertex ids and (id, src, dst) triples."""
-    return Quiver(vertices, edges)
-
-
 def _free_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
     out: list[Step] = []
     for s in steps:
@@ -253,7 +250,7 @@ def cyclic_canonical(q: Quiver, w: EdgeWord) -> CyclicWord:
     """Traced-loop class of a closed word: cyclic reduction, then minimal rotation."""
     if w.steps and not q.is_closed(w):
         raise QuiverError(f"word {w} is not closed")
-    return CyclicWord(_min_rotation(_cyclic_reduce(w.steps)))
+    return CyclicWord.of(w.steps)
 
 
 def enumerate_closed_walks(q: Quiver, v: str, k: int) -> list[EdgeWord]:

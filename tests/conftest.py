@@ -10,7 +10,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def triangle_quiver():
-    return qg.build_quiver(
+    return qg.Quiver(
         ["v1", "v2", "v3"],
         [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
     )
@@ -35,7 +35,7 @@ def torus_quiver(size):
         for j in range(size):
             edges.append((f"h{i}{j}", f"v{i}{j}", f"v{(i + 1) % size}{j}"))
             edges.append((f"u{i}{j}", f"v{i}{j}", f"v{i}{(j + 1) % size}"))
-    return qg.build_quiver(verts, edges)
+    return qg.Quiver(verts, edges)
 
 
 TWO_SITE_DATA = {
@@ -48,7 +48,7 @@ TWO_SITE_DATA = {
 
 @pytest.fixture(scope="session")
 def two_site_quiver():
-    return qg.build_quiver(
+    return qg.Quiver(
         ["v", "w"], [("ov", "v", "v"), ("e", "v", "w"), ("ow", "w", "w")]
     )
 

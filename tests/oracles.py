@@ -1,0 +1,70 @@
+"""Independent reference computations that only the tests call.
+
+Each one recomputes a quantity the package derives another way: the Dirac
+operator whose eigenvalues give the spectral action, the validated action
+value of one configuration, the dense Toeplitz moment matrix, and the
+Bessel derivative by its recurrence.
+"""
+
+import numpy as np
+
+from quivergauge.action import PlaquetteTable, action_plan, plan_sum
+from quivergauge.bootstrap import _toeplitz, moment
+from quivergauge.bratteli import BratteliNetwork
+from quivergauge.gww import bessel_i
+from quivergauge.monte_carlo import DiracSample
+
+
+def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:
+    """Self-adjoint block matrix: block (v, w) sums U_e over edges v -> w
+    and U_e-dagger over edges w -> v."""
+    q = net.quiver
+    n_v = len(q.vertices)
+    dim = net.dim
+    d = np.zeros((n_v * dim, n_v * dim), dtype=complex)
+    for eid, src, dst in q.edges:
+        i, j = q.vertex_index(src), q.vertex_index(dst)
+        u = sample.unitaries[eid]
+        d[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] += u
+        d[j * dim : (j + 1) * dim, i * dim : (i + 1) * dim] += u.conj().T
+    return d
+
+
+def evaluate_action(
+    table: PlaquetteTable,
+    assignment,
+    dim: int | None = None,
+    unitarity_tol: float = 1e-8,
+) -> float:
+    """Numeric action value for one unitary assignment of the edges, through
+    the table's action plan.  Real f gives a table closed under word reversal
+    with equal couplings; each pair is traced once, as twice its real part.
+    """
+    needed = table.edge_ids()
+    missing = needed - set(assignment)
+    if missing:
+        raise ValueError(f"assignment missing edges: {sorted(missing)}")
+    if dim is None:
+        probe = next(iter(assignment.values()))
+        dim = probe.shape[0]
+    for eid, u in assignment.items():
+        if u.shape != (dim, dim):
+            raise ValueError(f"edge {eid!r}: matrix shape {u.shape} != ({dim}, {dim})")
+        dev = np.abs(u @ u.conj().T - np.eye(dim)).max()
+        if dev > unitarity_tol:
+            raise ValueError(f"edge {eid!r}: matrix is not unitary (deviation {dev:.2e})")
+    return plan_sum(action_plan(table), assignment, dim) + float(table.constant_coeff) * dim
+
+
+def moment_matrix(order: int, x: float, y: float) -> np.ndarray:
+    """Symmetric Toeplitz matrix with (i, j) entry m_{|i-j|}(x, y)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if x == 0:
+        raise ValueError("moments are singular at x = 0")
+    return _toeplitz(np.array([moment(k).evaluate(x, y) for k in range(order)]), order)
+
+
+def bessel_i_derivative(q: int, z):
+    """d/dz I_q(z) = (I_{q-1}(z) + I_{q+1}(z)) / 2."""
+    return 0.5 * (bessel_i(q - 1, z) + bessel_i(q + 1, z))

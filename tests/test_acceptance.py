@@ -14,12 +14,13 @@ import pytest
 import scipy.integrate
 
 import quivergauge as qg
-from quivergauge.action import ActionSpec, evaluate_action, expand_action
+from quivergauge.action import ActionSpec, expand_action
 from quivergauge.cli import run
 from quivergauge.laurent import YXPoly
 from quivergauge.quiver import EdgeWord, reduced_closed_walk_counts
 
 from conftest import triangle_network
+from oracles import assemble_dirac, evaluate_action
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -99,7 +100,7 @@ def test_c04_spectral_action_oracle(capsys, two_site_quiver, two_site_network, t
         sampler = qg.KeyedSampler(net, 424242)
         for i in range(20):
             s = sampler.sample(i)
-            ev = np.linalg.eigvalsh(qg.assemble_dirac(net, s))
+            ev = np.linalg.eigvalsh(assemble_dirac(net, s))
             direct = sum(float(c) * (ev**k).sum() for k, c in enumerate(f.coefficients))
             val = evaluate_action(table, s.unitaries)
             worst = max(worst, abs(val - direct) / abs(direct))
@@ -120,7 +121,7 @@ def test_c05_walk_count_oracle(capsys):
             (f"e{j}", verts[int(rng.integers(nv))], verts[int(rng.integers(nv))])
             for j in range(ne)
         ]
-        q = qg.build_quiver(verts, edges)
+        q = qg.Quiver(verts, edges)
         a = q.adjacency()
         powers = [np.linalg.matrix_power(a, k) for k in range(9)]
         # resample pathological draws whose walk counts would be huge

@@ -10,18 +10,18 @@ from quivergauge.action import (
     ActionSpec,
     PlaquetteTable,
     action_plan,
-    evaluate_action,
     expand_action,
     gauge_fixed_table,
     holonomy,
     loop_trace,
-    plaquette_sum,
+    plan_sum,
     trace_words,
 )
 from quivergauge.bratteli import gauge_tree
 from quivergauge.quiver import CyclicWord, gauge_fixed_steps
 
 from conftest import REPO, random_unitary, torus_quiver, triangle_network
+from oracles import assemble_dirac, evaluate_action
 
 
 def cyc(q, text):
@@ -115,11 +115,11 @@ class TestTableProperties:
 
     def test_relabeling_invariance(self):
         f = ActionSpec.from_list([0, 0, 0, 1])
-        q1 = qg.build_quiver(
+        q1 = qg.Quiver(
             ["v1", "v2", "v3"],
             [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
         )
-        q2 = qg.build_quiver(
+        q2 = qg.Quiver(
             ["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")]
         )
         t1 = expand_action(q1, f)
@@ -160,7 +160,7 @@ def assert_matches_walk_by_walk(q, f):
 
 
 MAX_ORACLE_WALKS = 3000
-SELF_LOOP = qg.build_quiver(["a"], [("s", "a", "a")])
+SELF_LOOP = qg.Quiver(["a"], [("s", "a", "a")])
 
 
 @st.composite
@@ -175,7 +175,7 @@ def quivers_and_actions(draw):
     for j, (a, b) in enumerate(pairs):
         src, dst = (a, b) if draw(st.booleans()) else (b, a)
         edges.append((f"e{j}", verts[src], verts[dst]))
-    q = qg.build_quiver(verts, edges)
+    q = qg.Quiver(verts, edges)
     a = q.adjacency()
     walks, power, max_degree = 0, np.eye(nv, dtype=np.int64), 0
     while max_degree < 8:
@@ -235,7 +235,7 @@ class TestEvaluateAction:
         table = expand_action(triangle_quiver, f)
         net = triangle_network(triangle_quiver, 4)
         s = qg.KeyedSampler(net, 20240901).sample(0)
-        d = qg.assemble_dirac(net, s)
+        d = assemble_dirac(net, s)
         direct = float((np.linalg.eigvalsh(d) ** 3).sum())
         val = evaluate_action(table, s.unitaries)
         assert val == pytest.approx(direct, rel=1e-10)
@@ -279,8 +279,8 @@ class TestBatchedTraces:
             got = loop_trace(stack, steps, n)
             assert got.shape == (m,)
             assert all(got[i] == loop_trace(r, steps, n) for i, r in enumerate(rows))
-        got = plaquette_sum(quartic_table, stack, n)
-        assert all(got[i] == plaquette_sum(quartic_table, r, n) for i, r in enumerate(rows))
+        got = plan_sum(action_plan(quartic_table), stack, n)
+        assert all(got[i] == plan_sum(action_plan(quartic_table), r, n) for i, r in enumerate(rows))
         # one call over every word: each stacked row is its 2-D call
         got = trace_words(stack, words, n)
         for i, r in enumerate(rows):
@@ -341,7 +341,7 @@ class TestReversePairing:
         n = 3
         us = {e: random_unitary(rng, n) for e in q.edge_ids}
         bound = 1e-12 * sum(abs(float(g)) for g in table.entries.values()) * n
-        assert abs(plaquette_sum(table, us, n) - entry_by_entry(table, us, n)) <= bound
+        assert abs(plan_sum(action_plan(table), us, n) - entry_by_entry(table, us, n)) <= bound
 
     def test_unpaired_classes_traced_alone(self, triangle_quiver, two_site_quiver, rng):
         # a class without its reverse, and a pair whose couplings differ
@@ -358,7 +358,7 @@ class TestReversePairing:
             assert weights == [float(g) for g in table.entries.values()]
             us = {e: random_unitary(rng, 4) for e in q.edge_ids}
             expected = entry_by_entry(table, us, 4)
-            assert plaquette_sum(table, us, 4) == pytest.approx(expected, abs=1e-12)
+            assert plan_sum(action_plan(table), us, 4) == pytest.approx(expected, abs=1e-12)
 
 
 def tree_gauge(q, tree, us, n):
@@ -393,8 +393,8 @@ def assert_gauge_invariant(q, table, words, n, rng):
         assert abs(full - np.trace(holonomy(fixed_us, rewritten, n))) <= 1e-12 * n
     fixed = gauge_fixed_table(table, tree)
     assert not fixed.edge_ids() & set(tree)
-    action = float(table.constant_coeff) * n + plaquette_sum(table, us, n)
-    fixed_action = float(fixed.constant_coeff) * n + plaquette_sum(fixed, fixed_us, n)
+    action = float(table.constant_coeff) * n + plan_sum(action_plan(table), us, n)
+    fixed_action = float(fixed.constant_coeff) * n + plan_sum(action_plan(fixed), fixed_us, n)
     bound = 1e-12 * (1 + sum(abs(float(g)) for g in table.entries.values())) * n
     assert abs(action - fixed_action) <= bound
 

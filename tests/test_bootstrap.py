@@ -8,17 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivergauge.bootstrap import (
+    default_grid,
     derive_moments,
     dump_moment_table,
     feasible,
     leading_minors,
     moment,
-    moment_matrix,
     scan_region,
 )
 from quivergauge.jobfile import triangle_job
 from quivergauge.laurent import YXPoly
 from quivergauge.quiver import EdgeWord
+
+from oracles import moment_matrix
 
 
 def poly(terms: dict) -> YXPoly:
@@ -209,6 +211,18 @@ class TestScanRegion:
         out = tmp_path / "scan.csv"
         fmap.to_csv(str(out))
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("order", [7, 15])
+    def test_feasible_agrees_with_scan_cells(self, order):
+        # the per-point and the grid paths evaluate the moments differently
+        # (YXPoly.evaluate and evaluate_grid), and their low bits differ on
+        # many cells, but the first failing order must be the same
+        xs, ys = default_grid()
+        fmap = scan_region(xs, ys, order)
+        for i in range(0, len(xs), 6):
+            for j in range(0, len(ys), 6):
+                _, first = feasible(float(xs[i]), float(ys[j]), order)
+                assert (first or 0) == fmap.first_failing[i, j], (xs[i], ys[j])
 
     def test_svg_output(self, small_map, tmp_path):
         out = tmp_path / "scan.svg"

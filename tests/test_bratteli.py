@@ -10,13 +10,13 @@ from conftest import TWO_SITE_DATA, torus_quiver, triangle_network
 
 class TestValidateNetwork:
     def test_two_site_example(self, two_site_quiver, two_site_network):
-        assert qg.representation_dimension(two_site_network) == 16
+        assert two_site_network.dim == 16
         assert two_site_network.n["v"] == (3, 2)
         assert two_site_network.r["v"] == (4, 2)
 
     def test_triangle_single_block(self, triangle_quiver):
         net = triangle_network(triangle_quiver, 5)
-        assert qg.representation_dimension(net) == 5
+        assert net.dim == 5
 
     def test_hand_inner_product(self, two_site_network):
         n, r = two_site_network.n["v"], two_site_network.r["v"]
@@ -41,7 +41,7 @@ class TestValidateNetwork:
             qg.validate_network(two_site_quiver, data)
 
     def test_disconnected_rejected(self):
-        q = qg.build_quiver(["a", "b"], [("o", "a", "a")])
+        q = qg.Quiver(["a", "b"], [("o", "a", "a")])
         with pytest.raises(NetworkError, match="disconnected"):
             qg.validate_network(
                 q,
@@ -90,7 +90,7 @@ class TestValidateNetwork:
         edges = [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")]
         nets = []
         for perm in (edges, edges[::-1], [edges[1], edges[2], edges[0]]):
-            q = qg.build_quiver(["v1", "v2", "v3"], perm)
+            q = qg.Quiver(["v1", "v2", "v3"], perm)
             nets.append(triangle_network(q, 4))
         assert all(n.dim == 4 for n in nets)
 
@@ -115,7 +115,7 @@ class TestEnsemble:
 
 def layout_network(vertices, edges, layouts, c):
     """Network with one block per vertex: layouts[v] = (n, r), C_e = [[c[e]]]."""
-    q = qg.build_quiver(vertices, edges)
+    q = qg.Quiver(vertices, edges)
     return qg.validate_network(q, {
         "l": {v: 1 for v in vertices},
         "n": {v: [layouts[v][0]] for v in vertices},
@@ -138,10 +138,10 @@ class TestGaugeTree:
         tree = gauge_tree(triangle_network(q, 2))
         # 8 edges that join all 9 vertices: a spanning tree
         assert len(tree) == 8 == len(q.vertices) - 1
-        assert qg.build_quiver(q.vertices, [(e, q.source[e], q.target[e]) for e in tree]).connected
+        assert qg.Quiver(q.vertices, [(e, q.source[e], q.target[e]) for e in tree]).connected
 
     def test_self_loops_and_parallel_edges(self):
-        q = qg.build_quiver(["a", "b"], [("s", "a", "a"), ("p", "a", "b"), ("p2", "a", "b")])
+        q = qg.Quiver(["a", "b"], [("s", "a", "a"), ("p", "a", "b"), ("p2", "a", "b")])
         assert gauge_tree(triangle_network(q, 3)) == ("p",)
 
     def test_edge_leaving_the_region_empties_the_tree(self):

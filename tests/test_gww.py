@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from quivergauge.gww import (
     bessel_i,
-    bessel_i_derivative,
     curve_grid,
     first_moment_curve,
     partition_function,
 )
+
+from oracles import bessel_i_derivative
 
 
 def _decimal_bessel(q: int, z: Decimal) -> Decimal:

@@ -5,22 +5,22 @@ import quivergauge as qg
 from quivergauge import monte_carlo
 from quivergauge.action import (
     ActionSpec,
-    evaluate_action,
+    action_plan,
     expand_action,
     gauge_fixed_table,
     loop_trace,
-    plaquette_sum,
+    plan_sum,
 )
 from quivergauge.bratteli import gauge_tree
 from quivergauge.monte_carlo import (
     KeyedSampler,
-    assemble_dirac,
     check_loop_equation,
     estimate_wilson,
 )
 from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
 from conftest import REPO, torus_quiver, triangle_network
+from oracles import assemble_dirac, evaluate_action
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -28,7 +28,7 @@ ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 def one_block_sampler(n, seed):
     """Keyed sampler of a one-edge network whose edge carries one U(n) block;
     a self-loop, so that gauge fixing leaves it drawn."""
-    q = qg.build_quiver(["a"], [("u", "a", "a")])
+    q = qg.Quiver(["a"], [("u", "a", "a")])
     return KeyedSampler(triangle_network(q, n), seed)
 
 
@@ -256,7 +256,7 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     logs, traces = runs[0]
     for i in range(samples):
         u = sampler.sample(i).unitaries
-        assert logs[i] == -dim * plaquette_sum(fixed, u, dim)
+        assert logs[i] == -dim * plan_sum(action_plan(fixed), u, dim)
         for k, w in enumerate(words):
             t = loop_trace(u, gauge_fixed_steps(w, sampler.tree), dim)
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
@@ -360,7 +360,7 @@ class TestEstimateWilson:
 def test_metropolis_without_off_tree_blocks():
     # a quiver with no cycle is all tree: no block moves, and every closed
     # word traces N, as when every proposal is accepted
-    q = qg.build_quiver(["a", "b"], [("u", "a", "b")])
+    q = qg.Quiver(["a", "b"], [("u", "a", "b")])
     table = expand_action(q, ActionSpec.from_list([0, 0, 1]))
     with pytest.raises(RuntimeError, match=r"acceptance rate 100\.0%"):
         estimate_wilson(triangle_network(q, 2), table, EdgeWord.from_string("u+ u-"),
@@ -396,7 +396,7 @@ class TestChains:
             chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
         accepted = sum(int(chains.propose(*b).sum()) for _ in range(10) for b in chains.sites)
         assert 0 < accepted < 10 * len(chains.sites) * monte_carlo._CHAINS
-        assert (chains.s == plaquette_sum(table, chains.assignment, job.network.dim)).all()
+        assert (chains.s == plan_sum(action_plan(table), chains.assignment, job.network.dim)).all()
 
 
 class TestCheckLoopEquation:
@@ -413,7 +413,7 @@ class TestCheckLoopEquation:
     def test_two_independent_cycles(self):
         # two triangles sharing e3: the equation at root e3 ties the first
         # triangle to the 4-cycle e1 e2 e4 e5 and to a word around both
-        q = qg.build_quiver(
+        q = qg.Quiver(
             ["a", "b", "c", "d"],
             [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
              ("e4", "c", "d"), ("e5", "d", "a")],

@@ -30,14 +30,14 @@ class TestBuildQuiver:
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(QuiverError, match="unknown"):
-            qg.build_quiver(["a"], [("e", "a", "b")])
+            qg.Quiver(["a"], [("e", "a", "b")])
 
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(QuiverError, match="duplicate"):
-            qg.build_quiver(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
+            qg.Quiver(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
 
     def test_disconnected_flag(self):
-        q = qg.build_quiver(["a", "b", "c"], [("e", "a", "b")])
+        q = qg.Quiver(["a", "b", "c"], [("e", "a", "b")])
         assert not q.connected
 
 
@@ -60,7 +60,7 @@ class TestReduceWord:
                     edges.append((f"r{i}{j}", f"{i}{j}", f"{i+1}{j}"))
                 if j < 2:
                     edges.append((f"u{i}{j}", f"{i}{j}", f"{i}{j+1}"))
-        q = qg.build_quiver(verts, edges)
+        q = qg.Quiver(verts, edges)
         square = word("r00+ r10+ u20+ u21+ r12- r02- u01- u00-")
         assert q.is_closed(square) and is_reduced(square)
         legs = word(
@@ -124,7 +124,7 @@ class TestEnumerateClosedWalks:
         assert word("e3- e2- e1-") in walks
 
     def test_isolated_vertex(self):
-        q = qg.build_quiver(["a", "b"], [("e", "b", "b")])
+        q = qg.Quiver(["a", "b"], [("e", "b", "b")])
         assert qg.enumerate_closed_walks(q, "a", 1) == []
 
     def test_unknown_vertex(self, triangle_quiver):
