@@ -10,9 +10,7 @@ from .action import ActionSpec, PlaquetteTable, expand_action
 from .bootstrap import FeasibilityMap, feasible, moment, scan_region
 from .bratteli import (
     BratteliNetwork,
-    EnsembleDescriptor,
     NetworkError,
-    dirac_ensemble,
     validate_network,
 )
 from .gww import GwwCurve, bessel_i, first_moment_curve, partition_function
@@ -39,7 +37,6 @@ from .quiver import (
     QuiverError,
     cyclic_canonical,
     enumerate_closed_walks,
-    reduce_word,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +47,6 @@ __all__ = [
     "CyclicWord",
     "DiracSample",
     "EdgeWord",
-    "EnsembleDescriptor",
     "EstimatorResult",
     "FeasibilityMap",
     "GwwCurve",
@@ -68,7 +64,6 @@ __all__ = [
     "bessel_i",
     "check_loop_equation",
     "cyclic_canonical",
-    "dirac_ensemble",
     "enumerate_closed_walks",
     "estimate_wilson",
     "expand_action",
@@ -79,7 +74,6 @@ __all__ = [
     "load_job",
     "moment",
     "partition_function",
-    "reduce_word",
     "scan_region",
     "triangle_job",
     "validate_network",

@@ -16,8 +16,8 @@ first meets their classes; float sums over the table (:func:`plan_sum`)
 and the loop equations built from it depend on that order.
 
 Every numeric trace goes through one kernel, :func:`trace_words`.  It visits
-sorted words over a stack of prefix products, built by the left fold of
-:func:`holonomy`, so a shared prefix is multiplied once.  Action weights
+sorted words over a stack of prefix products, built by the left fold
+``_fold``, so a shared prefix is multiplied once.  Action weights
 trace each class once with its equal-coupling reverse (:func:`action_plan`).
 """
 
@@ -82,9 +82,6 @@ class PlaquetteTable:
 
     def coupling(self, w: CyclicWord) -> Fraction:
         return self.entries.get(w, Fraction(0))
-
-    def edge_ids(self) -> set[str]:
-        return {e for w in self.entries for e, _ in w.steps}
 
     def add(self, w: CyclicWord, g: Fraction) -> None:
         """Add g to the coupling of w; the empty class traces N, so it adds to
@@ -151,13 +148,6 @@ def _fold(mats: Mapping[Step, np.ndarray], steps, prefix: list) -> list:
     for step in steps[len(prefix) :]:
         prefix.append(mats[step] if not prefix else prefix[-1] @ mats[step])
     return prefix
-
-
-def holonomy(assignment: Mapping[str, np.ndarray], steps, dim: int) -> np.ndarray:
-    """Ordered product of edge unitaries along a word (first step leftmost),
-    per sample when the matrices carry leading batch axes."""
-    products = _fold(_step_matrices(assignment, [steps]), steps, []) or [np.eye(dim, dtype=complex)]
-    return products[-1].copy()  # never the caller's own array
 
 
 def trace_words(assignment: Mapping[str, np.ndarray], words: Sequence[tuple], dim: int) -> list:

@@ -28,31 +28,19 @@ class NetworkError(ValueError):
 
 @dataclass(frozen=True)
 class BratteliNetwork:
-    """Validated per-vertex (l, n, r) tuples and per-edge transition matrices."""
+    """Validated per-vertex (n, r) tuples and per-edge transition matrices."""
 
     quiver: Quiver
-    l: dict[str, int]
     n: dict[str, tuple[int, ...]]
     r: dict[str, tuple[int, ...]]
     C: dict[str, tuple[tuple[int, ...], ...]]
     dim: int  # the shared Hilbert-space dimension N = <n_v, r_v>
 
-
-@dataclass(frozen=True)
-class EnsembleDescriptor:
-    """Per edge: ordered (block size, multiplicity) factors of the unitary ensemble."""
-
-    factors: dict[str, tuple[tuple[int, int], ...]]
-    dim: int
-
-    def describe(self) -> str:
-        lines = []
-        for eid, blocks in self.factors.items():
-            parts = " x ".join(
-                f"U({n})" if r == 1 else f"U({n}) (mult {r})" for n, r in blocks
-            )
-            lines.append(f"{eid}: {parts}")
-        return "\n".join(lines)
+    def blocks(self, eid: str) -> tuple[tuple[int, int], ...]:
+        """The (block size, multiplicity) pairs of edge ``eid``'s unitary, in
+        target-summand order: U(n_{t(e),j}) repeated r_{t(e),j} times."""
+        tgt = self.quiver.target[eid]
+        return tuple(zip(self.n[tgt], self.r[tgt]))
 
 
 def _as_int_tuple(name: str, seq: Sequence) -> tuple[int, ...]:
@@ -129,7 +117,7 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
     values = set(dims.values())
     if len(values) > 1:
         raise NetworkError(f"<n, r> is not constant across vertices: {dims}")
-    return BratteliNetwork(quiver=q, l=l, n=n, r=r, C=C, dim=values.pop())
+    return BratteliNetwork(quiver=q, n=n, r=r, C=C, dim=values.pop())
 
 
 def _is_identity(c: tuple[tuple[int, ...], ...]) -> bool:
@@ -162,14 +150,3 @@ def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
     if any(src in region and dst not in region for _, src, dst in q.edges):
         return ()
     return tuple(e for e in q.edge_ids if e in tree)
-
-
-def dirac_ensemble(b: BratteliNetwork) -> EnsembleDescriptor:
-    """Unitary factors per edge: U(n_{t(e),j}) with multiplicity r_{t(e),j}."""
-    factors = {}
-    for eid in b.quiver.edge_ids:
-        tgt = b.quiver.target[eid]
-        blocks = tuple(zip(b.n[tgt], b.r[tgt]))
-        assert sum(nn * rr for nn, rr in blocks) == b.dim
-        factors[eid] = blocks
-    return EnsembleDescriptor(factors=factors, dim=b.dim)

@@ -17,7 +17,7 @@ import numpy as np
 from . import bootstrap as bs
 from . import gww
 from .action import expand_action
-from .bratteli import dirac_ensemble, gauge_tree
+from .bratteli import gauge_tree
 from .jobfile import JobError, load_job, override_dimension
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
@@ -65,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gww", help="exact one-matrix partition function and moment curve", **fmt)
     g.add_argument("--dim", type=int, required=True, help="unitary matrix size N")
-    g.add_argument("--xmin", type=float, default=-3.0, help="coupling range")
-    g.add_argument("--xmax", type=float, default=3.0, help="coupling range")
-    g.add_argument("--points", type=int, default=601, help="grid size (one row when xmin == xmax)")
+    g.add_argument("--xmin", type=float, default=gww.WINDOW["xmin"], help="coupling range")
+    g.add_argument("--xmax", type=float, default=gww.WINDOW["xmax"], help="coupling range")
+    g.add_argument("--points", type=int, default=gww.WINDOW["points"], help="grid size (one row when xmin == xmax)")
     g.add_argument("--out", required=True, help="CSV output path")
 
     m = sub.add_parser("mc", help="Monte Carlo Wilson-loop estimate / equation check", **fmt)
@@ -98,7 +98,9 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     job = load_job(args.job)
     print(f"N={job.network.dim}")
-    print(dirac_ensemble(job.network).describe())
+    for eid in job.quiver.edge_ids:
+        parts = (f"U({n})" if r == 1 else f"U({n}) (mult {r})" for n, r in job.network.blocks(eid))
+        print(f"{eid}: " + " x ".join(parts))
     tree = gauge_tree(job.network)
     fixed = f"{' '.join(tree)} ({len(tree)} of {len(job.quiver.edge_ids)})" if tree else "none"
     print(f"gauge-fixed edges: {fixed}")

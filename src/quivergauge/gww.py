@@ -105,7 +105,11 @@ def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:
     return GwwCurve(dim=N, x=xs, z=zs, y=ys, flags=flags)
 
 
-def curve_grid(xmin: float = -3.0, xmax: float = 3.0, points: int = 601) -> np.ndarray:
+# the coupling window of the gww subcommand's defaults
+WINDOW = {"xmin": -3.0, "xmax": 3.0, "points": 601}
+
+
+def curve_grid(xmin: float, xmax: float, points: int) -> np.ndarray:
     if xmin == xmax:
         return np.array([xmin])
     return np.linspace(xmin, xmax, points)

@@ -111,8 +111,7 @@ def override_dimension(job: Job, dim: int) -> Job:
     """Rebuild a single-block-per-vertex network at a different block size."""
     if dim < 1:
         raise JobError(f"dimension override must be >= 1, got {dim}")
-    net = job.network
-    if any(v != 1 for v in net.l.values()) or any(net.r[v] != (1,) for v in net.l):
+    if any(r != (1,) for r in job.network.r.values()):
         raise JobError("dimension override requires one multiplicity-one block per vertex")
     new_net = _single_block_network(job.quiver, dim)
     return Job(quiver=job.quiver, network=new_net, action=job.action, loops=job.loops)

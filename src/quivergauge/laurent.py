@@ -82,18 +82,3 @@ class YXPoly:
         for a, b, c in self.terms:
             out += c * np.power(y, a) * np.power(x, -float(b))
         return out
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, b, c in self.terms:
-            factors = []
-            if c != 1 or (a == 0 and b == 0):
-                factors.append(str(c))
-            if a:
-                factors.append("y" if a == 1 else f"y^{a}")
-            if b:
-                factors.append("/x" if b == 1 else f"/x^{b}")
-            parts.append("*".join(f for f in factors if not f.startswith("/")) + "".join(f for f in factors if f.startswith("/")))
-        return " + ".join(parts)

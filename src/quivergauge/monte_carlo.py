@@ -70,18 +70,18 @@ class DiracSample:
     dim: int
 
 
-def _embed_blocks(blocks: Sequence[np.ndarray], mults: Sequence[int], dim: int) -> np.ndarray:
-    """Block-diagonal matrix of r copies of each block, per leading batch index."""
-    if len(blocks) == 1 and mults[0] == 1:
+def _embed_blocks(blocks: Sequence[np.ndarray], layout: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Block-diagonal matrix of r copies of each n x n block, per leading batch
+    index, for the (n, r) pairs of ``layout`` (:meth:`BratteliNetwork.blocks`)."""
+    if len(layout) == 1 and layout[0][1] == 1:
         return blocks[0]  # a lone block is its own embedding, uncopied
+    dim = sum(n * r for n, r in layout)
     out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
     pos = 0
-    for u, r in zip(blocks, mults):
-        n = u.shape[-1]
+    for u, (n, r) in zip(blocks, layout):
         for _ in range(r):
             out[..., pos : pos + n, pos : pos + n] = u
             pos += n
-    assert pos == dim
     return out
 
 
@@ -105,8 +105,7 @@ class KeyedSampler:
         for ei, eid in enumerate(net.quiver.edge_ids):
             if eid in self.tree:
                 continue
-            tgt = net.quiver.target[eid]
-            for bi in range(len(net.n[tgt])):
+            for bi in range(len(net.blocks(eid))):
                 key = np.random.SeedSequence([self.seed, ei, bi]).generate_state(2, np.uint64)
                 bitgen = np.random.Philox(key=key)
                 # the fresh state at counter 0; a chunk rewrites only counter[0]
@@ -125,9 +124,9 @@ class KeyedSampler:
             if eid in self.tree:
                 unitaries[eid] = identity
                 continue
-            tgt = self.net.quiver.target[eid]
+            layout = self.net.blocks(eid)
             blocks = []
-            for bi, n in enumerate(self.net.n[tgt]):
+            for bi, (n, _) in enumerate(layout):
                 bitgen, gen, state = self._streams[(eid, bi)]
                 span = (n * n + 1) // 2
                 state["state"]["counter"][0] = start * span
@@ -135,7 +134,7 @@ class KeyedSampler:
                 u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
                 z = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
                 blocks.append(_haar_from_ginibre(z))
-            unitaries[eid] = _embed_blocks(blocks, self.net.r[tgt], dim)
+            unitaries[eid] = _embed_blocks(blocks, layout)
         return unitaries
 
     def sample(self, index: int) -> DiracSample:
@@ -174,12 +173,11 @@ class ResidualResult:
     max_weight_share: float | None = None
 
 
-def _gauge_fixed(net: BratteliNetwork, table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
-    """The maximal tree of ``net``, then the action plan of ``table`` and the
-    ``words``, both rewritten for configurations whose tree edges carry 1."""
-    tree = gauge_tree(net)
+def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
+    """The action plan of ``table`` and the ``words``, both rewritten for
+    configurations whose ``tree`` edges (:func:`gauge_tree`) carry 1."""
     plan = action_plan(gauge_fixed_table(table, tree))
-    return tree, plan, [gauge_fixed_steps(w, tree) for w in words]
+    return plan, [gauge_fixed_steps(w, tree) for w in words]
 
 
 def _reweighted_traces(
@@ -196,8 +194,8 @@ def _reweighted_traces(
     equally and is left out.  The action and the words are traced as
     rewritten in the sampler's off-tree edges.
     """
-    _, plan, words = _gauge_fixed(net, table, words)
     sampler = KeyedSampler(net, seed)
+    plan, words = _gauge_fixed(sampler.tree, table, words)
     dim = net.dim
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
     logs = np.empty(samples)
@@ -305,20 +303,20 @@ class _Chains:
     def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
         q = net.quiver
         self.dim = net.dim
-        self.tree, self.plan, self.words = _gauge_fixed(net, table, words)
-        edges = [eid for eid in q.edge_ids if eid not in self.tree]
-        self.mults = {eid: net.r[q.target[eid]] for eid in edges}
+        tree = gauge_tree(net)
+        self.plan, self.words = _gauge_fixed(tree, table, words)
+        self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.blocks = {
-            eid: [np.tile(np.eye(n, dtype=complex), (_CHAINS, 1, 1)) for n in net.n[q.target[eid]]]
-            for eid in edges
+            eid: [np.tile(np.eye(n, dtype=complex), (_CHAINS, 1, 1)) for n, _ in layout]
+            for eid, layout in self.layouts.items()
         }
-        self.sites = [(eid, bi) for eid in edges for bi in range(len(self.blocks[eid]))]
-        n_blocks = sum(len(net.n[q.target[eid]]) for eid in q.edge_ids)
+        self.sites = [(eid, bi) for eid, bl in self.blocks.items() for bi in range(len(bl))]
+        n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
         self.assignment = {
-            eid: _embed_blocks(bl, self.mults[eid], self.dim) for eid, bl in self.blocks.items()
+            eid: _embed_blocks(bl, self.layouts[eid]) for eid, bl in self.blocks.items()
         }
         self.s = plan_sum(self.plan, self.assignment, self.dim)
 
@@ -331,7 +329,7 @@ class _Chains:
         phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
         blocks = list(self.blocks[eid])
         blocks[bi] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
-        trial = {**self.assignment, eid: _embed_blocks(blocks, self.mults[eid], self.dim)}
+        trial = {**self.assignment, eid: _embed_blocks(blocks, self.layouts[eid])}
         s_new = plan_sum(self.plan, trial, self.dim)
         accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
         keep = accept[:, None, None]

@@ -206,14 +206,6 @@ def _free_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
     return tuple(out)
 
 
-def reduce_word(w: EdgeWord) -> EdgeWord:
-    """Free reduction: delete adjacent (e,+)(e,-) / (e,-)(e,+) pairs until none remain.
-
-    Same endpoints, same holonomy under any unitary assignment.
-    """
-    return EdgeWord(_free_reduce(w.steps))
-
-
 def is_reduced(w: EdgeWord) -> bool:
     return _free_reduce(w.steps) == w.steps
 

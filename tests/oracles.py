@@ -1,9 +1,10 @@
 """Independent reference computations that only the tests call.
 
-Each one recomputes a quantity the package derives another way: the Dirac
-operator whose eigenvalues give the spectral action, the validated action
-value of one configuration, the dense Toeplitz moment matrix, and the
-Bessel derivative by its recurrence.
+Each one recomputes a quantity the package derives another way: the
+holonomy of a word as a plain product, the Dirac operator whose eigenvalues
+give the spectral action, the validated action value of one configuration,
+the dense Toeplitz moment matrix, and the Bessel derivative by its
+recurrence.
 """
 
 import numpy as np
@@ -13,6 +14,17 @@ from quivergauge.bootstrap import _toeplitz, moment
 from quivergauge.bratteli import BratteliNetwork
 from quivergauge.gww import bessel_i
 from quivergauge.monte_carlo import DiracSample
+
+
+def holonomy(assignment, steps, dim: int) -> np.ndarray:
+    """Ordered product of edge unitaries along a word, first step leftmost,
+    one matrix at a time: U_e forward, its adjoint backward; the empty word
+    gives the identity."""
+    out = np.eye(dim, dtype=complex)
+    for e, o in steps:
+        u = assignment[e]
+        out = out @ (u if o > 0 else u.conj().T)
+    return out
 
 
 def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:
@@ -40,7 +52,7 @@ def evaluate_action(
     the table's action plan.  Real f gives a table closed under word reversal
     with equal couplings; each pair is traced once, as twice its real part.
     """
-    needed = table.edge_ids()
+    needed = {e for w in table.entries for e, _ in w.steps}
     missing = needed - set(assignment)
     if missing:
         raise ValueError(f"assignment missing edges: {sorted(missing)}")

@@ -12,7 +12,6 @@ from quivergauge.action import (
     action_plan,
     expand_action,
     gauge_fixed_table,
-    holonomy,
     loop_trace,
     plan_sum,
     trace_words,
@@ -21,7 +20,7 @@ from quivergauge.bratteli import gauge_tree
 from quivergauge.quiver import CyclicWord, gauge_fixed_steps
 
 from conftest import REPO, random_unitary, torus_quiver, triangle_network
-from oracles import assemble_dirac, evaluate_action
+from oracles import assemble_dirac, evaluate_action, holonomy
 
 
 def cyc(q, text):
@@ -392,7 +391,7 @@ def assert_gauge_invariant(q, table, words, n, rng):
         full = np.trace(holonomy(us, steps, n))
         assert abs(full - np.trace(holonomy(fixed_us, rewritten, n))) <= 1e-12 * n
     fixed = gauge_fixed_table(table, tree)
-    assert not fixed.edge_ids() & set(tree)
+    assert not {e for w in fixed.entries for e, _ in w.steps} & set(tree)
     action = float(table.constant_coeff) * n + plan_sum(action_plan(table), us, n)
     fixed_action = float(fixed.constant_coeff) * n + plan_sum(action_plan(fixed), fixed_us, n)
     bound = 1e-12 * (1 + sum(abs(float(g)) for g in table.entries.values())) * n

@@ -40,6 +40,21 @@ class TestValidateNetwork:
         with pytest.raises(NetworkError, match="positive"):
             qg.validate_network(two_site_quiver, data)
 
+    @pytest.mark.parametrize("malform, message", [
+        (lambda d: d["n"].update(w=["eight"]), r"n\['w'\] must be a sequence of integers"),
+        (lambda d: d.pop("C"), "missing section 'C'"),
+        (lambda d: d["r"].pop("w"), "section 'r' missing vertex 'w'"),
+        (lambda d: d["l"].update(w=0), r"l\['w'\] must be positive"),
+        (lambda d: d["l"].update(w=2), r"l\['w'\]=2 entries, got 1 and 1"),
+        (lambda d: d["C"].pop("ow"), "section 'C' missing edge 'ow'"),
+        (lambda d: d["n"].update(w=[9]), r"n\['w'\] = C\^T @ n\['v'\]: C\^T @ n gives \(8,\)"),
+    ], ids=["non-integer", "section", "vertex", "l", "length", "edge", "n-transition"])
+    def test_malformed_data_rejected(self, two_site_quiver, malform, message):
+        data = copy.deepcopy(TWO_SITE_DATA)
+        malform(data)
+        with pytest.raises(NetworkError, match=message):
+            qg.validate_network(two_site_quiver, data)
+
     def test_disconnected_rejected(self):
         q = qg.Quiver(["a", "b"], [("o", "a", "a")])
         with pytest.raises(NetworkError, match="disconnected"):
@@ -97,20 +112,17 @@ class TestValidateNetwork:
 
 class TestEnsemble:
     def test_two_site_factors(self, two_site_network):
-        desc = qg.dirac_ensemble(two_site_network)
-        assert desc.factors["ov"] == ((3, 4), (2, 2))
-        assert desc.factors["e"] == ((8, 2),)
-        assert desc.factors["ow"] == ((8, 2),)
+        assert two_site_network.blocks("ov") == ((3, 4), (2, 2))
+        assert two_site_network.blocks("e") == ((8, 2),)
+        assert two_site_network.blocks("ow") == ((8, 2),)
 
     def test_triangle_factors(self, triangle_quiver):
         net = triangle_network(triangle_quiver, 7)
-        desc = qg.dirac_ensemble(net)
-        assert all(desc.factors[e] == ((7, 1),) for e in triangle_quiver.edge_ids)
+        assert all(net.blocks(e) == ((7, 1),) for e in triangle_quiver.edge_ids)
 
     def test_block_sum_equals_dimension(self, two_site_network):
-        desc = qg.dirac_ensemble(two_site_network)
-        for blocks in desc.factors.values():
-            assert sum(n * r for n, r in blocks) == two_site_network.dim
+        for e in two_site_network.quiver.edge_ids:
+            assert sum(n * r for n, r in two_site_network.blocks(e)) == two_site_network.dim
 
 
 def layout_network(vertices, edges, layouts, c):

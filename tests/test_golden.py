@@ -1,9 +1,13 @@
-"""Exact-rational CLI outputs, byte for byte, against committed golden files.
+"""Exact CLI outputs, byte for byte, against committed golden files.
 
 The files under ``tests/data/golden/`` are the stdout (or, for a refused
-request, the stderr) of ``quivergauge expand`` and ``quivergauge loopeq`` on
-the shipped jobs.  These outputs are exact rationals and words, so any change
-to them is a change of meaning, not of rounding.
+request, the stderr) of ``quivergauge validate``, ``expand`` and ``loopeq``
+on the shipped jobs, and the stdout, CSV and moment table of a small
+``bootstrap`` scan.  ``validate`` prints integers, block layouts and edge
+names; ``expand`` and ``loopeq`` print exact rationals and words; the
+moment table holds exact integer coefficients, and the scan's CSV holds
+orders at grid points that ``numpy.linspace`` fixes.  Any change to them is
+a change of meaning, not of rounding.
 """
 
 import pytest
@@ -18,6 +22,9 @@ TWO_SITE = str(REPO / "jobs" / "two_site.json")
 TRIANGLE_EQ = ["loopeq", TRIANGLE, "--loop", "e1+ e2+ e3+", "--root", "e1"]
 TWO_SITE_EQ = ["loopeq", TWO_SITE, "--loop", "ov+ ov+ e+ ow+ ow+ e-", "--root", "e"]
 CASES = {
+    "validate_triangle.txt": ["validate", TRIANGLE],
+    "validate_two_site.txt": ["validate", TWO_SITE],
+    "validate_builtin_triangle_5.txt": ["validate", "builtin:triangle@5"],
     "expand_triangle.json": ["expand", TRIANGLE],
     "expand_two_site.json": ["expand", TWO_SITE],
     "loopeq_triangle.json": TRIANGLE_EQ,
@@ -40,3 +47,15 @@ def test_two_site_large_n_refusal_matches_golden(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.encode() == (GOLDEN / "loopeq_two_site_large_n.stderr").read_bytes()
+
+
+def test_bootstrap_scan_and_moments_match_golden(capsys, tmp_path):
+    csv, moments = tmp_path / "scan.csv", tmp_path / "moments.json"
+    argv = ["bootstrap", "builtin:triangle", "--max-order", "7", "--xres", "5", "--yres", "5",
+            "--out", str(csv), "--moments", str(moments)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / "bootstrap_triangle_5x5.txt").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / "bootstrap_triangle_5x5.csv").read_bytes()
+    assert moments.read_bytes() == (GOLDEN / "bootstrap_triangle_5x5_moments.json").read_bytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivergauge.gww import (
+    WINDOW,
     bessel_i,
     curve_grid,
     first_moment_curve,
@@ -129,7 +130,7 @@ class TestFirstMomentCurve:
         assert np.allclose(curve.y, expected, atol=1e-10)
 
     def test_odd_in_coupling(self):
-        xs = curve_grid()
+        xs = curve_grid(**WINDOW)
         for n in range(1, 7):
             curve = first_moment_curve(n, xs)
             assert np.isfinite(curve.y).all()

@@ -196,7 +196,7 @@ class TestKeyedSampler:
                     pairs = pairs.reshape(n, n, 2)
                     z = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
                     blocks.append(monte_carlo._haar_from_ginibre(z))
-                expected = monte_carlo._embed_blocks(blocks, net.r[tgt], net.dim)
+                expected = monte_carlo._embed_blocks(blocks, net.blocks(e))
                 assert np.array_equal(sampler.sample(i).unitaries[e], expected)
 
     def test_triangle_draws_only_off_tree_streams(self, triangle_quiver):
