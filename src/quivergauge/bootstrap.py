@@ -141,7 +141,8 @@ def leading_minors(mvals: np.ndarray, max_order: int) -> np.ndarray:
     (..., max_order).  Minors are running products of the float64
     Levinson prediction errors.  Matrices whose recursion passes a nearly
     or exactly singular leading block fall back to a dense pivoted
-    determinant per leading block.
+    determinant per leading block; that is judged over the ``max_order``
+    orders given, in :func:`scan_region` over the deciding stage's orders.
     """
     r = np.asarray(mvals, dtype=float)[..., :max_order]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -196,7 +197,9 @@ class FeasibilityMap:
 
     ``max_feasible[i, j]`` is the highest order n such that minors 1..n all
     pass (0 if even order 1 fails, -1 for undefined cells at x = 0);
-    ``first_failing[i, j]`` is the first failing order (0 = none).
+    ``first_failing[i, j]`` is the first failing order (0 = none);
+    ``overflow[i, j]`` marks a verdict that rests on an overflow: the first
+    failing minor is non-finite.
     """
 
     xs: np.ndarray
@@ -258,35 +261,49 @@ def _order_palette(max_order: int) -> list[str]:
     return palette
 
 
+# order of the first scan_region stage; each later stage doubles it, up to max_order
+_FIRST_STAGE = 3
+
+
 def scan_region(
     xs: np.ndarray,
     ys: np.ndarray,
     max_order: int,
     tol: float = 1e-10,
 ) -> FeasibilityMap:
-    """Positivity depth of every grid cell; x = 0 columns are undefined."""
+    """Positivity depth of every grid cell; x = 0 columns are undefined.
+
+    Stages of orders 3, 6, 12, ... (capped at ``max_order``) each evaluate the
+    moments, and the minors from order 1, on the cells no stage has seen fail,
+    so a cell's float operations up to its verdict (the first failing order
+    of the stage that decided it) are those of one pass at full order.
+    """
     _check_scan_args(max_order, tol)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    X = xs[:, None]
-    Y = ys[None, :]
-    undefined = np.broadcast_to(X == 0, (len(xs), len(ys))).copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mvals = np.stack(
-            [moment(k).evaluate_grid(X, Y) for k in range(max_order)], axis=-1
-        )
-    minors = leading_minors(mvals, max_order)
-    first = _first_failure(minors, tol)
-    max_feasible = np.where(first == 0, max_order, first - 1)
-    overflow = ~np.isfinite(minors).all(axis=-1) & ~undefined
-    max_feasible = np.where(undefined, -1, max_feasible)
-    first = np.where(undefined, 0, first)
+    undefined = np.broadcast_to(xs[:, None] == 0, (len(xs), len(ys))).copy()
+    first = np.zeros(undefined.shape, dtype=np.int64)
+    overflow = np.zeros(undefined.shape, dtype=bool)
+    order, cells, X, Y = min(_FIRST_STAGE, max_order), ..., xs[:, None], ys[None, :]
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
+        minors = leading_minors(mvals, order)
+        stage = _first_failure(minors, tol)
+        first[cells] = stage
+        # with tol = inf only a non-finite minor fails: is the first failing one non-finite?
+        overflow[cells] = (stage > 0) & (_first_failure(minors, np.inf) == stage)
+        i, j = np.nonzero((first == 0) & ~undefined)
+        if order == max_order or not len(i):
+            break
+        order, cells, X, Y = min(2 * order, max_order), (i, j), xs[i], ys[j]
+    first[undefined], overflow[undefined] = 0, False
     return FeasibilityMap(
         xs=xs,
         ys=ys,
         max_order=max_order,
-        max_feasible=max_feasible.astype(np.int64),
-        first_failing=first.astype(np.int64),
+        max_feasible=np.where(undefined, -1, np.where(first == 0, max_order, first - 1)),
+        first_failing=first,
         undefined=undefined,
         overflow=overflow,
     )

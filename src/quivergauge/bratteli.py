@@ -52,11 +52,15 @@ def _as_int_tuple(name: str, seq: Sequence) -> tuple[int, ...]:
 
 
 def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
-    """Check the two transition equations on every edge and the constancy of <n, r>.
+    """Check the two transition equations on every edge.
 
+    They give every edge <n_tgt, r_tgt> = <C^T n_src, r_tgt> = <n_src, r_src>,
+    so on the connected quiver ``dim`` is <n, r> of the first vertex.
     ``data`` uses the job-file layout: ``l``/``n``/``r`` keyed by vertex,
     ``C`` keyed by edge with row-major rows indexed by source summands.
     """
+    if not q.vertices:
+        raise NetworkError("quiver has no vertices")
     if not q.connected:
         raise NetworkError("quiver is disconnected; block data requires a connected quiver")
     try:
@@ -113,11 +117,8 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
                 f"C^T @ n gives {rhs}, expected {n[tgt]}"
             )
 
-    dims = {v: sum(a * b for a, b in zip(n[v], r[v])) for v in q.vertices}
-    values = set(dims.values())
-    if len(values) > 1:
-        raise NetworkError(f"<n, r> is not constant across vertices: {dims}")
-    return BratteliNetwork(quiver=q, n=n, r=r, C=C, dim=values.pop())
+    v0 = q.vertices[0]
+    return BratteliNetwork(quiver=q, n=n, r=r, C=C, dim=sum(a * b for a, b in zip(n[v0], r[v0])))
 
 
 def _is_identity(c: tuple[tuple[int, ...], ...]) -> bool:

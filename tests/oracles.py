@@ -3,14 +3,14 @@
 Each one recomputes a quantity the package derives another way: the
 holonomy of a word as a plain product, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
-the dense Toeplitz moment matrix, and the Bessel derivative by its
-recurrence.
+the dense Toeplitz moment matrix, the one-pass positivity scan at full
+order, and the Bessel derivative by its recurrence.
 """
 
 import numpy as np
 
 from quivergauge.action import PlaquetteTable, action_plan, plan_sum
-from quivergauge.bootstrap import _toeplitz, moment
+from quivergauge.bootstrap import _first_failure, _toeplitz, leading_minors, moment
 from quivergauge.bratteli import BratteliNetwork
 from quivergauge.gww import bessel_i
 from quivergauge.monte_carlo import DiracSample
@@ -75,6 +75,19 @@ def moment_matrix(order: int, x: float, y: float) -> np.ndarray:
     if x == 0:
         raise ValueError("moments are singular at x = 0")
     return _toeplitz(np.array([moment(k).evaluate(x, y) for k in range(order)]), order)
+
+
+def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First failing order of every cell (0 = none, and 0 on x = 0 columns),
+    and whether that failing minor is non-finite, from one pass: every moment
+    on the whole grid, then every leading minor up to ``order``."""
+    X, Y = np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
+    minors = leading_minors(mvals, order)
+    first = np.where(X == 0, 0, _first_failure(minors, tol))
+    at_first = np.take_along_axis(minors, np.maximum(first - 1, 0)[..., None], axis=-1)[..., 0]
+    return first, (first > 0) & ~np.isfinite(at_first)
 
 
 def bessel_i_derivative(q: int, z):

@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quivergauge as qg
 from quivergauge.bratteli import NetworkError, gauge_tree
@@ -100,6 +102,31 @@ class TestValidateNetwork:
                         else:
                             with pytest.raises(NetworkError):
                                 qg.validate_network(two_site_quiver, data)
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(NetworkError, match="quiver has no vertices"):
+            qg.validate_network(qg.Quiver([], []), {"l": {}, "n": {}, "r": {}, "C": {}})
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_transition_equations_fix_the_dimension(self, data, l_src, l_tgt):
+        # <n_tgt, r_tgt> = <C^T n_src, r_tgt> = <n_src, C r_tgt> = <n_src, r_src>
+        entries = st.integers(0, 3)
+        c = data.draw(st.lists(st.lists(entries, min_size=l_tgt, max_size=l_tgt),
+                               min_size=l_src, max_size=l_src))
+        n_src = data.draw(st.lists(st.integers(1, 5), min_size=l_src, max_size=l_src))
+        r_tgt = data.draw(st.lists(st.integers(1, 5), min_size=l_tgt, max_size=l_tgt))
+        n_tgt = [sum(c[i][j] * n_src[i] for i in range(l_src)) for j in range(l_tgt)]
+        r_src = [sum(c[i][j] * r_tgt[j] for j in range(l_tgt)) for i in range(l_src)]
+        assume(all(n_tgt) and all(r_src))  # no zero row or column in C
+        net = qg.validate_network(qg.Quiver(["a", "b"], [("e", "a", "b")]), {
+            "l": {"a": l_src, "b": l_tgt},
+            "n": {"a": n_src, "b": n_tgt},
+            "r": {"a": r_src, "b": r_tgt},
+            "C": {"e": c},
+        })
+        assert net.dim == sum(a * b for a, b in zip(n_src, r_src))
+        assert net.dim == sum(a * b for a, b in zip(n_tgt, r_tgt))
 
     def test_edge_order_irrelevant(self):
         edges = [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")]

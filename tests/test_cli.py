@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from conftest import REPO
 
 TRIANGLE = str(REPO / "jobs" / "triangle.json")
 TWO_SITE = str(REPO / "jobs" / "two_site.json")
+SOURCE_ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
 
 class TestValidate:
@@ -30,6 +34,20 @@ class TestValidate:
         p.write_text("{")
         assert run(["validate", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_quiver_without_vertices_is_domain_error(self, tmp_path):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({
+            "quiver": {"vertices": [], "edges": []},
+            "network": {"l": {}, "n": {}, "r": {}, "C": {}},
+            "action": {"f": [0, 0, 0, "1/15"]},
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivergauge", "validate", str(p)],
+            capture_output=True, text=True, env=SOURCE_ENV,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: quiver has no vertices\n"
 
 
 class TestExpand:
@@ -147,6 +165,13 @@ class TestBootstrap:
             a = tmp_path / "job.csv"
             assert run(["bootstrap", job, *grid, "--out", str(a)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    def test_summary_counts_overflow_cells(self, tmp_path, capsys):
+        # at x = 1e-200 the moments overflow by order 3 wherever y != 0
+        grid = ["--xmin", "1e-200", "--xmax", "1e-200", "--xres", "1",
+                "--ymin", "-0.5", "--ymax", "0.5", "--yres", "4", "--max-order", "3"]
+        assert run(["bootstrap", *grid, "--out", str(tmp_path / "scan.csv")]) == 0
+        assert capsys.readouterr().out.endswith("3:0; overflow cells: 4\n")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -352,6 +377,17 @@ class TestMc:
 
 
 class TestUsage:
+    def test_module_runs_from_a_source_checkout(self, tmp_path, capsys):
+        argv = ["bootstrap", "--max-order", "3", "--xres", "3", "--yres", "3"]
+        assert run([*argv, "--out", str(tmp_path / "run.csv")]) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivergauge", *argv, "--out", str(tmp_path / "module.csv")],
+            capture_output=True, text=True, env=SOURCE_ENV,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
     def test_unknown_subcommand_exits_2(self):
         assert run(["frobnicate"]) == 2
 
