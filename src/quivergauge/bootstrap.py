@@ -143,6 +143,9 @@ def leading_minors(mvals: np.ndarray, max_order: int) -> np.ndarray:
     or exactly singular leading block fall back to a dense pivoted
     determinant per leading block; that is judged over the ``max_order``
     orders given, in :func:`scan_region` over the deciding stage's orders.
+    Minor k is not finite when one of m_0 .. m_{k-1} is not: the recursion
+    carries a non-finite value on by itself, and the fallback, whose
+    determinant need not show it, sets such minors to NaN.
     """
     r = np.asarray(mvals, dtype=float)[..., :max_order]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -154,10 +157,13 @@ def leading_minors(mvals: np.ndarray, max_order: int) -> np.ndarray:
             piv[..., 1:] > _PIVOT_DROP * piv[..., :-1]
         ).all(axis=-1)
         if not steady.all():
-            mats = _toeplitz(r[~steady], max_order)
-            minors[~steady] = np.stack(
+            rows = r[~steady]
+            mats = _toeplitz(rows, max_order)
+            dense = np.stack(
                 [np.linalg.det(mats[:, :k, :k]) for k in range(1, max_order + 1)], axis=-1
             )
+            dense[np.logical_or.accumulate(~np.isfinite(rows), axis=-1)] = np.nan
+            minors[~steady] = dense
     return minors
 
 

@@ -21,6 +21,9 @@ from typing import Mapping, Sequence
 
 from .quiver import Quiver
 
+# (block size, multiplicity) pairs of a block group, in summand order
+Layout = tuple[tuple[int, int], ...]
+
 
 class NetworkError(ValueError):
     """Inconsistent block-structure data."""
@@ -36,11 +39,15 @@ class BratteliNetwork:
     C: dict[str, tuple[tuple[int, ...], ...]]
     dim: int  # the shared Hilbert-space dimension N = <n_v, r_v>
 
-    def blocks(self, eid: str) -> tuple[tuple[int, int], ...]:
-        """The (block size, multiplicity) pairs of edge ``eid``'s unitary, in
-        target-summand order: U(n_{t(e),j}) repeated r_{t(e),j} times."""
-        tgt = self.quiver.target[eid]
-        return tuple(zip(self.n[tgt], self.r[tgt]))
+    def layout(self, v: str) -> Layout:
+        """The (block size, multiplicity) pairs of vertex ``v``'s block group,
+        in summand order: U(n_{v,j}) repeated r_{v,j} times."""
+        return tuple(zip(self.n[v], self.r[v]))
+
+    def blocks(self, eid: str) -> Layout:
+        """The (block size, multiplicity) pairs of edge ``eid``'s unitary: the
+        layout of its target's block group."""
+        return self.layout(self.quiver.target[eid])
 
 
 def _as_int_tuple(name: str, seq: Sequence) -> tuple[int, ...]:
@@ -121,33 +128,64 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
     return BratteliNetwork(quiver=q, n=n, r=r, C=C, dim=sum(a * b for a, b in zip(n[v0], r[v0])))
 
 
-def _is_identity(c: tuple[tuple[int, ...], ...]) -> bool:
-    return all(row == tuple(int(i == j) for j in range(len(c))) for i, row in enumerate(c))
+def _contained(inner: Layout | None, outer: Layout) -> bool:
+    """Whether the block group of layout ``inner`` (None: the trivial group)
+    lies in that of ``outer``; both are :meth:`BratteliNetwork.layout` pairs
+    of one dimension.
+
+    It does when every outer block boundary is an inner one and, within each
+    outer summand, every copy holds the same sequence of inner summands: U(2)
+    twice lies in U(4), U(2) four times in U(4) twice, but two independent
+    U(2) blocks, each twice, do not lie in U(4) twice.
+    """
+    if inner is None:
+        return True
+    cells = iter([(j, n) for j, (n, r) in enumerate(inner) for _ in range(r)])
+    for n, r in outer:
+        copies = set()
+        for _ in range(r):
+            seq, size = [], 0
+            while size < n:
+                j, m = next(cells)
+                seq.append(j)
+                size += m
+            if size != n:
+                return False
+            copies.add(tuple(seq))
+        if len(copies) > 1:
+            return False
+    return True
 
 
 def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
     """Edges of the maximal tree whose unitaries a vertex gauge transform sets
     to 1, in declaration order.
 
-    The tree grows from the first vertex over non-self-loop edges whose C_e
-    is the identity (validation then gives both ends one (n, r) layout):
-    passes over the edges in declaration order take each edge that reaches a
-    new vertex, until a pass takes none.  Transforming each reached vertex by
-    its tree-path product keeps every other edge in its Haar block ensemble
-    unless an edge leaves the reached region, so then the tree is empty.
+    Each edge f: s -> t carries U_f in the block group G_t of its target,
+    and the transform U_f -> P_s U_f P_t^-1 keeps it Haar on G_t when P_s
+    and P_t lie in G_t.  The tree grows from the first vertex, whose P is
+    1: passes over the edges in declaration order take each non-self-loop
+    edge e with a reached end u and a new end w when P_u's group lies in
+    G_t(e) and G_t(e) lies in G_w, until a pass takes none; w's P then lies
+    in G_t(e).  If afterwards some other edge f has P_s outside G_t, the
+    tree is empty.  The tree depends on the order of the vertices.
     """
     q = b.quiver
-    eligible = [eid for eid, src, dst in q.edges if src != dst and _is_identity(b.C[eid])]
-    region, tree = {q.vertices[0]}, set()
+    # reached vertex -> layout of the group that holds its P; None where P = 1
+    held = {q.vertices[0]: None}
+    tree = set()
     grown = True
     while grown:
         grown = False
-        for eid in eligible:
-            ends = {q.source[eid], q.target[eid]}
-            if len(ends & region) == 1:
-                region |= ends
+        for eid, src, dst in q.edges:
+            if src == dst or (src in held) == (dst in held):
+                continue
+            u, w = (src, dst) if src in held else (dst, src)
+            if _contained(held[u], b.blocks(eid)) and _contained(b.blocks(eid), b.layout(w)):
+                held[w] = b.blocks(eid)
                 tree.add(eid)
                 grown = True
-    if any(src in region and dst not in region for _, src, dst in q.edges):
+    # an unreached vertex keeps P = 1, like the first
+    if not all(_contained(held.get(s), b.blocks(e)) for e, s, _ in q.edges if e not in tree):
         return ()
     return tuple(e for e in q.edge_ids if e in tree)

@@ -95,7 +95,10 @@ def load_job(path: str) -> Job:
         if name == "triangle":
             return triangle_job()
         if name.startswith("triangle@"):
-            return triangle_job(dim=int(name.split("@", 1)[1]))
+            text = name.split("@", 1)[1]
+            if not (text.isdecimal() and int(text) > 0):
+                raise JobError(f"builtin:triangle@N needs N a positive integer, got {text!r}")
+            return triangle_job(dim=int(text))
         raise JobError(f"unknown builtin job {name!r}")
     try:
         with open(path) as fh:

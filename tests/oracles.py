@@ -3,8 +3,10 @@
 Each one recomputes a quantity the package derives another way: the
 holonomy of a word as a plain product, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
-the dense Toeplitz moment matrix, the one-pass positivity scan at full
-order, and the Bessel derivative by its recurrence.
+the maximal-tree gauge transform of a configuration and the distance of a
+unitary from its block group, the dense Toeplitz moment matrix, the
+one-pass positivity scan at full order, and the Bessel derivative by its
+recurrence.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ from quivergauge.action import PlaquetteTable, action_plan, plan_sum
 from quivergauge.bootstrap import _first_failure, _toeplitz, leading_minors, moment
 from quivergauge.bratteli import BratteliNetwork
 from quivergauge.gww import bessel_i
-from quivergauge.monte_carlo import DiracSample
+from quivergauge.monte_carlo import DiracSample, _embed_blocks
+
+from conftest import random_unitary
 
 
 def holonomy(assignment, steps, dim: int) -> np.ndarray:
@@ -66,6 +70,46 @@ def evaluate_action(
         if dev > unitarity_tol:
             raise ValueError(f"edge {eid!r}: matrix is not unitary (deviation {dev:.2e})")
     return plan_sum(action_plan(table), assignment, dim) + float(table.constant_coeff) * dim
+
+
+def tree_gauge(net: BratteliNetwork, tree, rng) -> tuple[dict, dict]:
+    """A configuration drawn in every edge's block ensemble (random blocks
+    embedded by the edge's layout) and its transform U'_e = P_src U_e
+    P_tgt^-1, with P_v the product of the unitaries along the tree path from
+    the first vertex to v (1 off the tree)."""
+    q = net.quiver
+    us = {}
+    for e in q.edge_ids:
+        layout = net.blocks(e)
+        us[e] = _embed_blocks([random_unitary(rng, n) for n, _ in layout], layout)
+    p = {q.vertices[0]: np.eye(net.dim)}
+    while len(p) <= len(tree):
+        for e in tree:
+            src, tgt = q.source[e], q.target[e]
+            if src in p and tgt not in p:
+                p[tgt] = p[src] @ us[e]
+            elif tgt in p and src not in p:
+                p[src] = p[tgt] @ us[e].conj().T
+    one = np.eye(net.dim)
+    fixed = {
+        e: p.get(q.source[e], one) @ u @ p.get(q.target[e], one).conj().T for e, u in us.items()
+    }
+    return us, fixed
+
+
+def block_deviation(layout, u: np.ndarray) -> float:
+    """Distance of ``u`` from the block group of ``layout``: the largest
+    entry outside its diagonal blocks, or difference between a copy of a
+    block and the summand's first copy."""
+    inside = np.zeros(u.shape, dtype=bool)
+    dev, pos = 0.0, 0
+    for n, r in layout:
+        first = u[pos : pos + n, pos : pos + n]
+        for _ in range(r):
+            dev = max(dev, float(np.abs(u[pos : pos + n, pos : pos + n] - first).max()))
+            inside[pos : pos + n, pos : pos + n] = True
+            pos += n
+    return max(dev, float(np.abs(u[~inside]).max(initial=0.0)))
 
 
 def moment_matrix(order: int, x: float, y: float) -> np.ndarray:

@@ -19,8 +19,17 @@ from quivergauge.action import (
 from quivergauge.bratteli import gauge_tree
 from quivergauge.quiver import CyclicWord, gauge_fixed_steps
 
-from conftest import REPO, random_unitary, torus_quiver, triangle_network
-from oracles import assemble_dirac, evaluate_action, holonomy
+from conftest import (
+    REPO,
+    TWO_SITE_DATA,
+    fork_network,
+    layout_network,
+    random_unitary,
+    torus_quiver,
+    triangle_network,
+    two_vertex_data,
+)
+from oracles import assemble_dirac, block_deviation, evaluate_action, holonomy, tree_gauge
 
 
 def cyc(q, text):
@@ -360,31 +369,18 @@ class TestReversePairing:
             assert plan_sum(action_plan(table), us, 4) == pytest.approx(expected, abs=1e-12)
 
 
-def tree_gauge(q, tree, us, n):
-    """U'_e = P_src U_e P_tgt^-1, with P_v the product of the unitaries along
-    the tree path from the first vertex to v (1 off the tree's region)."""
-    p = {q.vertices[0]: np.eye(n)}
-    while len(p) <= len(tree):
-        for e in tree:
-            src, tgt = q.source[e], q.target[e]
-            if src in p and tgt not in p:
-                p[tgt] = p[src] @ us[e]
-            elif tgt in p and src not in p:
-                p[src] = p[tgt] @ us[e].conj().T
-    one = np.eye(n)
-    return {
-        e: p.get(q.source[e], one) @ u @ p.get(q.target[e], one).conj().T for e, u in us.items()
-    }
-
-
-def assert_gauge_invariant(q, table, words, n, rng):
-    """Tree edges become 1; every class, every word and the action trace the
-    same on the full configuration and, rewritten, on the gauge-fixed one."""
-    tree = gauge_tree(triangle_network(q, n))
-    us = {e: random_unitary(rng, n) for e in q.edge_ids}
-    fixed_us = tree_gauge(q, tree, us, n)
-    for e in tree:
-        assert np.abs(fixed_us[e] - np.eye(n)).max() <= 1e-12
+def assert_gauge_invariant(net, table, words, rng):
+    """Tree edges become 1 and every other edge stays in its block ensemble;
+    every class, every word and the action trace the same on the full
+    configuration and, rewritten, on the gauge-fixed one."""
+    n = net.dim
+    tree = gauge_tree(net)
+    us, fixed_us = tree_gauge(net, tree, rng)
+    for e in net.quiver.edge_ids:
+        if e in tree:
+            assert np.abs(fixed_us[e] - np.eye(n)).max() <= 1e-12
+        else:
+            assert block_deviation(net.blocks(e), fixed_us[e]) <= 1e-12
     for steps in [w.steps for w in table.entries] + list(words):
         rewritten = gauge_fixed_steps(steps, tree)
         assert not {e for e, _ in rewritten} & set(tree)
@@ -398,6 +394,33 @@ def assert_gauge_invariant(q, table, words, n, rng):
     assert abs(action - fixed_action) <= bound
 
 
+def some_closed_words(q, length, stride):
+    """Every ``stride``-th closed walk of each length up to ``length``, at
+    each vertex: backward steps and unreduced walks included."""
+    return [
+        w.steps for v in q.vertices for k in range(1, length + 1)
+        for w in qg.enumerate_closed_walks(q, v, k)[::stride]
+    ]
+
+
+@st.composite
+def two_vertex_networks(draw):
+    """A network from ``two_vertex_data`` with small blocks, a self-loop at
+    each vertex, the reverse edge b -> a (C^T) when C is a permutation, and
+    either vertex declared first."""
+    permutation = draw(st.booleans())
+    data = draw(two_vertex_data(max_entry=2, max_size=2, permutation=permutation))
+    c, ls = data["C"]["e"], data["l"]
+    for v in "ab":
+        data["C"]["s" + v] = [[int(i == j) for j in range(ls[v])] for i in range(ls[v])]
+    edges = [("e", "a", "b"), ("sa", "a", "a"), ("sb", "b", "b")]
+    if permutation:
+        data["C"]["f"] = [list(col) for col in zip(*c)]
+        edges.append(("f", "b", "a"))
+    q = qg.Quiver(draw(st.permutations(["a", "b"])), edges)
+    return qg.validate_network(q, data)
+
+
 class TestGaugeFixing:
     """Maximal-tree gauge: closed-word traces are unchanged configuration by
     configuration, so the rewritten words in the off-tree edges replace them."""
@@ -409,7 +432,7 @@ class TestGaugeFixing:
             qg.EdgeWord.from_string("e1+ e2+ e3+ e1+ e1- e3- e2- e1-").steps, ()
         ]
         for n in (1, 3, 4):
-            assert_gauge_invariant(triangle_quiver, table, words, n, rng)
+            assert_gauge_invariant(triangle_network(triangle_quiver, n), table, words, rng)
 
     def test_triangle_table(self, triangle_quiver):
         # e1 e2 e3 and its reverse become e3+ and e3-, one plan word at 2g
@@ -444,7 +467,7 @@ class TestGaugeFixing:
         q = torus_quiver(3)
         table = expand_action(q, ActionSpec.from_list([0] * 6 + [1]))
         words = [w.steps for w in qg.enumerate_closed_walks(q, "v11", 4)[::7]]
-        assert_gauge_invariant(q, table, words, 2, rng)
+        assert_gauge_invariant(triangle_network(q, 2), table, words, rng)
 
     @given(quivers_and_words(), st.integers(1, 3))
     @example((SELF_LOOP, [(("s", 1),), (("s", -1), ("s", 1), ("s", -1))]), 2)
@@ -452,4 +475,61 @@ class TestGaugeFixing:
     def test_random_single_layout_quivers(self, case, n):
         q, words = case
         table = expand_action(q, ActionSpec.from_list([0, 1, "1/2", "1/3", "-1/5"]))
-        assert_gauge_invariant(q, table, words, n, np.random.default_rng(len(words)))
+        net = triangle_network(q, n)
+        assert_gauge_invariant(net, table, words, np.random.default_rng(len(words)))
+
+    def test_two_site(self, two_site_quiver, two_site_network, rng):
+        # e is fixed; ow becomes U_e U_ow U_e^-1, still U(8) twice, and ov stays
+        assert gauge_tree(two_site_network) == ("e",)
+        table = expand_action(two_site_quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
+        words = some_closed_words(two_site_quiver, 4, 5) + [
+            qg.EdgeWord.from_string("ov+ ov+ e+ ow+ ow+ e-").steps
+        ]
+        assert_gauge_invariant(two_site_network, table, words, rng)
+
+    @pytest.mark.parametrize(
+        "vertices, edges, layouts, c, tree",
+        [
+            (["a", "b"], [("ab", "a", "b"), ("ba", "b", "a")],
+             {"a": (2, 2), "b": (2, 2)}, {}, ("ab",)),
+            (["a", "b", "c"], [("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c")],
+             {"a": (2, 2), "b": (2, 2), "c": (4, 1)}, {"bc": 2}, ("ab", "bc")),
+            (["a", "b", "c"], [("ab", "a", "b"), ("ba", "b", "a"), ("ca", "c", "a")],
+             {"a": (4, 1), "b": (4, 1), "c": (2, 2)}, {"ca": 2}, ("ab",)),
+        ],
+        ids=["pair", "into_u4", "from_u2_twice"],
+    )
+    def test_layout_networks(self, vertices, edges, layouts, c, tree, rng):
+        net = layout_network(vertices, edges, layouts, c)
+        assert gauge_tree(net) == tree
+        table = expand_action(net.quiver, ActionSpec.from_list([0, 1, "1/2", "1/3", "-1/5"]))
+        assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 3), rng)
+
+    def test_two_site_declared_w_first(self, two_site_quiver, rng):
+        # from w, fixing e would give P_v = U_e^-1, and ov would leave v's group
+        q = qg.Quiver(["w", "v"], [(e, two_site_quiver.source[e], two_site_quiver.target[e])
+                                   for e in two_site_quiver.edge_ids])
+        net = qg.validate_network(q, TWO_SITE_DATA)
+        assert gauge_tree(net) == ()
+        table = expand_action(q, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
+        assert_gauge_invariant(net, table, some_closed_words(q, 4, 5), rng)
+        _, fixed = tree_gauge(net, ("e",), rng)
+        assert block_deviation(net.blocks("ov"), fixed["ov"]) > 0.1
+
+    def test_final_check_empties_the_tree(self, rng):
+        # the passes take x -> y and x -> w, which would leave y -> w outside
+        # w's group
+        assert gauge_tree(fork_network(("xy", "xw"))) == ("xy", "xw")
+        net = fork_network()
+        assert gauge_tree(net) == ()
+        table = expand_action(net.quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
+        assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 5), rng)
+        _, fixed = tree_gauge(net, ("xy", "xw"), rng)
+        assert block_deviation(net.blocks("yw"), fixed["yw"]) > 0.1
+
+    @given(two_vertex_networks())
+    @settings(max_examples=40, deadline=None)
+    def test_random_two_vertex_networks(self, net):
+        table = expand_action(net.quiver, ActionSpec.from_list([0, 1, "1/2", "1/3", "-1/5"]))
+        words = some_closed_words(net.quiver, 3, 2)
+        assert_gauge_invariant(net, table, words, np.random.default_rng(net.dim))

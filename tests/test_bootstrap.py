@@ -274,8 +274,20 @@ class TestStagedScan:
         assert (fmap.first_failing[[0, 2]] == 3).all()
         assert fmap.overflow.tolist() == [[True] * 4, [False] * 4, [True] * 4, [False] * 4]
 
-    @pytest.mark.xfail(strict=True, reason="the dense fallback gives det 0 for a NaN entry")
     def test_nan_moments_fail_the_cell(self):
         # at y = 0, m_3 = 1/x + y/x**2 is 0 * inf = NaN, so minor 4 is not a number
         fmap = scan_region(np.array([1e-200]), np.array([0.0]), 5)
         assert (fmap.first_failing[0, 0], fmap.overflow[0, 0]) == (4, True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_minors_after_a_non_finite_moment_are_not_finite(self, bad):
+        # a stack with rows on the Levinson path and on the dense fallback
+        # (the second row has an exactly singular order-2 block)
+        base = np.array([[1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        for j in range(6):
+            mvals = base.copy()
+            mvals[:, j] = bad
+            minors = leading_minors(mvals, 6)
+            assert not np.isfinite(minors[:, j:]).any()
+            # a NaN error sends the first row to the fallback too: rounding differs
+            np.testing.assert_allclose(minors[:, :j], leading_minors(base, 6)[:, :j], rtol=1e-12)

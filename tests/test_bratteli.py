@@ -1,13 +1,19 @@
 import copy
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import quivergauge as qg
-from quivergauge.bratteli import NetworkError, gauge_tree
+from quivergauge.bratteli import NetworkError, _contained, gauge_tree
 
-from conftest import TWO_SITE_DATA, torus_quiver, triangle_network
+from conftest import (
+    TWO_SITE_DATA,
+    fork_network,
+    layout_network,
+    torus_quiver,
+    triangle_network,
+    two_vertex_data,
+)
 
 
 class TestValidateNetwork:
@@ -107,24 +113,12 @@ class TestValidateNetwork:
         with pytest.raises(NetworkError, match="quiver has no vertices"):
             qg.validate_network(qg.Quiver([], []), {"l": {}, "n": {}, "r": {}, "C": {}})
 
-    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    @given(two_vertex_data())
     @settings(max_examples=60, deadline=None)
-    def test_transition_equations_fix_the_dimension(self, data, l_src, l_tgt):
+    def test_transition_equations_fix_the_dimension(self, data):
         # <n_tgt, r_tgt> = <C^T n_src, r_tgt> = <n_src, C r_tgt> = <n_src, r_src>
-        entries = st.integers(0, 3)
-        c = data.draw(st.lists(st.lists(entries, min_size=l_tgt, max_size=l_tgt),
-                               min_size=l_src, max_size=l_src))
-        n_src = data.draw(st.lists(st.integers(1, 5), min_size=l_src, max_size=l_src))
-        r_tgt = data.draw(st.lists(st.integers(1, 5), min_size=l_tgt, max_size=l_tgt))
-        n_tgt = [sum(c[i][j] * n_src[i] for i in range(l_src)) for j in range(l_tgt)]
-        r_src = [sum(c[i][j] * r_tgt[j] for j in range(l_tgt)) for i in range(l_src)]
-        assume(all(n_tgt) and all(r_src))  # no zero row or column in C
-        net = qg.validate_network(qg.Quiver(["a", "b"], [("e", "a", "b")]), {
-            "l": {"a": l_src, "b": l_tgt},
-            "n": {"a": n_src, "b": n_tgt},
-            "r": {"a": r_src, "b": r_tgt},
-            "C": {"e": c},
-        })
+        net = qg.validate_network(qg.Quiver(["a", "b"], [("e", "a", "b")]), data)
+        n_src, r_src, n_tgt, r_tgt = data["n"]["a"], data["r"]["a"], data["n"]["b"], data["r"]["b"]
         assert net.dim == sum(a * b for a, b in zip(n_src, r_src))
         assert net.dim == sum(a * b for a, b in zip(n_tgt, r_tgt))
 
@@ -152,25 +146,31 @@ class TestEnsemble:
             assert sum(n * r for n, r in two_site_network.blocks(e)) == two_site_network.dim
 
 
-def layout_network(vertices, edges, layouts, c):
-    """Network with one block per vertex: layouts[v] = (n, r), C_e = [[c[e]]]."""
-    q = qg.Quiver(vertices, edges)
-    return qg.validate_network(q, {
-        "l": {v: 1 for v in vertices},
-        "n": {v: [layouts[v][0]] for v in vertices},
-        "r": {v: [layouts[v][1]] for v in vertices},
-        "C": {e: [[c.get(e, 1)]] for e, _, _ in edges},
-    })
-
-
 class TestGaugeTree:
+    @pytest.mark.parametrize("inner, outer, contained", [
+        (None, ((3, 4), (2, 2)), True),  # P = 1
+        (((3, 4), (2, 2)), ((3, 4), (2, 2)), True),
+        (((2, 2),), ((4, 1),), True),  # U(2) twice in U(4)
+        (((1, 4),), ((2, 2),), True),  # U(1) four times in U(2) twice
+        (((2, 4),), ((4, 2),), True),
+        (((2, 2), (2, 2)), ((4, 2),), False),  # the two copies would differ
+        (((2, 1), (2, 1)), ((2, 2),), False),
+        (((1, 2), (2, 1)), ((2, 2),), False),
+        (((3, 4), (2, 2)), ((8, 2),), False),  # 8 is no boundary of v's blocks
+        (((8, 2),), ((3, 4), (2, 2)), False),
+        (((2, 1), (3, 1)), ((3, 1), (2, 1)), False),  # reordered summands
+    ])
+    def test_block_group_containment(self, inner, outer, contained):
+        assert _contained(inner, outer) is contained
+
     def test_triangle(self, triangle_quiver):
         # passes in declaration order: e1 reaches v2, e2 then reaches v3
         assert gauge_tree(triangle_network(triangle_quiver, 4)) == ("e1", "e2")
 
-    def test_two_site_fixes_nothing(self, two_site_network):
-        # the one non-self-loop edge has C = [[2], [1]], not the identity
-        assert gauge_tree(two_site_network) == ()
+    def test_two_site_fixes_e(self, two_site_network):
+        # P_v = 1 and P_w = U_e lie in w's U(8)-twice group, which holds
+        # every edge into w
+        assert gauge_tree(two_site_network) == ("e",)
 
     def test_torus_spanning_tree(self):
         q = torus_quiver(3)
@@ -184,13 +184,17 @@ class TestGaugeTree:
         assert gauge_tree(triangle_network(q, 3)) == ("p",)
 
     def test_edge_leaving_the_region_empties_the_tree(self):
-        # a and b carry U(2) twice, c one U(4): the edge b -> c leaves the
-        # region, and a vertex transform would move it out of its ensemble
+        # a and b carry U(2) twice, c one U(4): U(2) twice lies in U(4), so
+        # b -> c joins the tree and P_c = U_ab U_bc stays in c's group
         layouts = {"a": (2, 2), "b": (2, 2), "c": (4, 1)}
         edges = [("ab", "a", "b"), ("ba", "b", "a")]
         assert gauge_tree(layout_network(["a", "b"], edges, layouts, {})) == ("ab",)
         net = layout_network(["a", "b", "c"], edges + [("bc", "b", "c")], layouts, {"bc": 2})
-        assert gauge_tree(net) == ()
+        assert gauge_tree(net) == ("ab", "bc")
+        # x and y carry the two-site v layout, w U(8) twice: x -> y joins the
+        # tree, but P_y lies in y's group, not in w's, so y -> w cannot join
+        # the tree nor stay in its ensemble
+        assert gauge_tree(fork_network(("xy", "yw"))) == ()
 
     def test_edge_entering_the_region_keeps_the_tree(self):
         # c -> a ends in the region, in the region's own U(4) ensemble

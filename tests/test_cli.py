@@ -21,13 +21,20 @@ class TestValidate:
         assert "N=16" in out
         assert "U(3) (mult 4) x U(2) (mult 2)" in out
         assert "U(8) (mult 2)" in out
-        assert "gauge-fixed edges: none\n" in out
+        assert "gauge-fixed edges: e (1 of 3)\n" in out
 
     def test_builtin(self, capsys):
         assert run(["validate", "builtin:triangle"]) == 0
         out = capsys.readouterr().out
         assert "N=4" in out
         assert "gauge-fixed edges: e1 e2 (2 of 3)\n" in out
+
+    @pytest.mark.parametrize("n", ["x", "", "0"], ids=["letter", "empty", "zero"])
+    def test_bad_builtin_dimension_is_domain_error(self, capsys, n):
+        assert run(["validate", f"builtin:triangle@{n}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: builtin:triangle@N needs N a positive integer, got {n!r}\n"
 
     def test_malformed_job_is_domain_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -181,12 +181,18 @@ class TestKeyedSampler:
     def test_stream_layout(self, two_site_network):
         # draw i of an n x n block is Philox keyed by (seed, edge, block) from
         # counter (i*B, 0, 0, 0), B = ceil(n^2 / 2): its first 2n^2 uniforms,
-        # in pairs (u0, u1), are the polar Box-Muller Ginibre entries
+        # in pairs (u0, u1), are the polar Box-Muller Ginibre entries; the
+        # tree edge e is 1
         net, seed = two_site_network, 11
         sampler = KeyedSampler(net, seed)
+        assert sampler.tree == ("e",)
+        assert set(sampler._streams) == {("ov", 0), ("ov", 1), ("ow", 0)}
         for ei, e in enumerate(net.quiver.edge_ids):
             tgt = net.quiver.target[e]
             for i in (0, 5, 17):
+                if e in sampler.tree:
+                    assert np.array_equal(sampler.sample(i).unitaries[e], np.eye(16))
+                    continue
                 blocks = []
                 for bi, n in enumerate(net.n[tgt]):
                     span = -(-n * n // 2)
@@ -249,9 +255,9 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
     # and each draw on its own, through the 2-D action sum and loop_trace of
-    # the gauge-fixed table and words (the identity rewrite on the two-site job)
+    # the gauge-fixed table and words
     sampler = KeyedSampler(job.network, 3)
-    assert sampler.tree == (("e1", "e2") if job_path.startswith("builtin") else ())
+    assert sampler.tree == (("e1", "e2") if job_path.startswith("builtin") else ("e",))
     fixed = gauge_fixed_table(table, sampler.tree)
     logs, traces = runs[0]
     for i in range(samples):
@@ -396,7 +402,8 @@ class TestChains:
             chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
         accepted = sum(int(chains.propose(*b).sum()) for _ in range(10) for b in chains.sites)
         assert 0 < accepted < 10 * len(chains.sites) * monte_carlo._CHAINS
-        assert (chains.s == plan_sum(action_plan(table), chains.assignment, job.network.dim)).all()
+        assert chains.plan == action_plan(gauge_fixed_table(table, ("e",)))
+        assert (chains.s == plan_sum(chains.plan, chains.assignment, job.network.dim)).all()
 
 
 class TestCheckLoopEquation:
@@ -441,6 +448,16 @@ class TestCheckLoopEquation:
         word = EdgeWord.from_string("h00+ u10+ h01- u00-")
         eq = qg.generate_loop_equation(q, table, word, "h00", mode="finite")
         res = check_loop_equation(net, table, eq, samples=20000, seed=7)
+        assert abs(res.residual) <= 5 * res.stderr
+
+    def test_two_site_at_root_e(self):
+        # the tree fixes e, so every word is traced in ov and ow alone; at
+        # f4 = 1/2000 the weights keep about 3,400 effective samples of 5,000
+        job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+        table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 0, "1/2000"]))
+        eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], "e", mode="finite")
+        res = check_loop_equation(job.network, table, eq, samples=5000, seed=7)
+        assert res.effective_samples > 1000
         assert abs(res.residual) <= 5 * res.stderr
 
     def test_structurally_empty_equation(self, two_site_quiver, two_site_network):
