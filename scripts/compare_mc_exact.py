@@ -19,16 +19,16 @@ def main() -> int:
     couplings = [Fraction(-2, 5), Fraction(-1, 5), Fraction(-1, 10),
                  Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)]
     print(f"N={dim}, {samples} reweighted samples per coupling")
-    print(f"{'x':>6} {'mc':>10} {'stderr':>9} {'exact':>10} {'pull':>6} {'ess':>8}")
+    print(f"{'x':>6} {'mc':>10} {'stderr_re':>9} {'exact':>10} {'pull':>6} {'ess':>8}")
     for coupling in couplings:
         x = float(coupling)
         job = qg.triangle_job(dim=dim, f3=coupling / 3)
         table = qg.expand_action(job.quiver, job.action)
         est = estimate_wilson(job.network, table, job.loops[0], samples=samples, seed=17)
         exact = float(qg.first_moment_curve(dim, np.array([x])).y[0])
-        pull = (est.mean.real - exact) / est.stderr
+        pull = (est.mean.real - exact) / est.stderr_re
         print(
-            f"{x:6.2f} {est.mean.real:10.5f} {est.stderr:9.5f} "
+            f"{x:6.2f} {est.mean.real:10.5f} {est.stderr_re:9.5f} "
             f"{exact:10.5f} {pull:6.2f} {est.effective_samples:8.0f}"
         )
     return 0

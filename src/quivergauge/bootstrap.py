@@ -53,13 +53,14 @@ def derive_moments(job: Job) -> Iterator[YXPoly]:
             raise ValueError(f"{where} has highest moment m_{highest} where m_{n + 1} is expected")
         if n + 1 in paired:
             raise ValueError(f"{where} has m_{n + 1} on its double-trace side")
+        # m_{n+1} comes only from beta spliced at its one root step, so coeff
+        # is +1 or -1, its own inverse: a matching splice keeps its plaquette
+        # whole, so the checks above leave only beta and its reverse at the root
         coeff = sum(mult for mult, _, k in meq.rhs if abs(k) == n + 1)
         # with m_{n+1} = 0, lhs - rhs is the rest that coeff * x * m_{n+1} must equal
         m.append(YXPoly.zero())
         rest = meq.residual_polynomial(lambda k: m[abs(k)], lambda p: YXPoly.x()) * YXPoly.inv_x()
-        if coeff == 0 or any(c % coeff for _, _, c in rest.terms):
-            raise ValueError(f"{where} has coefficient {coeff} on m_{n + 1}, not dividing the rest")
-        m[-1] = YXPoly(tuple((a, b, c // coeff) for a, b, c in rest.terms))
+        m[-1] = rest * coeff
         yield m[-1]
 
 

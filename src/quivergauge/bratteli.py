@@ -31,12 +31,11 @@ class NetworkError(ValueError):
 
 @dataclass(frozen=True)
 class BratteliNetwork:
-    """Validated per-vertex (n, r) tuples and per-edge transition matrices."""
+    """Validated per-vertex (n, r) tuples; each edge's C_e passed both transition equations."""
 
     quiver: Quiver
     n: dict[str, tuple[int, ...]]
     r: dict[str, tuple[int, ...]]
-    C: dict[str, tuple[tuple[int, ...], ...]]
     dim: int  # the shared Hilbert-space dimension N = <n_v, r_v>
 
     def layout(self, v: str) -> Layout:
@@ -95,7 +94,6 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
         if any(x <= 0 for x in n[v]) or any(x <= 0 for x in r[v]):
             raise NetworkError(f"vertex {v!r}: entries of n and r must be positive")
 
-    C: dict[str, tuple[tuple[int, ...], ...]] = {}
     for eid in q.edge_ids:
         if eid not in c_raw:
             raise NetworkError(f"network section 'C' missing edge {eid!r}")
@@ -107,17 +105,15 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
             )
         if any(x < 0 for row in rows for x in row):
             raise NetworkError(f"C[{eid!r}] entries must be nonnegative")
-        C[eid] = tuple(rows)
-
         # r_src = C_e r_tgt
-        lhs = tuple(sum(C[eid][i][j] * r[tgt][j] for j in range(l[tgt])) for i in range(l[src]))
+        lhs = tuple(sum(rows[i][j] * r[tgt][j] for j in range(l[tgt])) for i in range(l[src]))
         if lhs != r[src]:
             raise NetworkError(
                 f"edge {eid!r} violates r[{src!r}] = C @ r[{tgt!r}]: "
                 f"C @ r gives {lhs}, expected {r[src]}"
             )
         # n_tgt = C_e^T n_src
-        rhs = tuple(sum(C[eid][i][j] * n[src][i] for i in range(l[src])) for j in range(l[tgt]))
+        rhs = tuple(sum(rows[i][j] * n[src][i] for i in range(l[src])) for j in range(l[tgt]))
         if rhs != n[tgt]:
             raise NetworkError(
                 f"edge {eid!r} violates n[{tgt!r}] = C^T @ n[{src!r}]: "
@@ -125,7 +121,7 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
             )
 
     v0 = q.vertices[0]
-    return BratteliNetwork(quiver=q, n=n, r=r, C=C, dim=sum(a * b for a, b in zip(n[v0], r[v0])))
+    return BratteliNetwork(quiver=q, n=n, r=r, dim=sum(a * b for a, b in zip(n[v0], r[v0])))
 
 
 def _contained(inner: Layout | None, outer: Layout) -> bool:
@@ -157,22 +153,11 @@ def _contained(inner: Layout | None, outer: Layout) -> bool:
     return True
 
 
-def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
-    """Edges of the maximal tree whose unitaries a vertex gauge transform sets
-    to 1, in declaration order.
-
-    Each edge f: s -> t carries U_f in the block group G_t of its target,
-    and the transform U_f -> P_s U_f P_t^-1 keeps it Haar on G_t when P_s
-    and P_t lie in G_t.  The tree grows from the first vertex, whose P is
-    1: passes over the edges in declaration order take each non-self-loop
-    edge e with a reached end u and a new end w when P_u's group lies in
-    G_t(e) and G_t(e) lies in G_w, until a pass takes none; w's P then lies
-    in G_t(e).  If afterwards some other edge f has P_s outside G_t, the
-    tree is empty.  The tree depends on the order of the vertices.
-    """
+def _tree_from(b: BratteliNetwork, root: str) -> tuple[str, ...]:
+    """The gauge tree grown from ``root``, whose P is 1 (see :func:`gauge_tree`)."""
     q = b.quiver
     # reached vertex -> layout of the group that holds its P; None where P = 1
-    held = {q.vertices[0]: None}
+    held = {root: None}
     tree = set()
     grown = True
     while grown:
@@ -185,7 +170,31 @@ def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
                 held[w] = b.blocks(eid)
                 tree.add(eid)
                 grown = True
-    # an unreached vertex keeps P = 1, like the first
+    # an unreached vertex keeps P = 1, like the root
     if not all(_contained(held.get(s), b.blocks(e)) for e, s, _ in q.edges if e not in tree):
         return ()
     return tuple(e for e in q.edge_ids if e in tree)
+
+
+def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
+    """Edges of the maximal tree whose unitaries a vertex gauge transform sets
+    to 1, in declaration order.
+
+    Each edge f: s -> t carries U_f in the block group G_t of its target,
+    and the transform U_f -> P_s U_f P_t^-1 keeps it Haar on G_t when P_s
+    and P_t lie in G_t.  A tree grows from a root vertex, whose P is 1:
+    passes over the edges in declaration order take each non-self-loop
+    edge e with a reached end u and a new end w when P_u's group lies in
+    G_t(e) and G_t(e) lies in G_w, until a pass takes none; w's P then lies
+    in G_t(e).  If afterwards some other edge f has P_s outside G_t, that
+    tree is empty.  Each vertex is tried as the root in declaration order:
+    the first tree that reaches every vertex is taken, else the largest,
+    from the earliest root on ties.
+    """
+    trees = []
+    for root in b.quiver.vertices:
+        tree = _tree_from(b, root)
+        if len(tree) == len(b.quiver.vertices) - 1:
+            return tree  # it spans the connected quiver
+        trees.append(tree)
+    return max(trees, key=len)

@@ -225,6 +225,8 @@ def _cmd_mc(args) -> int:
             "mean_re": est.mean.real,
             "mean_im": est.mean.imag,
             "stderr": est.stderr,
+            "stderr_re": est.stderr_re,
+            "stderr_im": est.stderr_im,
             "samples": est.samples,
             "effective_samples": est.effective_samples,
             "acceptance": est.acceptance,

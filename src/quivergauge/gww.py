@@ -72,7 +72,6 @@ def partition_function(N: int, x: float) -> float:
 class GwwCurve:
     """Sampled exact solution: partition function and first moment on an x grid."""
 
-    dim: int
     x: np.ndarray
     z: np.ndarray  # partition-function values
     y: np.ndarray  # first moment, NaN where flagged
@@ -102,7 +101,7 @@ def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:
     bad = ~(zs > 0) | ~np.isfinite(zs) | ~np.isfinite(ys)
     ys[bad] = np.nan
     flags = ["near-singular" if b else "" for b in bad]
-    return GwwCurve(dim=N, x=xs, z=zs, y=ys, flags=flags)
+    return GwwCurve(x=xs, z=zs, y=ys, flags=flags)
 
 
 # the coupling window of the gww subcommand's defaults

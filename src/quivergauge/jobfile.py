@@ -81,7 +81,6 @@ def parse_job_dict(data: dict) -> Job:
     loops = []
     for k, text in enumerate(data.get("loops", [])):
         w = EdgeWord.from_string(text)
-        quiver.word_vertices(w)
         if not quiver.is_closed(w):
             raise JobError(f"loops[{k}] = {text!r} is not closed")
         loops.append(w)

@@ -35,7 +35,6 @@ from .quiver import (
     QuiverError,
     _cyclic_reduce,
     _step_key,
-    cyclic_canonical,
     is_reduced,
 )
 
@@ -191,12 +190,13 @@ def generate_loop_equation(
             (i if (o > 0) == forward else i + 1, o) for i, (e, o) in enumerate(steps) if e == root
         ]
 
-    def canon(steps: tuple) -> CyclicWord:
-        return cyclic_canonical(q, EdgeWord(steps))
-
-    lhs_raw = [(o, _sorted_pair(canon(rot[:c]), canon(rot[c:]))) for c, o in cuts(rot)]
+    # every cut falls at the vertex where rot starts, so the pieces and the
+    # splices are closed words like beta: no term needs a closedness walk
+    lhs_raw = [
+        (o, _sorted_pair(CyclicWord.of(rot[:c]), CyclicWord.of(rot[c:]))) for c, o in cuts(rot)
+    ]
     rhs_raw = [
-        (o, (gamma, canon(rot + gamma.steps[c:] + gamma.steps[:c])))
+        (o, (gamma, CyclicWord.of(rot + gamma.steps[c:] + gamma.steps[:c])))
         for gamma in table.entries
         for c, o in cuts(gamma.steps)
     ]
@@ -204,7 +204,7 @@ def generate_loop_equation(
     return LoopEquation(
         mode=mode,
         root=root,
-        loop=cyclic_canonical(q, beta),
+        loop=CyclicWord.of(beta.steps),
         lhs=tuple(DoubleTraceTerm(coeff=c, words=pair) for c, pair in _merge(lhs_raw)),
         rhs=tuple(
             SingleTraceTerm(multiplicity=m, plaquette=plaq, word=w)
@@ -214,15 +214,13 @@ def generate_loop_equation(
 
 
 def _primitive_root(w: CyclicWord) -> tuple[tuple, int]:
-    """Smallest-period subword and the power it is raised to."""
+    """Smallest-period subword of a non-empty word and the power it is raised
+    to; the full period always matches, so the loop returns."""
     steps = w.steps
     n = len(steps)
     for period in range(1, n + 1):
-        if n % period:
-            continue
-        if steps[period:] + steps[:period] == steps:
+        if n % period == 0 and steps[period:] + steps[:period] == steps:
             return steps[:period], n // period
-    return steps, 1
 
 
 def factorize_large_N(eq: LoopEquation) -> MomentEquation:

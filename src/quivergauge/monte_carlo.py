@@ -67,7 +67,6 @@ class DiracSample:
     """One gauge configuration: a block-diagonal unitary per edge."""
 
     unitaries: dict[str, np.ndarray]
-    dim: int
 
 
 def _embed_blocks(blocks: Sequence[np.ndarray], layout: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -99,14 +98,13 @@ class KeyedSampler:
 
     def __init__(self, net: BratteliNetwork, seed: int):
         self.net = net
-        self.seed = int(seed)
         self.tree = gauge_tree(net)
         self._streams: dict[tuple[str, int], tuple] = {}
         for ei, eid in enumerate(net.quiver.edge_ids):
             if eid in self.tree:
                 continue
             for bi in range(len(net.blocks(eid))):
-                key = np.random.SeedSequence([self.seed, ei, bi]).generate_state(2, np.uint64)
+                key = np.random.SeedSequence([int(seed), ei, bi]).generate_state(2, np.uint64)
                 bitgen = np.random.Philox(key=key)
                 # the fresh state at counter 0; a chunk rewrites only counter[0]
                 self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
@@ -139,20 +137,22 @@ class KeyedSampler:
 
     def sample(self, index: int) -> DiracSample:
         chunk = self.sample_chunk(index, index + 1)
-        return DiracSample(unitaries={e: u[0] for e, u in chunk.items()}, dim=self.net.dim)
+        return DiracSample(unitaries={e: u[0] for e, u in chunk.items()})
 
 
 @dataclass
 class EstimatorResult:
     """Normalised Wilson-loop estimate E[(1/N) Tr hol beta].
 
-    ``stderr`` is the error of the complex ``mean``: where the real and
-    imaginary parts spread alike, it is about sqrt(2) times the error of
-    ``mean.real`` alone.
+    ``stderr`` is the error of the complex ``mean``, with stderr**2 =
+    stderr_re**2 + stderr_im**2; ``stderr_re`` and ``stderr_im`` are the
+    errors of ``mean.real`` and ``mean.imag`` alone.
     """
 
     mean: complex
     stderr: float
+    stderr_re: float
+    stderr_im: float
     samples: int
     effective_samples: float
     method: str
@@ -211,13 +211,17 @@ def _reweighted_traces(
     return logs, traces
 
 
-def _weighted_mean(logs: np.ndarray, values: np.ndarray) -> tuple[complex, float, float, float]:
+def _weighted_mean(
+    logs: np.ndarray, values: np.ndarray
+) -> tuple[complex, tuple[float, float, float], float, float]:
     """Ratio estimate sum(w v)/sum(w) with w = exp(logs - max logs).
 
-    Returns the mean, its delta-method error sqrt(sum w^2 |v - mean|^2)/sum(w),
-    the effective sample size (sum w)^2/sum w^2 and the largest weight's share
-    max(w)/sum(w).  Sums run over real arrays, real and imaginary parts apart,
-    so a constant observable gives its value and a zero error exactly.
+    Returns the mean; its delta-method errors sqrt(sum w^2 |v - mean|^2)/sum(w)
+    of the complex mean, and the same with the real and with the imaginary
+    part of v - mean alone; the effective sample size (sum w)^2/sum w^2; and
+    the largest weight's share max(w)/sum(w).  Sums run over real arrays,
+    real and imaginary parts apart, so a constant observable gives its value
+    and zero errors exactly.
     """
     w = np.exp(logs - logs.max())
     w_sum = w.sum()
@@ -229,9 +233,17 @@ def _weighted_mean(logs: np.ndarray, values: np.ndarray) -> tuple[complex, float
         )
     re = (w * values.real).sum() / w_sum
     im = (w * values.imag).sum() / w_sum
-    dev2 = (values.real - re) ** 2 + (values.imag - im) ** 2
-    stderr = math.sqrt((w * w * dev2).sum()) / w_sum
-    return complex(re, im), float(stderr), ess, float(w.max() / w_sum)
+
+    def error(dev2: np.ndarray) -> float:
+        return float(math.sqrt((w * w * dev2).sum()) / w_sum)
+
+    # squared deviations are built per error, so no two are held at once
+    errors = (
+        error((values.real - re) ** 2 + (values.imag - im) ** 2),
+        error((values.real - re) ** 2),
+        error((values.imag - im) ** 2),
+    )
+    return complex(re, im), errors, ess, float(w.max() / w_sum)
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -257,10 +269,10 @@ def estimate_wilson(
     _check_count("thin", thin, 1)
     if method == "reweight":
         logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
-        mean, stderr, ess, share = _weighted_mean(logs, traces[0])
+        mean, (stderr, stderr_re, stderr_im), ess, share = _weighted_mean(logs, traces[0])
         return EstimatorResult(
-            mean=mean, stderr=stderr, samples=samples, effective_samples=ess,
-            method="reweight", max_weight_share=share,
+            mean=mean, stderr=stderr, stderr_re=stderr_re, stderr_im=stderr_im, samples=samples,
+            effective_samples=ess, method="reweight", max_weight_share=share,
         )
     if method == "metropolis":
         return _estimate_metropolis(net, table, beta.steps, samples, seed, burnin, thin)
@@ -389,14 +401,17 @@ def _estimate_metropolis(
     means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])
     flat = np.concatenate(runs)
     mean = complex(flat.mean())
-    stderr = float(
-        np.sqrt((np.abs(means - mean) ** 2).sum() / (len(means) * (len(means) - 1)))
+    stderr, stderr_re, stderr_im = (
+        float(np.sqrt((d**2).sum() / (len(means) * (len(means) - 1))))
+        for d in (np.abs(means - mean), means.real - mean.real, means.imag - mean.imag)
     )
     # the sample count whose independent draws would give the same stderr
     spread = float((np.abs(flat - mean) ** 2).mean())
     return EstimatorResult(
         mean=mean,
         stderr=stderr,
+        stderr_re=stderr_re,
+        stderr_im=stderr_im,
         samples=samples,
         effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
         method="metropolis",
@@ -430,5 +445,5 @@ def check_loop_equation(
         residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
     for t in eq.rhs:
         residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
-    mean, stderr, ess, share = _weighted_mean(logs, residuals)
+    mean, (stderr, _, _), ess, share = _weighted_mean(logs, residuals)
     return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)

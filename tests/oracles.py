@@ -72,18 +72,18 @@ def evaluate_action(
     return plan_sum(action_plan(table), assignment, dim) + float(table.constant_coeff) * dim
 
 
-def tree_gauge(net: BratteliNetwork, tree, rng) -> tuple[dict, dict]:
+def tree_gauge(net: BratteliNetwork, tree, rng, root=None) -> tuple[dict, dict]:
     """A configuration drawn in every edge's block ensemble (random blocks
     embedded by the edge's layout) and its transform U'_e = P_src U_e
     P_tgt^-1, with P_v the product of the unitaries along the tree path from
-    the first vertex to v (1 off the tree)."""
+    ``root`` (default the first vertex) to v (1 where no path leads)."""
     q = net.quiver
     us = {}
     for e in q.edge_ids:
         layout = net.blocks(e)
         us[e] = _embed_blocks([random_unitary(rng, n) for n, _ in layout], layout)
-    p = {q.vertices[0]: np.eye(net.dim)}
-    while len(p) <= len(tree):
+    p = {q.vertices[0] if root is None else root: np.eye(net.dim)}
+    for _ in tree:  # each pass reaches at least one more vertex of the root's tree
         for e in tree:
             src, tgt = q.source[e], q.target[e]
             if src in p and tgt not in p:

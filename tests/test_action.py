@@ -53,6 +53,11 @@ class TestExpandTriangle:
         assert table.entries == {}
         assert table.constant_coeff == 0
 
+    def test_disconnected_quiver_rejected(self):
+        q = qg.Quiver(["a", "b"], [("s", "a", "a")])
+        with pytest.raises(qg.QuiverError, match="requires a connected quiver"):
+            expand_action(q, ActionSpec.from_list([0, 1]))
+
     def test_degree_zero(self, triangle_quiver):
         table = expand_action(triangle_quiver, ActionSpec.from_list([7]))
         assert table.entries == {}
@@ -375,12 +380,18 @@ def assert_gauge_invariant(net, table, words, rng):
     configuration and, rewritten, on the gauge-fixed one."""
     n = net.dim
     tree = gauge_tree(net)
-    us, fixed_us = tree_gauge(net, tree, rng)
-    for e in net.quiver.edge_ids:
-        if e in tree:
-            assert np.abs(fixed_us[e] - np.eye(n)).max() <= 1e-12
-        else:
-            assert block_deviation(net.blocks(e), fixed_us[e]) <= 1e-12
+    # the tree grows from some root, whose P is 1: from one root the
+    # transform sets the tree to 1 and keeps every other edge in its group
+    for root in net.quiver.vertices:
+        us, fixed_us = tree_gauge(net, tree, rng, root)
+        if all(
+            (np.abs(fixed_us[e] - np.eye(n)).max() if e in tree
+             else block_deviation(net.blocks(e), fixed_us[e])) <= 1e-12
+            for e in net.quiver.edge_ids
+        ):
+            break
+    else:
+        pytest.fail(f"no root gauge-fixes the tree {tree}")
     for steps in [w.steps for w in table.entries] + list(words):
         rewritten = gauge_fixed_steps(steps, tree)
         assert not {e for e, _ in rewritten} & set(tree)
@@ -494,8 +505,10 @@ class TestGaugeFixing:
              {"a": (2, 2), "b": (2, 2)}, {}, ("ab",)),
             (["a", "b", "c"], [("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c")],
              {"a": (2, 2), "b": (2, 2), "c": (4, 1)}, {"bc": 2}, ("ab", "bc")),
+            # from a, ca is refused (U(4) does not lie in U(2) twice); from c
+            # it is taken, then ab
             (["a", "b", "c"], [("ab", "a", "b"), ("ba", "b", "a"), ("ca", "c", "a")],
-             {"a": (4, 1), "b": (4, 1), "c": (2, 2)}, {"ca": 2}, ("ab",)),
+             {"a": (4, 1), "b": (4, 1), "c": (2, 2)}, {"ca": 2}, ("ab", "ca")),
         ],
         ids=["pair", "into_u4", "from_u2_twice"],
     )
@@ -506,11 +519,12 @@ class TestGaugeFixing:
         assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 3), rng)
 
     def test_two_site_declared_w_first(self, two_site_quiver, rng):
-        # from w, fixing e would give P_v = U_e^-1, and ov would leave v's group
+        # from w, fixing e would give P_v = U_e^-1, and ov would leave v's
+        # group; the root v, tried next, fixes e
         q = qg.Quiver(["w", "v"], [(e, two_site_quiver.source[e], two_site_quiver.target[e])
                                    for e in two_site_quiver.edge_ids])
         net = qg.validate_network(q, TWO_SITE_DATA)
-        assert gauge_tree(net) == ()
+        assert gauge_tree(net) == ("e",)
         table = expand_action(q, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
         assert_gauge_invariant(net, table, some_closed_words(q, 4, 5), rng)
         _, fixed = tree_gauge(net, ("e",), rng)
@@ -526,6 +540,11 @@ class TestGaugeFixing:
         assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 5), rng)
         _, fixed = tree_gauge(net, ("xy", "xw"), rng)
         assert block_deviation(net.blocks("yw"), fixed["yw"]) > 0.1
+        # without x -> w, the tree from y spans
+        net = fork_network(("xy", "yw"))
+        assert gauge_tree(net) == ("xy", "yw")
+        table = expand_action(net.quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
+        assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 5), rng)
 
     @given(two_vertex_networks())
     @settings(max_examples=40, deadline=None)

@@ -43,6 +43,10 @@ class TestMoments:
         assert moment(0) == YXPoly.one()
         assert moment(1) == YXPoly.y()
 
+    def test_scaling_by_zero(self):
+        # no term keeps a zero coefficient
+        assert moment(4) * 0 == 0 * moment(4) == YXPoly.zero()
+
     @pytest.mark.parametrize("n", sorted(MOMENT_TABLE))
     def test_exact_closed_forms(self, n):
         assert moment(n) == poly(MOMENT_TABLE[n])

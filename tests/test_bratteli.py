@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import quivergauge as qg
-from quivergauge.bratteli import NetworkError, _contained, gauge_tree
+from quivergauge.bratteli import NetworkError, _contained, _tree_from, gauge_tree
 
 from conftest import (
     TWO_SITE_DATA,
@@ -191,13 +191,20 @@ class TestGaugeTree:
         assert gauge_tree(layout_network(["a", "b"], edges, layouts, {})) == ("ab",)
         net = layout_network(["a", "b", "c"], edges + [("bc", "b", "c")], layouts, {"bc": 2})
         assert gauge_tree(net) == ("ab", "bc")
-        # x and y carry the two-site v layout, w U(8) twice: x -> y joins the
-        # tree, but P_y lies in y's group, not in w's, so y -> w cannot join
-        # the tree nor stay in its ensemble
-        assert gauge_tree(fork_network(("xy", "yw"))) == ()
+        # x and y carry the two-site v layout, w U(8) twice. From x, x -> y
+        # joins the tree, but P_y lies in y's group, not in w's, so y -> w
+        # cannot join the tree nor stay in its ensemble. From y, tried next,
+        # P_y = 1 and both edges join
+        net = fork_network(("xy", "yw"))
+        assert _tree_from(net, "x") == ()
+        assert gauge_tree(net) == ("xy", "yw")
 
     def test_edge_entering_the_region_keeps_the_tree(self):
-        # c -> a ends in the region, in the region's own U(4) ensemble
+        # from a, c -> a ends in the region, in the region's own U(4)
+        # ensemble, and stays off the tree; from c, tried last, it joins the
+        # tree and the tree spans
         layouts = {"a": (4, 1), "b": (4, 1), "c": (2, 2)}
         edges = [("ab", "a", "b"), ("ba", "b", "a"), ("ca", "c", "a")]
-        assert gauge_tree(layout_network(["a", "b", "c"], edges, layouts, {"ca": 2})) == ("ab",)
+        net = layout_network(["a", "b", "c"], edges, layouts, {"ca": 2})
+        assert _tree_from(net, "a") == ("ab",)
+        assert gauge_tree(net) == ("ab", "ca")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,20 @@ from conftest import REPO
 TRIANGLE = str(REPO / "jobs" / "triangle.json")
 TWO_SITE = str(REPO / "jobs" / "two_site.json")
 SOURCE_ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+
+def single_block_job(vertices, edges):
+    """The quiver and U(2)-per-vertex network sections of a job file."""
+    return {
+        "quiver": {"vertices": vertices,
+                   "edges": [{"id": e, "src": s, "dst": d} for e, s, d in edges]},
+        "network": {"l": {v: 1 for v in vertices}, "n": {v: [2] for v in vertices},
+                    "r": {v: [1] for v in vertices}, "C": {e: [[1]] for e, _, _ in edges}},
+    }
+
+
+ONE_SITE = single_block_job(["v"], [("o", "v", "v")])
+TWO_CYCLE = single_block_job(["v", "w"], [("a", "v", "w"), ("b", "w", "v")])
 
 
 class TestValidate:
@@ -133,8 +148,13 @@ class TestBootstrap:
             # a coupling on the doubled triangle adds terms the recursion lacks
             (TRIANGLE, {"action": {"f": [0, 0, 0, "1/15", 0, 0, "1/10"]}},
              "not the triangle moment recursion"),
+            # one vertex with a self-loop: nothing to root the equations at
+            (TRIANGLE, {**ONE_SITE, "loops": ["o+"]}, "loop o+ has no non-self-loop edge"),
+            # the loop is the square of a 2-cycle, so m_2 appears as m_1 m_1
+            (TRIANGLE, {**TWO_CYCLE, "action": {"f": [0, 0, 0, 1]},
+                        "loops": ["a+ b+ a+ b+"]}, "has m_2 on its double-trace side"),
         ],
-        ids=["two_site", "no_loop", "sextic_triangle"],
+        ids=["two_site", "no_loop", "sextic_triangle", "self_loop_only", "squared_loop"],
     )
     def test_job_off_the_recursion_is_domain_error(self, tmp_path, capsys, base, edit, message):
         job = tmp_path / "job.json"
@@ -207,6 +227,12 @@ class TestGww:
         assert float(z) == pytest.approx(1.0, abs=1e-12)
         assert float(y) == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_dimension_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "gww.csv"
+        assert run(["gww", "--dim", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: N must be >= 1\n"
+        assert not out.exists()
+
     def test_curve_file(self, tmp_path):
         out = tmp_path / "gww.csv"
         assert run(["gww", "--dim", "3", "--points", "21", "--out", str(out)]) == 0
@@ -227,6 +253,7 @@ class TestMc:
         assert data["dim"] == 3
         assert data["method"] == "reweight"
         assert "rhat" not in data
+        assert data["stderr"] == pytest.approx(math.hypot(data["stderr_re"], data["stderr_im"]))
         assert abs(data["mean_re"] + 0.2) < 0.05
 
     def test_check_eq_output(self, tmp_path):

@@ -3,7 +3,13 @@ import json
 import pytest
 
 import quivergauge as qg
-from quivergauge.jobfile import JobError, load_job, override_dimension, triangle_job
+from quivergauge.jobfile import (
+    JobError,
+    load_job,
+    override_dimension,
+    parse_job_dict,
+    triangle_job,
+)
 
 from conftest import REPO
 
@@ -67,6 +73,26 @@ class TestLoadJob:
         p.write_text(json.dumps(data))
         with pytest.raises(JobError, match="not closed"):
             load_job(str(p))
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [("quiver", {"vertices": ["v1"]}, "bad or missing 'quiver' section"),
+         ("quiver", {"vertices": ["v1"], "edges": ["e1"]}, "bad or missing 'quiver' section"),
+         ("action", {"g": [0]}, "bad or missing 'action' section"),
+         ("action", [0], "bad or missing 'action' section")],
+        ids=["quiver_no_edges", "quiver_edge_not_object", "action_no_f", "action_not_object"],
+    )
+    def test_bad_section(self, section, value, message):
+        data = json.loads((REPO / "jobs" / "triangle.json").read_text())
+        data[section] = value
+        with pytest.raises(JobError, match=message):
+            parse_job_dict(data)
+
+    def test_loop_not_composable(self):
+        data = json.loads((REPO / "jobs" / "triangle.json").read_text())
+        data["loops"] = ["e1+ e3+"]
+        with pytest.raises(qg.QuiverError, match="not composable at step 1"):
+            parse_job_dict(data)
 
     def test_bad_rational(self, tmp_path):
         data = json.loads((REPO / "jobs" / "triangle.json").read_text())

@@ -233,6 +233,14 @@ class TestGenerateLoopEquation:
         with pytest.raises(QuiverError, match="does not visit the source of rooted edge 'e'"):
             generate_loop_equation(job.quiver, table, EdgeWord.from_string("ow+ ow+"), "e")
 
+    def test_bad_mode_rejected(self, triangle_quiver, tri_table):
+        with pytest.raises(ValueError, match="mode must be 'finite' or 'large', got 'small'"):
+            generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1", mode="small")
+
+    def test_open_word_rejected(self, triangle_quiver, tri_table):
+        with pytest.raises(QuiverError, match="word e1\\+ e2\\+ is not closed"):
+            generate_loop_equation(triangle_quiver, tri_table, EdgeWord.from_string("e1+ e2+"), "e1")
+
     def test_serialization_roundtrip(self, triangle_quiver, tri_table):
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1")
         d = eq.to_json_dict(tri_table)
@@ -296,6 +304,14 @@ class TestFactorizeLargeN:
             lambda k: qg.moment(abs(k)), lambda p: YXPoly.x()
         )
         assert residual.is_zero
+
+    def test_empty_equation(self, two_site_quiver):
+        # e mu e^-1 at root e cancels to 0 = 0 (see test_conjugation_terms_cancel)
+        table = expand_action(two_site_quiver, ActionSpec.from_list([0, 0, 1]))
+        beta = EdgeWord.from_string("e+ ow+ e-")
+        meq = factorize_large_N(generate_loop_equation(two_site_quiver, table, beta, "e", "large"))
+        assert meq.generator.is_empty and meq.lhs == () and meq.rhs == ()
+        assert meq.render() == "0 = 0"
 
     def test_requires_large_mode(self, triangle_quiver, tri_table):
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1", mode="finite")

@@ -304,12 +304,14 @@ class TestEstimateWilson:
         traces = np.array([loop_trace(sampler.sample(i).unitaries, zeta, 3) / 3 for i in range(n)])
         assert est.mean == complex(traces.real.mean(), traces.imag.mean())
         assert est.stderr == pytest.approx(traces.std() / np.sqrt(n), rel=1e-12)
+        assert est.stderr_re == pytest.approx(traces.real.std() / np.sqrt(n), rel=1e-12)
+        assert est.stderr_im == pytest.approx(traces.imag.std() / np.sqrt(n), rel=1e-12)
         assert est.effective_samples == n
 
     def test_constant_loop_is_one(self, tri3):
         job, table = tri3
         est = estimate_wilson(job.network, table, EdgeWord(), samples=500, seed=3)
-        assert est.mean == 1.0 and est.stderr == 0.0
+        assert est.mean == 1.0 and est.stderr == est.stderr_re == est.stderr_im == 0.0
 
     def test_matches_exact_curve(self, tri3):
         job, table = tri3
@@ -321,6 +323,11 @@ class TestEstimateWilson:
         job, table = tri3
         with pytest.raises(ValueError, match="not closed"):
             estimate_wilson(job.network, table, EdgeWord.from_string("e1+"), samples=10, seed=1)
+
+    def test_unknown_method_rejected(self, tri3):
+        job, table = tri3
+        with pytest.raises(ValueError, match="unknown method 'hmc'"):
+            estimate_wilson(job.network, table, ZETA, samples=10, seed=1, method="hmc")
 
     def test_effective_size_guard(self, triangle_quiver):
         # strong coupling at tiny sample count exhausts the effective size
@@ -337,6 +344,8 @@ class TestEstimateWilson:
             method="metropolis", burnin=400, thin=5,
         )
         assert met.acceptance is not None and 0.05 <= met.acceptance <= 0.95
+        for est in (rew, met):
+            assert est.stderr == pytest.approx(np.hypot(est.stderr_re, est.stderr_im), rel=1e-12)
         combined = np.hypot(rew.stderr, met.stderr)
         assert abs(rew.mean.real - met.mean.real) <= 5 * combined
         assert met.rhat < 1.1

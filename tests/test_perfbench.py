@@ -1,10 +1,13 @@
-"""Smoke run of the benchmark: its oracles must accept every op."""
+"""Smoke run of the benchmark: its oracles must accept every op, and its
+Monte Carlo replay must reproduce the estimators."""
 
 import json
 import subprocess
 import sys
 
 import pytest
+
+import quivergauge as qg
 
 from conftest import REPO
 
@@ -26,3 +29,40 @@ def test_pass_is_correct(workload, trace):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
+
+@pytest.fixture(scope="module")
+def replay_ctx():
+    # the benchmark's modules import one another by bare name
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import replay
+        import tracing
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return replay, tracing.PassContext(traced=True)
+
+
+def test_replay_reproduces_the_estimators(replay_ctx):
+    # the traced Monte Carlo layers of triangle_pipeline and wide_mc replay
+    # the estimators' draws through the package's public names
+    replay, ctx = replay_ctx
+    job = qg.load_job("builtin:triangle@3")
+    table = qg.expand_action(job.quiver, job.action)
+    word, samples, seed = job.loops[0], 500, 3
+    est = qg.estimate_wilson(job.network, table, word, samples=samples, seed=seed)
+    got = replay.reweighted(ctx, job.network, table, seed, samples, [word.steps], lambda tr: tr[0])
+    assert replay.rel_dev(got["mean"], est.mean) <= 1e-9
+
+    eq = qg.generate_loop_equation(job.quiver, table, word, "e1")
+    res = qg.check_loop_equation(job.network, table, eq, samples=samples, seed=seed)
+    words = list(dict.fromkeys(
+        [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
+    ))
+    pos = {w: k for k, w in enumerate(words)}
+
+    def combine(tr):
+        lhs = sum(t.coeff * tr[pos[t.words[0].steps]] * tr[pos[t.words[1].steps]] for t in eq.lhs)
+        return lhs - sum(float(eq.rhs_coefficient(table, t)) * tr[pos[t.word.steps]] for t in eq.rhs)
+
+    got = replay.reweighted(ctx, job.network, table, seed, samples, words, combine)
+    assert replay.rel_dev(got["mean"], res.residual) <= 1e-9

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quivergauge as qg
-from quivergauge.quiver import EdgeWord, QuiverError, _free_reduce, is_reduced
+from quivergauge.quiver import (
+    EdgeWord,
+    QuiverError,
+    _free_reduce,
+    is_reduced,
+    reduced_closed_walk_counts,
+)
 
 from conftest import random_unitary
 from oracles import holonomy
@@ -41,9 +47,34 @@ class TestBuildQuiver:
         with pytest.raises(QuiverError, match="duplicate"):
             qg.Quiver(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [(["a", "a"], [], "duplicate vertex id"),
+         (["a"], [("e", "b", "a")], "edge 'e': unknown source vertex 'b'")],
+        ids=["duplicate_vertex", "unknown_source"],
+    )
+    def test_malformed_quiver_rejected(self, vertices, edges, message):
+        with pytest.raises(QuiverError, match=message):
+            qg.Quiver(vertices, edges)
+
     def test_disconnected_flag(self):
         q = qg.Quiver(["a", "b", "c"], [("e", "a", "b")])
         assert not q.connected
+
+
+class TestWordSteps:
+    @pytest.mark.parametrize("text", ["e1", "e1+ +", "e1* e2+"])
+    def test_bad_token_rejected(self, text):
+        with pytest.raises(QuiverError, match="bad word token"):
+            word(text)
+
+    def test_unknown_edge_step(self, triangle_quiver):
+        with pytest.raises(QuiverError, match="unknown edge 'nope'"):
+            triangle_quiver.step_endpoints(("nope", 1))
+
+    def test_word_not_composable(self, triangle_quiver):
+        with pytest.raises(QuiverError, match="not composable at step 1"):
+            triangle_quiver.word_vertices(word("e1+ e3+"))
 
 
 class TestReduceWord:
@@ -131,6 +162,11 @@ class TestEnumerateClosedWalks:
     def test_unknown_vertex(self, triangle_quiver):
         with pytest.raises(QuiverError, match="unknown vertex"):
             qg.enumerate_closed_walks(triangle_quiver, "nope", 2)
+
+    @pytest.mark.parametrize("walks", [qg.enumerate_closed_walks, reduced_closed_walk_counts])
+    def test_negative_length_rejected(self, triangle_quiver, walks):
+        with pytest.raises(QuiverError, match="walk length must be >= 0"):
+            walks(triangle_quiver, "v1", -1)
 
     def test_adjacency_power_oracle(self, two_site_quiver):
         a = two_site_quiver.adjacency()
