@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, groupby
 from typing import Iterator
 
 import numpy as np
@@ -23,17 +23,18 @@ from .action import expand_action
 from .jobfile import Job, triangle_job
 from .laurent import YXPoly
 from .loop_equations import factorize_large_N, generate_loop_equation
+from .quiver import EdgeWord, _cyclic_reduce
 
 
 def derive_moments(job: Job) -> Iterator[YXPoly]:
-    """Yield m_0, m_1, ... of the job's first loop ``beta``, rooted at its first
-    non-self-loop edge, solving the equation for ``beta**n`` for m_{n+1}.
+    """Yield m_0, m_1, ... of the job's first loop, cyclically reduced to ``beta`` and
+    rooted at its first non-self-loop edge, solving the equation for ``beta**n`` for m_{n+1}.
 
     Raises ValueError, naming the word, n and the reason, where that fails.
     """
     if not job.loops:
         raise ValueError("bootstrap needs a job with a loop to derive the moments from")
-    beta = job.loops[0]
+    beta = EdgeWord(_cyclic_reduce(job.loops[0].steps))
     root = next((e for e, _ in beta.steps if not job.quiver.is_self_loop(e)), None)
     if root is None:
         raise ValueError(f"loop {beta} has no non-self-loop edge to root at")
@@ -232,21 +233,17 @@ class FeasibilityMap:
     def to_svg(self, path: str) -> None:
         """Compact heat map: one run-length-merged rect per row segment."""
         cell = 2.0  # pixels per grid cell
-        colors = _order_palette(self.max_order)
+        colors = _order_palette(self.max_order) + ["#888888"]  # at -1: undefined cells
         rows = []
-        for i in range(len(self.xs)):
+        for i, column in enumerate(self.max_feasible.tolist()):
             j = 0
-            while j < len(self.ys):
-                v = self.max_feasible[i, j]
-                j2 = j
-                while j2 + 1 < len(self.ys) and self.max_feasible[i, j2 + 1] == v:
-                    j2 += 1
-                color = "#888888" if v < 0 else colors[int(v)]
+            for v, run in groupby(column):
+                n = len(list(run))
                 rows.append(
-                    f'<rect x="{i * cell:.1f}" y="{(len(self.ys) - 1 - j2) * cell:.1f}" '
-                    f'width="{cell:.1f}" height="{(j2 - j + 1) * cell:.1f}" fill="{color}"/>'
+                    f'<rect x="{i * cell:.1f}" y="{(len(self.ys) - j - n) * cell:.1f}" '
+                    f'width="{cell:.1f}" height="{n * cell:.1f}" fill="{colors[v]}"/>'
                 )
-                j = j2 + 1
+                j += n
         w = len(self.xs) * cell
         h = len(self.ys) * cell
         with open(path, "w") as fh:
@@ -303,6 +300,7 @@ def scan_region(
         i, j = np.nonzero((first == 0) & ~undefined)
         if order == max_order or not len(i):
             break
+        del mvals, minors  # freed before the next stage allocates, which lowers peak memory
         order, cells, X, Y = min(2 * order, max_order), (i, j), xs[i], ys[j]
     first[undefined], overflow[undefined] = 0, False
     return FeasibilityMap(

@@ -109,6 +109,4 @@ WINDOW = {"xmin": -3.0, "xmax": 3.0, "points": 601}
 
 
 def curve_grid(xmin: float, xmax: float, points: int) -> np.ndarray:
-    if xmin == xmax:
-        return np.array([xmin])
-    return np.linspace(xmin, xmax, points)
+    return np.linspace(xmin, xmax, 1 if xmin == xmax else points)

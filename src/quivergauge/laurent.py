@@ -74,11 +74,16 @@ class YXPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, x: float, y: float) -> float:
-        return float(sum(c * y**a * x ** (-b) for a, b, c in self.terms))
-
-    def evaluate_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(x, y).shape)
+    def evaluate(self, x: float | np.ndarray, y: float | np.ndarray) -> float | np.ndarray:
+        """At floats or arrays, in one order of float operations: points and grid cells agree."""
+        out = 0.0 if np.isscalar(x) and np.isscalar(y) else np.zeros(np.broadcast(x, y).shape)
+        ys, xs = [1.0], [1.0]
         for a, b, c in self.terms:
-            out += c * np.power(y, a) * np.power(x, -float(b))
+            while len(ys) <= a:
+                ys.append(ys[-1] * y)
+            while len(xs) <= abs(b):
+                xs.append(xs[-1] * x)
+            out += float(c) * ys[a] / xs[b] if b >= 0 else float(c) * ys[a] * xs[-b]
         return out
+
+    evaluate_grid = evaluate

@@ -86,15 +86,12 @@ class LoopEquation:
         }
 
     def render(self, table: PlaquetteTable) -> str:
-        def tr(w: CyclicWord) -> str:
-            return f"tr({w})"
-
         left = " + ".join(
-            (f"{t.coeff}*" if t.coeff != 1 else "") + f"{tr(t.words[0])}{tr(t.words[1])}"
+            (f"{t.coeff}*" if t.coeff != 1 else "") + f"tr({t.words[0]})tr({t.words[1]})"
             for t in self.lhs
         ) or "0"
         right = " + ".join(
-            f"({self.rhs_coefficient(table, t)!s})*{tr(t.word)}" for t in self.rhs
+            f"({self.rhs_coefficient(table, t)!s})*tr({t.word})" for t in self.rhs
         ) or "0"
         return f"< {left} > = < {right} >   [{self.mode}-N, root {self.root}]"
 

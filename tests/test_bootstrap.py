@@ -51,6 +51,18 @@ class TestMoments:
     def test_exact_closed_forms(self, n):
         assert moment(n) == poly(MOMENT_TABLE[n])
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [(0.5, 0.25), (np.array([[0.5], [-2.0]]), np.array([0.25, -3.0]))],
+        ids=["float", "array"],
+    )
+    def test_negative_b_term_multiplies_by_x(self, x, y):
+        # a term with b < 0 is c * y**a * x**|b|, and |b| falls twice in term
+        # order (1 to 0, 2 to 1); these values are exact in binary
+        p = poly({(0, -1): -1, (1, 0): 5, (1, 1): 2, (2, -2): 3, (3, 1): 7})
+        expected = -x + 5 * y + 2 * y / x + 3 * y * y * x * x + 7 * y * y * y / x
+        np.testing.assert_array_equal(p.evaluate(x, y), expected)
+
     def test_negative_index_reality(self):
         assert moment(-4) == moment(4)
 
@@ -218,15 +230,20 @@ class TestScanRegion:
 
     @pytest.mark.parametrize("order", [7, 15])
     def test_feasible_agrees_with_scan_cells(self, order):
-        # the per-point and the grid paths evaluate the moments differently
-        # (YXPoly.evaluate and evaluate_grid), and their low bits differ on
-        # many cells, but the first failing order must be the same
+        # a point and a grid cell at the same (x, y) take the same float
+        # operations, so their moments agree bit for bit, and so must the
+        # first failing order
         xs, ys = default_grid()
         fmap = scan_region(xs, ys, order)
+        grid = [moment(k).evaluate_grid(xs[:, None], ys[None, :]) for k in range(order)]
         for i in range(0, len(xs), 6):
             for j in range(0, len(ys), 6):
-                _, first = feasible(float(xs[i]), float(ys[j]), order)
-                assert (first or 0) == fmap.first_failing[i, j], (xs[i], ys[j])
+                x, y = float(xs[i]), float(ys[j])
+                point = np.array([moment(k).evaluate(x, y) for k in range(order)])
+                cell = np.array([g[i, j] for g in grid])
+                np.testing.assert_array_equal(point.view(np.uint64), cell.view(np.uint64))
+                _, first = feasible(x, y, order)
+                assert (first or 0) == fmap.first_failing[i, j], (x, y)
 
     def test_svg_output(self, small_map, tmp_path):
         out = tmp_path / "scan.svg"

@@ -10,6 +10,8 @@ orders at grid points that ``numpy.linspace`` fixes.  Any change to them is
 a change of meaning, not of rounding.
 """
 
+import json
+
 import pytest
 
 from quivergauge.cli import run
@@ -49,9 +51,9 @@ def test_two_site_large_n_refusal_matches_golden(capsys):
     assert captured.err.encode() == (GOLDEN / "loopeq_two_site_large_n.stderr").read_bytes()
 
 
-def test_bootstrap_scan_and_moments_match_golden(capsys, tmp_path):
+def assert_bootstrap_matches_golden(job, capsys, tmp_path):
     csv, moments = tmp_path / "scan.csv", tmp_path / "moments.json"
-    argv = ["bootstrap", "builtin:triangle", "--max-order", "7", "--xres", "5", "--yres", "5",
+    argv = ["bootstrap", job, "--max-order", "7", "--xres", "5", "--yres", "5",
             "--out", str(csv), "--moments", str(moments)]
     assert run(argv) == 0
     captured = capsys.readouterr()
@@ -59,3 +61,21 @@ def test_bootstrap_scan_and_moments_match_golden(capsys, tmp_path):
     assert captured.out.encode() == (GOLDEN / "bootstrap_triangle_5x5.txt").read_bytes()
     assert csv.read_bytes() == (GOLDEN / "bootstrap_triangle_5x5.csv").read_bytes()
     assert moments.read_bytes() == (GOLDEN / "bootstrap_triangle_5x5_moments.json").read_bytes()
+
+
+def test_bootstrap_scan_and_moments_match_golden(capsys, tmp_path):
+    assert_bootstrap_matches_golden("builtin:triangle", capsys, tmp_path)
+
+
+def test_conjugated_loop_matches_triangle_golden(capsys, tmp_path):
+    # a pendant edge x: v4 -> v1 conjugates the triangle's loop; the trace sees
+    # only its cyclic reduction, so the scan and moments are the triangle's
+    job = json.loads((REPO / "jobs" / "triangle.json").read_text())
+    job["quiver"]["vertices"].append("v4")
+    job["quiver"]["edges"].append({"id": "x", "src": "v4", "dst": "v1"})
+    net = job["network"]
+    net["l"]["v4"], net["n"]["v4"], net["r"]["v4"], net["C"]["x"] = 1, [4], [1], [[1]]
+    job["loops"] = ["x+ e1+ e2+ e3+ x-"]
+    path = tmp_path / "pendant.json"
+    path.write_text(json.dumps(job))
+    assert_bootstrap_matches_golden(str(path), capsys, tmp_path)
