@@ -193,7 +193,8 @@ def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bo
     if x == 0:
         raise ValueError("moments are singular at x = 0")
     _check_scan_args(max_order, tol)
-    mvals = np.array([moment(k).evaluate(x, y) for k in range(max_order)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x^b = 0 divides to inf
+        mvals = np.array([moment(k).evaluate(np.float64(x), np.float64(y)) for k in range(max_order)])
     minors = leading_minors(mvals, max_order)
     first = int(_first_failure(minors, tol))
     return (first == 0), (first or None)

@@ -21,7 +21,7 @@ from .bratteli import gauge_tree
 from .jobfile import JobError, load_job, override_dimension
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
-from .quiver import EdgeWord, QuiverError
+from .quiver import EdgeWord
 
 RHAT_LIMIT = 1.1  # Metropolis chains whose R-hat exceeds this disagree
 
@@ -266,7 +266,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (JobError, QuiverError, ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:  # JobError etc. are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

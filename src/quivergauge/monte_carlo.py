@@ -300,9 +300,9 @@ def _rhat(chains: np.ndarray) -> float | None:
 class _Chains:
     """``_CHAINS`` Metropolis chains stacked on a leading axis.
 
-    Every off-tree (edge, block) is a (_CHAINS, n, n) stack, cold-started at
-    the identity; one proposal moves one block in every chain at once.  The
-    tree edges stay 1, so ``assignment`` holds the off-tree edges only.  A
+    ``assignment`` is the chains' one state: a (_CHAINS, N, N) stack per
+    off-tree edge (the tree edges stay 1), cold-started at the identity; one
+    proposal rotates one block in every chain and writes it into each copy.  A
     ``sweep`` still makes one proposal per block of the whole network: the
     tree blocks' turns go round the off-tree blocks, so burn-in and thinning
     keep their meaning (on the triangle, a proposal on e1 or e2 moved the
@@ -319,34 +319,31 @@ class _Chains:
         self.plan, self.words = _gauge_fixed(tree, table, words)
         self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
-        self.blocks = {
-            eid: [np.tile(np.eye(n, dtype=complex), (_CHAINS, 1, 1)) for n, _ in layout]
-            for eid, layout in self.layouts.items()
-        }
-        self.sites = [(eid, bi) for eid, bl in self.blocks.items() for bi in range(len(bl))]
+        self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
         n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
-        self.assignment = {
-            eid: _embed_blocks(bl, self.layouts[eid]) for eid, bl in self.blocks.items()
-        }
+        identity = np.eye(self.dim, dtype=complex)
+        self.assignment = {eid: np.tile(identity, (_CHAINS, 1, 1)) for eid in self.layouts}
         self.s = plan_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
-        """Propose U <- exp(i eps H) U on one block of every chain; returns
-        which chains accepted."""
-        old = self.blocks[eid][bi]
+        """Propose U <- exp(i eps H) U on one block of every chain, written
+        into each of the block's copies; returns which chains accepted."""
+        edge, layout = self.assignment[eid], self.layouts[eid]
+        (n, r), pos = layout[bi], sum(m * k for m, k in layout[:bi])  # pos: its first copy's row
+        old = edge[:, pos : pos + n, pos : pos + n]
         a = self.rng.standard_normal(old.shape) + 1j * self.rng.standard_normal(old.shape)
         evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
         phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
-        blocks = list(self.blocks[eid])
-        blocks[bi] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
-        trial = {**self.assignment, eid: _embed_blocks(blocks, self.layouts[eid])}
-        s_new = plan_sum(self.plan, trial, self.dim)
+        new = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
+        trial = new if n == self.dim else edge.copy()  # a lone block is the whole edge
+        if n < self.dim:
+            for at in range(pos, pos + n * r, n):
+                trial[:, at : at + n, at : at + n] = new
+        s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
         accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
-        keep = accept[:, None, None]
-        self.blocks[eid][bi] = np.where(keep, blocks[bi], old)
-        self.assignment[eid] = np.where(keep, trial[eid], self.assignment[eid])
+        self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
         self.s = np.where(accept, s_new, self.s)
         return accept
 
@@ -445,5 +442,6 @@ def check_loop_equation(
         residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
     for t in eq.rhs:
         residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
+    del traces  # freed before the weighted reduction allocates, which lowers peak memory
     mean, (stderr, _, _), ess, share = _weighted_mean(logs, residuals)
     return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)

@@ -245,6 +245,13 @@ class TestScanRegion:
                 _, first = feasible(x, y, order)
                 assert (first or 0) == fmap.first_failing[i, j], (x, y)
 
+    @pytest.mark.parametrize("x, y, order", [(1e-25, 0.1, 15), (-1e-25, 0.1, 15), (1e-200, 0.0, 7)])
+    def test_feasible_gives_the_scan_verdict_where_a_power_underflows(self, x, y, order):
+        # x^b underflows to 0, so a term y^a / x^b is inf: a point must fail
+        # where the scan's cell does, not raise
+        fmap = scan_region(np.array([x]), np.array([y]), order)
+        assert feasible(x, y, order) == (False, int(fmap.first_failing[0, 0]))
+
     def test_svg_output(self, small_map, tmp_path):
         out = tmp_path / "scan.svg"
         small_map.to_svg(str(out))

@@ -20,7 +20,7 @@ from quivergauge.monte_carlo import (
 from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
 from conftest import REPO, torus_quiver, triangle_network
-from oracles import assemble_dirac, evaluate_action
+from oracles import assemble_dirac, block_deviation, evaluate_action
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -413,6 +413,20 @@ class TestChains:
         assert 0 < accepted < 10 * len(chains.sites) * monte_carlo._CHAINS
         assert chains.plan == action_plan(gauge_fixed_table(table, ("e",)))
         assert (chains.s == plan_sum(chains.plan, chains.assignment, job.network.dim)).all()
+
+    def test_proposals_keep_every_chain_in_its_block_group(self):
+        # a proposal writes its rotated block into each copy on the edge, so
+        # ov stays U(3)x4 + U(2)x2 and ow stays U(8)x2 in every chain
+        job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+        table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 0, "1/2000"]))
+        chains = monte_carlo._Chains(job.network, table, seed=3)
+        accepted = sum(int(chains.propose(*b).sum()) for _ in range(5) for b in chains.sweep)
+        assert accepted > 0
+        eye = np.eye(job.network.dim)
+        for e, stack in chains.assignment.items():
+            for u in stack:
+                assert block_deviation(job.network.blocks(e), u) == 0.0, e
+                np.testing.assert_allclose(u @ u.conj().T, eye, atol=1e-12)
 
 
 class TestCheckLoopEquation:
