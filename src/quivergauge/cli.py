@@ -95,6 +95,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _check_grid_sizes(args, *names: str) -> None:
+    """Refuse a grid count below 1, which would write an empty grid."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _cmd_validate(args) -> int:
     job = load_job(args.job)
     print(f"N={job.network.dim}")
@@ -147,6 +154,7 @@ def _cmd_loopeq(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    _check_grid_sizes(args, "xres", "yres")
     job = load_job(args.job)
     try:
         derived = list(islice(bs.derive_moments(job), args.max_order))
@@ -176,6 +184,7 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_gww(args) -> int:
+    _check_grid_sizes(args, "points")
     grid = gww.curve_grid(args.xmin, args.xmax, args.points)
     curve = gww.first_moment_curve(args.dim, grid)
     curve.to_csv(args.out)

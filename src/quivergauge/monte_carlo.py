@@ -15,7 +15,12 @@ chunking or worker partition.  It is the only source of configurations.
 Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and
 off-tree block one ``random`` call and one stacked QR, then one trace-kernel
 call for the action plan (built once per estimate) and one for the
-observable's words.
+observable's words.  The chunks go round-robin to one ``os.fork()`` child
+per CPU in the process's affinity mask, each pinned to its CPU, which write
+their rows into arrays on anonymous shared maps.  The weighted reduction
+runs in the caller over whole arrays in sample order, so every result is
+bit-identical for any chunking or worker count; ``taskset -c 0`` runs it
+serially in the caller, as does a platform without ``os.sched_getaffinity``.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -35,6 +40,7 @@ Two estimators are provided for Boltzmann-weighted expectations:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,6 +186,73 @@ def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tup
     return plan, [gauge_fixed_steps(w, tree) for w in words]
 
 
+def _workers(chunks: int) -> int:
+    """Workers that share ``chunks`` reweighting chunks: one per CPU in the
+    affinity mask, at most one per chunk.  1, which runs them in the caller,
+    where the mask cannot be read: Windows, and macOS, whose Accelerate BLAS
+    is not fork-safe."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(chunks, len(os.sched_getaffinity(0)))
+
+
+def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array on its own anonymous shared map, so writes made by a
+    forked child reach the parent; the map is unmapped with the array."""
+    # mmap, and traceback below, are imported on first use: at import time
+    # they add about 0.2 MB of resident memory to runs that never reweight
+    import mmap
+
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # a map cannot be empty
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _run_forked(run, workers: int) -> None:
+    """Call ``run(p)`` for p = 0..workers-1: here when there is one part,
+    otherwise each in a forked child, which hands back nothing but what it
+    writes to shared memory.
+
+    Child p runs pinned to the p-th CPU of the affinity mask, cycling when
+    there are more parts than CPUs: left to itself, the scheduler can keep a
+    fresh child on its parent's CPU for the whole call.  The caller only
+    forks and waits: its affinity stays as it was, and the sampling's
+    temporaries never enter its heap.
+    Every child is reaped before this returns or raises; one that fails or
+    is killed makes the call raise RuntimeError.
+    """
+    if workers == 1:
+        run(0)
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    pids = []
+    try:
+        for p in range(workers):
+            pid = os.fork()
+            if pid == 0:
+                # the child must neither return into the caller nor flush
+                # the buffers it copied from the parent
+                code = 1
+                try:
+                    os.sched_setaffinity(0, {cpus[p % len(cpus)]})
+                    run(p)
+                    code = 0
+                except Exception:
+                    import traceback
+
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    failed = {p: os.waitstatus_to_exitcode(s) for p, s in enumerate(statuses) if s}
+    if failed:
+        raise RuntimeError(
+            f"forked workers failed (worker: exit code, minus the signal if killed): {failed}"
+        )
+
+
 def _reweighted_traces(
     net: BratteliNetwork,
     table: PlaquetteTable,
@@ -192,22 +265,30 @@ def _reweighted_traces(
     Returns ``logs`` of shape (samples,) and ``traces`` of shape
     (len(words), samples); the constant part of S shifts every log weight
     equally and is left out.  The action and the words are traced as
-    rewritten in the sampler's off-tree edges.
+    rewritten in the sampler's off-tree edges.  Worker p of
+    :func:`_workers` fills chunks p, p + workers, ... in place.
     """
     sampler = KeyedSampler(net, seed)
     plan, words = _gauge_fixed(sampler.tree, table, words)
     dim = net.dim
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
-    logs = np.empty(samples)
-    traces = np.empty((len(words), samples), dtype=complex)
-    for a in range(0, samples, chunk):
-        b = min(a + chunk, samples)
-        u = sampler.sample_chunk(a, b)
-        logs[a:b] = -dim * plan_sum(plan, u, dim)
-        for k, t in enumerate(trace_words(u, words, dim)):
-            # parts apart: numpy divides a complex array by the reciprocal of dim
-            traces[k, a:b].real = t.real / dim
-            traces[k, a:b].imag = t.imag / dim
+    starts = range(0, samples, chunk)
+    workers = _workers(len(starts))
+    # two maps, so that the caller can free the traces before the logs
+    logs = _shared_array((samples,), float)
+    traces = _shared_array((len(words), samples), complex)
+
+    def fill(part: int) -> None:
+        for a in starts[part::workers]:
+            b = min(a + chunk, samples)
+            u = sampler.sample_chunk(a, b)
+            logs[a:b] = -dim * plan_sum(plan, u, dim)
+            for k, t in enumerate(trace_words(u, words, dim)):
+                # parts apart: numpy divides a complex array by the reciprocal of dim
+                traces[k, a:b].real = t.real / dim
+                traces[k, a:b].imag = t.imag / dim
+
+    _run_forked(fill, workers)
     return logs, traces
 
 

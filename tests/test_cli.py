@@ -202,12 +202,19 @@ class TestBootstrap:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--tol", "-1"], "tol must be >= 0"), (["--max-order", "0"], "max_order must be >= 1")],
-        ids=["negative_tol", "zero_order"],
+        [
+            (["--tol", "-1"], "tol must be >= 0"),
+            (["--max-order", "0"], "max_order must be >= 1"),
+            (["--xres", "0"], "xres must be >= 1"),
+            (["--xres", "-1"], "xres must be >= 1"),
+            (["--yres", "0"], "yres must be >= 1"),
+            (["--yres", "-1"], "yres must be >= 1"),
+        ],
+        ids=["negative_tol", "zero_order", "zero_xres", "negative_xres", "zero_yres", "negative_yres"],
     )
     def test_bad_scan_arguments_are_domain_errors(self, tmp_path, capsys, flags, message):
         out = tmp_path / "scan.csv"
-        code = run(["bootstrap", *flags, "--xres", "5", "--yres", "5", "--out", str(out)])
+        code = run(["bootstrap", "--xres", "5", "--yres", "5", *flags, "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -231,6 +238,13 @@ class TestGww:
         out = tmp_path / "gww.csv"
         assert run(["gww", "--dim", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: N must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_empty_grid_is_domain_error(self, tmp_path, capsys, points):
+        out = tmp_path / "gww.csv"
+        assert run(["gww", "--dim", "3", "--points", points, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: points must be >= 1\n"
         assert not out.exists()
 
     def test_curve_file(self, tmp_path):

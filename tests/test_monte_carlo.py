@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -238,8 +241,9 @@ class TestKeyedSampler:
 )
 def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward):
     # one draw per chunk, chunks of 7 (boundaries mid-stream), the default
-    # chunks (16 at N=16: a partial last one) and every draw in one chunk
-    # give the same arrays
+    # chunks (16 at N=16: a partial last one) and every draw in one chunk,
+    # each split over 1, 2 and 3 workers (more workers than chunks when the
+    # draws fit in one or three chunks), give the same arrays
     job = qg.load_job(job_path)
     table = expand_action(job.quiver, job.action)
     eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], root, mode="finite")
@@ -247,10 +251,13 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     words = list(dict.fromkeys(steps))
     assert () in words and any(o < 0 for w in words for _, o in w) == backward
     samples, dim = 40, job.network.dim
-    runs = []
+    runs, mask = [], os.sched_getaffinity(0)
     for budget in (1, 7 * dim**2, monte_carlo._CHUNK_ENTRIES, samples * dim**2):
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
-        runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: workers)
+            runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
+            assert os.sched_getaffinity(0) == mask  # only the children are pinned
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
@@ -266,6 +273,65 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
         for k, w in enumerate(words):
             t = loop_trace(u, gauge_fixed_steps(w, sampler.tree), dim)
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
+
+
+@pytest.mark.parametrize(
+    "workers, kill, raised, message",
+    [
+        (2, False, RuntimeError, "{1: 1}"),
+        (2, True, RuntimeError, f"{{1: -{int(signal.SIGKILL)}}}"),
+        (1, False, ValueError, "injected failure"),
+    ],
+    ids=["child_raises", "child_killed", "unforked_raises"],
+)
+def test_failing_worker_raises_and_leaves_no_process(
+    monkeypatch, capfd, workers, kill, raised, message
+):
+    # chunk 1 fails: with 2 workers in the second forked child, whose error or
+    # signal fails the call as its exit code or minus the signal, and every
+    # child is reaped; with 1 worker in the caller, whose error propagates
+    job = qg.triangle_job(dim=3)
+    table = expand_action(job.quiver, job.action)
+    chunk = monte_carlo._CHUNK_ENTRIES // 9
+    caller, sample_chunk = os.getpid(), KeyedSampler.sample_chunk
+
+    def failing(self, start, stop):
+        if start == chunk:
+            if kill and os.getpid() != caller:  # never the test's own process
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("injected failure")
+        return sample_chunk(self, start, stop)
+
+    monkeypatch.setattr(KeyedSampler, "sample_chunk", failing)
+    monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: workers)
+    with pytest.raises(raised) as info:
+        monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 3 * chunk, 3)
+    assert message in str(info.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if raised is RuntimeError and not kill:  # the child's traceback is not lost
+        assert "ValueError: injected failure" in capfd.readouterr().err
+
+
+def test_failed_fork_reaps_started_children(monkeypatch):
+    # the second fork fails in the caller: its error propagates once the
+    # first child, already started, is reaped
+    job = qg.triangle_job(dim=3)
+    table = expand_action(job.quiver, job.action)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("injected fork failure")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: 2)
+    with pytest.raises(OSError, match="injected fork failure"):
+        monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 1000, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
