@@ -252,7 +252,11 @@ def _cmd_mc(args) -> int:
         else:
             detail = f"largest weight share {est.max_weight_share:.3g}"
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    if args.out is not None:
+    # with the JSON on stdout, the health line (an R-hat warning among
+    # others) goes to stderr, so stdout stays the JSON alone
+    if args.out is None:
+        print(f"effective samples {ess:.1f}, {detail}", file=sys.stderr)
+    else:
         print(f"wrote {args.out}: effective samples {ess:.1f}, {detail}")
     return 0
 

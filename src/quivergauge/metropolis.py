@@ -1,0 +1,220 @@
+"""Metropolis estimates of Wilson loops, in the maximal-tree gauge of
+:mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- exp(i eps H) U
+on the off-tree blocks, drawn from one generator.  Proposals are prepared a
+batch at a time, and the chains go round-robin to the workers of
+:mod:`~quivergauge.forked`; every result is bit-identical for any batch size
+or worker count.  Each chain tunes its own steps in burn-in; the error comes
+from batch means inside each chain, reported with the R-hat across them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import forked
+from .action import PlaquetteTable, loop_trace, plan_sum
+from .bratteli import BratteliNetwork, gauge_tree
+from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _gauge_fixed
+
+# independent Metropolis chains, stacked on a leading axis
+_CHAINS = 10
+
+
+def _rhat(chains: np.ndarray) -> float | None:
+    """Gelman-Rubin potential scale reduction of draws (chains, n).
+
+    Deviations enter as |.|^2, so a complex observable counts both parts.
+    None when it is undefined: a chain with fewer than two draws, or no
+    spread within the chains.
+    """
+    m, n = chains.shape
+    if n < 2:
+        return None
+    means = chains.mean(axis=1)
+    within = (np.abs(chains - means[:, None]) ** 2).sum() / (m * (n - 1))
+    if within == 0:
+        return None
+    between_n = (np.abs(means - means.mean()) ** 2).sum() / (m - 1)  # B / n
+    return math.sqrt(((n - 1) / n * within + between_n) / within)
+
+
+class _Chains:
+    """The ``rows`` slice of the ``_CHAINS`` Metropolis chains, ``count`` of
+    them, stacked on a leading axis.
+
+    ``assignment`` is the chains' one state: a stack per off-tree edge (the
+    tree edges stay 1), cold-started at the identity; one proposal rotates one
+    block in every chain and writes it into each copy.  A ``sweep`` still
+    makes one proposal per block of the whole network: the tree blocks' turns
+    go round the off-tree blocks, so burn-in and thinning keep their meaning
+    (on the triangle, a proposal on e1 or e2 moved the holonomy by a step of
+    the same law as one on e3).  ``s`` is the batched ``plan_sum`` of the
+    gauge-fixed table: the action without its constant part, which cancels
+    in every difference.  ``words`` are the measured words as traced on
+    ``assignment``.  The generator draws for all ``_CHAINS`` chains and each
+    copy keeps the rows of its own, so a chain moves the same whichever
+    chains share its copy.
+    """
+
+    def __init__(
+        self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=(), rows=slice(None)
+    ):
+        q = net.quiver
+        self.dim = net.dim
+        tree = gauge_tree(net)
+        self.plan, self.words = _gauge_fixed(tree, table, words)
+        self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
+        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
+        self.rows, self.count = rows, len(range(_CHAINS)[rows])
+        self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
+        n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
+        self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
+        self.eps = {b: np.full(self.count, 0.5) for b in self.sites}
+        identity = np.eye(self.dim, dtype=complex)
+        self.assignment = {eid: np.tile(identity, (self.count, 1, 1)) for eid in self.layouts}
+        self.s = plan_sum(self.plan, self.assignment, self.dim)
+
+    def _prepare(self, batch: list) -> tuple[dict, list]:
+        """The rotations exp(i eps H) of proposals on the sites of ``batch``,
+        by position, and their accept uniforms, for this copy's chains.  Each
+        proposal draws for all ``_CHAINS`` chains in the order of one proposal
+        at a time: H's Ginibre real parts, its imaginary parts, the uniforms;
+        then each site takes one ``eigh`` and one product."""
+        draws = [
+            (self.rng.standard_normal((2, _CHAINS) + (self.layouts[e][bi][0],) * 2)[:, self.rows],
+             self.rng.random(_CHAINS)[self.rows])
+            for e, bi in batch
+        ]
+        rots = {}
+        for b in set(batch):
+            at = [k for k, site in enumerate(batch) if site == b]
+            z = np.stack([draws[k][0] for k in at])
+            a = z[:, 0] + 1j * z[:, 1]
+            evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+            phases = np.exp(1j * self.eps[b][:, None] * evals)[..., None, :]
+            rots.update(zip(at, (vecs * phases) @ vecs.conj().swapaxes(-1, -2)))
+        return rots, [u for _, u in draws]
+
+    def run(self, sweeps: int, thin: int = 0) -> tuple[dict, np.ndarray]:
+        """Make ``sweeps`` sweeps at the current step sizes, preparing proposals
+        in batches of about ``_CHUNK_ENTRIES`` complex entries of draws.
+        Returns each site's accepted proposals per chain and the chains'
+        normalised trace of the first word after every ``thin``-th sweep,
+        (count, sweeps // thin)."""
+        dim, todo = self.dim, self.sweep * sweeps
+        entries = _CHAINS * sum(self.layouts[e][bi][0] ** 2 for e, bi in self.sweep)
+        size = max(1, _CHUNK_ENTRIES * len(self.sweep) // max(entries, 1))  # proposals per batch
+        every = thin * len(self.sweep)  # proposals between measurements
+        accepted = dict.fromkeys(self.sites, 0)
+        values = np.empty((self.count, sweeps // thin if thin else 0), dtype=complex)
+        for start in range(0, len(todo), size):
+            batch = todo[start : start + size]
+            rots, uniforms = self._prepare(batch)
+            for k, (eid, bi) in enumerate(batch):
+                edge, layout = self.assignment[eid], self.layouts[eid]
+                # pos: the row of the block's first copy
+                (n, r), pos = layout[bi], sum(m * c for m, c in layout[:bi])
+                new = rots[k] @ edge[:, pos : pos + n, pos : pos + n]
+                trial = new if n == dim else edge.copy()
+                if n < dim:
+                    for at in range(pos, pos + n * r, n):
+                        trial[:, at : at + n, at : at + n] = new
+                s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, dim)
+                accept = uniforms[k] < np.exp(np.minimum(0.0, -dim * (s_new - self.s)))
+                self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
+                self.s = np.where(accept, s_new, self.s)
+                accepted[eid, bi] += accept
+                done = start + k + 1
+                if thin and done % every == 0:
+                    trace = loop_trace(self.assignment, self.words[0], dim)
+                    values[:, done // every - 1] = trace / dim
+        return accepted, values
+
+
+def _run_chains(
+    net: BratteliNetwork,
+    table: PlaquetteTable,
+    word: tuple,
+    seed: int,
+    burnin: int,
+    sweeps: int,
+    thin: int,
+) -> tuple[np.ndarray, int, int]:
+    """Burn in, then measure ``word`` every ``thin`` of ``sweeps`` sweeps.
+    Returns the measurements, (_CHAINS, sweeps // thin), and the proposals
+    accepted and made after burn-in.  Worker p of :func:`forked.workers`
+    runs chains p, p + workers, ... and writes their rows in place."""
+    workers = forked.workers(_CHAINS)
+    values = forked.shared_array((_CHAINS, sweeps // thin), complex)
+    tally = forked.shared_array((2, _CHAINS), np.int64)  # proposals accepted, made
+
+    def work(part: int) -> None:
+        rows = slice(part, _CHAINS, workers)
+        chains = _Chains(net, table, seed, [word], rows)
+        # burn-in tunes eps per chain and block toward 30-50% acceptance over
+        # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
+        # coupling tunes in a few windows
+        for _ in range(burnin // 100):
+            window = chains.run(100)[0]
+            for b in chains.sites:
+                rate, eps = window[b] / (100 * chains.sweep.count(b)), chains.eps[b]
+                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
+                chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
+        chains.run(burnin % 100)  # the rest of burn-in tunes nothing
+        accepted, values[rows] = chains.run(sweeps, thin)
+        tally[0, rows] = sum(accepted.values())
+        tally[1, rows] = sweeps * len(chains.sweep)
+
+    forked.run(work, workers)
+    return values, int(tally[0].sum()), int(tally[1].sum())
+
+
+def estimate(
+    net: BratteliNetwork,
+    table: PlaquetteTable,
+    word: tuple,
+    samples: int,
+    seed: int,
+    burnin: int,
+    thin: int,
+) -> EstimatorResult:
+    """The Metropolis estimate behind ``estimate_wilson(method="metropolis")``
+    of the normalised trace of ``word``, steps as in the job's quiver."""
+    # batch means absorb residual autocorrelation; no batch spans two chains
+    n_batches = max(10, min(50, samples // 20))
+    if samples < n_batches:
+        raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
+    # chain c keeps the first counts[c] of its measurements, samples in all
+    counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
+    sweeps = counts[0] * thin
+    values, accepted, attempted = _run_chains(net, table, word, seed, burnin, sweeps, thin)
+    # no off-tree block: nothing moves, as when every proposal is accepted
+    rate = accepted / attempted if attempted else 1.0
+    if not 0.05 <= rate <= 0.95:
+        raise RuntimeError(
+            f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
+        )
+    runs = [values[c, :m] for c, m in enumerate(counts)]
+    per_run = [len(c) for c in np.array_split(range(n_batches), _CHAINS)]
+    means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])
+    flat = np.concatenate(runs)
+    mean = complex(flat.mean())
+    stderr, stderr_re, stderr_im = (
+        float(np.sqrt((d**2).sum() / (len(means) * (len(means) - 1))))
+        for d in (np.abs(means - mean), means.real - mean.real, means.imag - mean.imag)
+    )
+    # the sample count whose independent draws would give the same stderr
+    spread = float((np.abs(flat - mean) ** 2).mean())
+    return EstimatorResult(
+        mean=mean,
+        stderr=stderr,
+        stderr_re=stderr_re,
+        stderr_im=stderr_im,
+        samples=samples,
+        effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
+        method="metropolis",
+        acceptance=rate,
+        rhat=_rhat(values[:, : counts[-1]]),
+    )

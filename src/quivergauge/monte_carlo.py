@@ -15,9 +15,10 @@ chunking or worker partition.  It is the only source of configurations.
 Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and
 off-tree block one ``random`` call and one stacked QR, then one trace-kernel
 call for the action plan (built once per estimate) and one for the
-observable's words.  The chunks go round-robin to one ``os.fork()`` child
-per CPU in the process's affinity mask, each pinned to its CPU, which write
-their rows into arrays on anonymous shared maps.  The weighted reduction
+observable's words.  The chunks go round-robin to the workers of
+:mod:`~quivergauge.forked`, one ``os.fork()`` child per CPU in the process's
+affinity mask, each pinned to its CPU, which write their rows into arrays
+on anonymous shared maps.  The weighted reduction
 runs in the caller over whole arrays in sample order, so every result is
 bit-identical for any chunking or worker count; ``taskset -c 0`` runs it
 serially in the caller, as does a platform without ``os.sched_getaffinity``.
@@ -30,22 +31,20 @@ Two estimators are provided for Boltzmann-weighted expectations:
   weighted reduction, which also reports the effective sample size and the
   largest weight's share of the total.
 * ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
-  off-tree block, run as 10 independent chains stacked on a leading axis so
-  that one eigh, one kernel call and one accept draw serve all of them.  Each chain
-  burns in and tunes its own step size per block to 30-50% acceptance.  The
-  error comes from batch means inside each chain, and the Gelman-Rubin
-  R-hat across the chains is reported with it.
+  off-tree block, run as 10 independent chains on the same workers, with
+  batch-means errors and R-hat across the chains; it lives in
+  :mod:`~quivergauge.metropolis`, which is imported on first use.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import forked
 from .action import PlaquetteTable, action_plan, gauge_fixed_table, loop_trace, plan_sum, trace_words
 from .bratteli import BratteliNetwork, gauge_tree
 from .loop_equations import LoopEquation
@@ -54,8 +53,6 @@ from .quiver import EdgeWord, gauge_fixed_steps
 # complex entries per chunk of dim x dim draws: enough to amortise numpy's
 # per-call cost, few enough to add well under a megabyte to peak memory
 _CHUNK_ENTRIES = 4096
-# independent Metropolis chains, stacked on a leading axis
-_CHAINS = 10
 # fewest effective samples a reweighted estimate may rest on
 _MIN_EFFECTIVE = 100.0
 
@@ -186,73 +183,6 @@ def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tup
     return plan, [gauge_fixed_steps(w, tree) for w in words]
 
 
-def _workers(chunks: int) -> int:
-    """Workers that share ``chunks`` reweighting chunks: one per CPU in the
-    affinity mask, at most one per chunk.  1, which runs them in the caller,
-    where the mask cannot be read: Windows, and macOS, whose Accelerate BLAS
-    is not fork-safe."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(chunks, len(os.sched_getaffinity(0)))
-
-
-def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zeroed array on its own anonymous shared map, so writes made by a
-    forked child reach the parent; the map is unmapped with the array."""
-    # mmap, and traceback below, are imported on first use: at import time
-    # they add about 0.2 MB of resident memory to runs that never reweight
-    import mmap
-
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # a map cannot be empty
-    return np.frombuffer(buf, dtype, count).reshape(shape)
-
-
-def _run_forked(run, workers: int) -> None:
-    """Call ``run(p)`` for p = 0..workers-1: here when there is one part,
-    otherwise each in a forked child, which hands back nothing but what it
-    writes to shared memory.
-
-    Child p runs pinned to the p-th CPU of the affinity mask, cycling when
-    there are more parts than CPUs: left to itself, the scheduler can keep a
-    fresh child on its parent's CPU for the whole call.  The caller only
-    forks and waits: its affinity stays as it was, and the sampling's
-    temporaries never enter its heap.
-    Every child is reaped before this returns or raises; one that fails or
-    is killed makes the call raise RuntimeError.
-    """
-    if workers == 1:
-        run(0)
-        return
-    cpus = sorted(os.sched_getaffinity(0))
-    pids = []
-    try:
-        for p in range(workers):
-            pid = os.fork()
-            if pid == 0:
-                # the child must neither return into the caller nor flush
-                # the buffers it copied from the parent
-                code = 1
-                try:
-                    os.sched_setaffinity(0, {cpus[p % len(cpus)]})
-                    run(p)
-                    code = 0
-                except Exception:
-                    import traceback
-
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    failed = {p: os.waitstatus_to_exitcode(s) for p, s in enumerate(statuses) if s}
-    if failed:
-        raise RuntimeError(
-            f"forked workers failed (worker: exit code, minus the signal if killed): {failed}"
-        )
-
-
 def _reweighted_traces(
     net: BratteliNetwork,
     table: PlaquetteTable,
@@ -266,17 +196,17 @@ def _reweighted_traces(
     (len(words), samples); the constant part of S shifts every log weight
     equally and is left out.  The action and the words are traced as
     rewritten in the sampler's off-tree edges.  Worker p of
-    :func:`_workers` fills chunks p, p + workers, ... in place.
+    :func:`forked.workers` fills chunks p, p + workers, ... in place.
     """
     sampler = KeyedSampler(net, seed)
     plan, words = _gauge_fixed(sampler.tree, table, words)
     dim = net.dim
     chunk = max(1, _CHUNK_ENTRIES // dim**2)
     starts = range(0, samples, chunk)
-    workers = _workers(len(starts))
+    workers = forked.workers(len(starts))
     # two maps, so that the caller can free the traces before the logs
-    logs = _shared_array((samples,), float)
-    traces = _shared_array((len(words), samples), complex)
+    logs = forked.shared_array((samples,), float)
+    traces = forked.shared_array((len(words), samples), complex)
 
     def fill(part: int) -> None:
         for a in starts[part::workers]:
@@ -288,7 +218,7 @@ def _reweighted_traces(
                 traces[k, a:b].real = t.real / dim
                 traces[k, a:b].imag = t.imag / dim
 
-    _run_forked(fill, workers)
+    forked.run(fill, workers)
     return logs, traces
 
 
@@ -356,146 +286,12 @@ def estimate_wilson(
             effective_samples=ess, method="reweight", max_weight_share=share,
         )
     if method == "metropolis":
-        return _estimate_metropolis(net, table, beta.steps, samples, seed, burnin, thin)
+        # imported on first use, since it imports this module; runs that
+        # only reweight never compile it
+        from . import metropolis
+
+        return metropolis.estimate(net, table, beta.steps, samples, seed, burnin, thin)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _rhat(chains: np.ndarray) -> float | None:
-    """Gelman-Rubin potential scale reduction of draws (chains, n).
-
-    Deviations enter as |.|^2, so a complex observable counts both parts.
-    None when it is undefined: a chain with fewer than two draws, or no
-    spread within the chains.
-    """
-    m, n = chains.shape
-    if n < 2:
-        return None
-    means = chains.mean(axis=1)
-    within = (np.abs(chains - means[:, None]) ** 2).sum() / (m * (n - 1))
-    if within == 0:
-        return None
-    between_n = (np.abs(means - means.mean()) ** 2).sum() / (m - 1)  # B / n
-    return math.sqrt(((n - 1) / n * within + between_n) / within)
-
-
-class _Chains:
-    """``_CHAINS`` Metropolis chains stacked on a leading axis.
-
-    ``assignment`` is the chains' one state: a (_CHAINS, N, N) stack per
-    off-tree edge (the tree edges stay 1), cold-started at the identity; one
-    proposal rotates one block in every chain and writes it into each copy.  A
-    ``sweep`` still makes one proposal per block of the whole network: the
-    tree blocks' turns go round the off-tree blocks, so burn-in and thinning
-    keep their meaning (on the triangle, a proposal on e1 or e2 moved the
-    holonomy by a step of the same law as one on e3).  ``s`` is the batched
-    ``plan_sum`` of the gauge-fixed table: the action without its constant
-    part, which cancels in every difference.  ``words`` are the measured
-    words as traced on ``assignment``.
-    """
-
-    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
-        q = net.quiver
-        self.dim = net.dim
-        tree = gauge_tree(net)
-        self.plan, self.words = _gauge_fixed(tree, table, words)
-        self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
-        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
-        self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
-        n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
-        self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
-        self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
-        identity = np.eye(self.dim, dtype=complex)
-        self.assignment = {eid: np.tile(identity, (_CHAINS, 1, 1)) for eid in self.layouts}
-        self.s = plan_sum(self.plan, self.assignment, self.dim)
-
-    def propose(self, eid: str, bi: int) -> np.ndarray:
-        """Propose U <- exp(i eps H) U on one block of every chain, written
-        into each of the block's copies; returns which chains accepted."""
-        edge, layout = self.assignment[eid], self.layouts[eid]
-        (n, r), pos = layout[bi], sum(m * k for m, k in layout[:bi])  # pos: its first copy's row
-        old = edge[:, pos : pos + n, pos : pos + n]
-        a = self.rng.standard_normal(old.shape) + 1j * self.rng.standard_normal(old.shape)
-        evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
-        phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
-        new = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
-        trial = new if n == self.dim else edge.copy()  # a lone block is the whole edge
-        if n < self.dim:
-            for at in range(pos, pos + n * r, n):
-                trial[:, at : at + n, at : at + n] = new
-        s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
-        accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
-        self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
-        self.s = np.where(accept, s_new, self.s)
-        return accept
-
-
-def _estimate_metropolis(
-    net: BratteliNetwork,
-    table: PlaquetteTable,
-    word: tuple,
-    samples: int,
-    seed: int,
-    burnin: int,
-    thin: int,
-) -> EstimatorResult:
-    # batch means absorb residual autocorrelation; no batch spans two chains
-    n_batches = max(10, min(50, samples // 20))
-    if samples < n_batches:
-        raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
-    dim = net.dim
-    chains = _Chains(net, table, seed, [word])
-    (word,) = chains.words
-    # burn-in tunes eps per chain and block toward 30-50% acceptance over
-    # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
-    # coupling tunes in a few windows
-    window = dict.fromkeys(chains.sites, 0)
-    for sweep in range(burnin):
-        for b in chains.sweep:
-            window[b] += chains.propose(*b)
-        if (sweep + 1) % 100 == 0:
-            for b in chains.sites:
-                rate, eps = window[b] / (100 * chains.sweep.count(b)), chains.eps[b]
-                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
-                chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
-                window[b] = 0
-    # chain c keeps the first counts[c] of its measurements, samples in all
-    counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
-    values = np.empty((_CHAINS, counts[0]), dtype=complex)
-    accepted = 0
-    for k in range(counts[0]):
-        for _ in range(thin):
-            for b in chains.sweep:
-                accepted += int(chains.propose(*b).sum())
-        values[:, k] = loop_trace(chains.assignment, word, dim) / dim
-    attempted = counts[0] * thin * len(chains.sweep) * _CHAINS
-    # no off-tree block: nothing moves, as when every proposal is accepted
-    rate = accepted / attempted if attempted else 1.0
-    if not 0.05 <= rate <= 0.95:
-        raise RuntimeError(
-            f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
-        )
-    runs = [values[c, :m] for c, m in enumerate(counts)]
-    per_run = [len(c) for c in np.array_split(range(n_batches), _CHAINS)]
-    means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])
-    flat = np.concatenate(runs)
-    mean = complex(flat.mean())
-    stderr, stderr_re, stderr_im = (
-        float(np.sqrt((d**2).sum() / (len(means) * (len(means) - 1))))
-        for d in (np.abs(means - mean), means.real - mean.real, means.imag - mean.imag)
-    )
-    # the sample count whose independent draws would give the same stderr
-    spread = float((np.abs(flat - mean) ** 2).mean())
-    return EstimatorResult(
-        mean=mean,
-        stderr=stderr,
-        stderr_re=stderr_re,
-        stderr_im=stderr_im,
-        samples=samples,
-        effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
-        method="metropolis",
-        acceptance=rate,
-        rhat=_rhat(values[:, : counts[-1]]),
-    )
 
 
 def check_loop_equation(

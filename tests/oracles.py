@@ -5,17 +5,20 @@ holonomy of a word as a plain product, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
 the maximal-tree gauge transform of a configuration and the distance of a
 unitary from its block group, the dense Toeplitz moment matrix, the
-one-pass positivity scan at full order, and the Bessel derivative by its
-recurrence.
+one-pass positivity scan at full order, the Bessel derivative by its
+recurrence, and the Metropolis chains run one proposal at a time.
 """
+
+import math
 
 import numpy as np
 
-from quivergauge.action import PlaquetteTable, action_plan, plan_sum
+from quivergauge.action import PlaquetteTable, action_plan, loop_trace, plan_sum
 from quivergauge.bootstrap import _first_failure, _toeplitz, leading_minors, moment
-from quivergauge.bratteli import BratteliNetwork
+from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.gww import bessel_i
-from quivergauge.monte_carlo import DiracSample, _embed_blocks
+from quivergauge.metropolis import _CHAINS
+from quivergauge.monte_carlo import DiracSample, _embed_blocks, _gauge_fixed
 
 from conftest import random_unitary
 
@@ -137,3 +140,72 @@ def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.n
 def bessel_i_derivative(q: int, z):
     """d/dz I_q(z) = (I_{q-1}(z) + I_{q+1}(z)) / 2."""
     return 0.5 * (bessel_i(q - 1, z) + bessel_i(q + 1, z))
+
+
+class OneAtATimeChains:
+    """All ``_CHAINS`` Metropolis chains making one proposal at a time, each
+    with its own draws from the shared generator: two Ginibre stacks (real,
+    then imaginary parts), then the accept uniforms."""
+
+    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
+        q = net.quiver
+        self.dim = net.dim
+        tree = gauge_tree(net)
+        self.plan, self.words = _gauge_fixed(tree, table, words)
+        self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
+        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
+        self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
+        n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
+        self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
+        self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
+        identity = np.eye(self.dim, dtype=complex)
+        self.assignment = {eid: np.tile(identity, (_CHAINS, 1, 1)) for eid in self.layouts}
+        self.s = plan_sum(self.plan, self.assignment, self.dim)
+
+    def propose(self, eid: str, bi: int) -> np.ndarray:
+        """Propose U <- exp(i eps H) U on one block of every chain, written
+        into each of the block's copies; returns which chains accepted."""
+        edge, layout = self.assignment[eid], self.layouts[eid]
+        (n, r), pos = layout[bi], sum(m * k for m, k in layout[:bi])
+        old = edge[:, pos : pos + n, pos : pos + n]
+        a = self.rng.standard_normal(old.shape) + 1j * self.rng.standard_normal(old.shape)
+        evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+        phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
+        new = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
+        trial = new if n == self.dim else edge.copy()
+        if n < self.dim:
+            for at in range(pos, pos + n * r, n):
+                trial[:, at : at + n, at : at + n] = new
+        s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
+        accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
+        self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
+        self.s = np.where(accept, s_new, self.s)
+        return accept
+
+
+def metropolis_chains(net, table, word, seed, burnin, sweeps, thin):
+    """The Metropolis run one proposal at a time: ``burnin`` sweeps tuning
+    each chain's step per block over 100-sweep windows, then ``sweeps``
+    sweeps measuring the normalised trace of ``word`` every ``thin``.
+    Returns the measurements (_CHAINS, sweeps // thin) and the proposals
+    accepted and made after burn-in."""
+    chains = OneAtATimeChains(net, table, seed, [word])
+    (word,) = chains.words
+    window = dict.fromkeys(chains.sites, 0)
+    for sweep in range(burnin):
+        for b in chains.sweep:
+            window[b] += chains.propose(*b)
+        if (sweep + 1) % 100 == 0:
+            for b in chains.sites:
+                rate, eps = window[b] / (100 * chains.sweep.count(b)), chains.eps[b]
+                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
+                chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
+                window[b] = 0
+    values = np.empty((_CHAINS, sweeps // thin), dtype=complex)
+    accepted = 0
+    for k in range(sweeps // thin):
+        for _ in range(thin):
+            for b in chains.sweep:
+                accepted += int(chains.propose(*b).sum())
+        values[:, k] = loop_trace(chains.assignment, word, chains.dim) / chains.dim
+    return values, accepted, sweeps * len(chains.sweep) * _CHAINS

@@ -323,16 +323,23 @@ class TestMc:
         # the shipped two-site coupling rejects nearly every step at eps 0.5;
         # burn-in must shrink eps far enough within its two windows
         out = tmp_path / "mc.json"
-        code = run(
-            ["mc", TWO_SITE, "--loop", "ov+ ov+ e+ ow+ ow+ e-", "--method", "metropolis",
-             "--samples", "200", "--burnin", "200", "--thin", "2", "--seed", "3", "--out", str(out)]
-        )
+        args = ["mc", TWO_SITE, "--loop", "ov+ ov+ e+ ow+ ow+ e-", "--method", "metropolis",
+                "--samples", "200", "--burnin", "200", "--thin", "2", "--seed", "3", "--out", str(out)]
+        code = run(args)
         assert code == 0
         data = json.loads(out.read_text())
         assert 0.05 <= data["acceptance"] <= 0.95
         # these short chains disagree, and the confirmation line says so
         assert data["rhat"] > RHAT_LIMIT
         assert capsys.readouterr().out.endswith(
+            f", R-hat {data['rhat']:.3g} above {RHAT_LIMIT}: chains disagree\n"
+        )
+        # without --out the JSON alone goes to stdout, and the warning to stderr
+        assert run(args[:-2]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text() + "\n"
+        assert captured.err == (
+            f"effective samples {data['effective_samples']:.1f}, acceptance {data['acceptance']:.1%}"
             f", R-hat {data['rhat']:.3g} above {RHAT_LIMIT}: chains disagree\n"
         )
 
@@ -392,9 +399,11 @@ class TestMc:
             f"wrote {out}: effective samples {data['effective_samples']:.1f}, "
             f"acceptance {data['acceptance']:.1%}\n"
         )
-        # without --out, stdout is the JSON alone
+        # without --out, stdout is the JSON alone and the line goes to stderr
         assert run(base + ["--samples", "2000"]) == 0
-        json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert captured.err.startswith("effective samples ")
 
     def test_dim_override(self, tmp_path):
         out = tmp_path / "mc.json"

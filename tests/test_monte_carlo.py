@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quivergauge as qg
-from quivergauge import monte_carlo
+from quivergauge import forked, metropolis, monte_carlo
 from quivergauge.action import (
     ActionSpec,
     action_plan,
@@ -23,7 +23,7 @@ from quivergauge.monte_carlo import (
 from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
 from conftest import REPO, torus_quiver, triangle_network
-from oracles import assemble_dirac, block_deviation, evaluate_action
+from oracles import assemble_dirac, block_deviation, evaluate_action, metropolis_chains
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -255,7 +255,7 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     for budget in (1, 7 * dim**2, monte_carlo._CHUNK_ENTRIES, samples * dim**2):
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: workers)
+            monkeypatch.setattr(forked, "workers", lambda parts: workers)
             runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
             assert os.sched_getaffinity(0) == mask  # only the children are pinned
     for logs, traces in runs[1:]:
@@ -303,7 +303,7 @@ def test_failing_worker_raises_and_leaves_no_process(
         return sample_chunk(self, start, stop)
 
     monkeypatch.setattr(KeyedSampler, "sample_chunk", failing)
-    monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: workers)
+    monkeypatch.setattr(forked, "workers", lambda parts: workers)
     with pytest.raises(raised) as info:
         monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 3 * chunk, 3)
     assert message in str(info.value)
@@ -327,7 +327,7 @@ def test_failed_fork_reaps_started_children(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(monte_carlo, "_workers", lambda chunks: 2)
+    monkeypatch.setattr(forked, "workers", lambda parts: 2)
     with pytest.raises(OSError, match="injected fork failure"):
         monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 1000, 3)
     with pytest.raises(ChildProcessError):
@@ -448,22 +448,90 @@ def test_metropolis_without_off_tree_blocks():
                         samples=20, seed=1, method="metropolis", burnin=0, thin=1)
 
 
+@pytest.mark.parametrize(
+    "job_path, f4",
+    [("builtin:triangle@3", None), (str(REPO / "jobs" / "two_site.json"), "1/2000")],
+    ids=["triangle3", "two_site"],
+)
+def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
+    # proposals prepared one at a time, in batches of the default budget and
+    # in one batch per run of sweeps, on 1, 2, 3 and 10 workers, give the
+    # oracle's chains and estimate bit for bit; 250 burn-in sweeps end the
+    # burn-in mid-window, after tuning at 100 and 200
+    job = qg.load_job(job_path)
+    action = job.action if f4 is None else ActionSpec.from_list([0, 0, 0, 0, f4])
+    table = expand_action(job.quiver, action)
+    args = (job.network, table, job.loops[0].steps, 11, 250, 36, 3)
+
+    def estimate():
+        return estimate_wilson(job.network, table, job.loops[0], samples=120, seed=11,
+                               method="metropolis", burnin=250, thin=3)
+
+    with monkeypatch.context() as m:
+        m.setattr(metropolis, "_run_chains", metropolis_chains)
+        expected = estimate()
+    values, accepted, made = metropolis_chains(*args)
+    assert 0 < accepted < made and np.all(values != 0)
+    mask = os.sched_getaffinity(0)
+    for budget in (1, metropolis._CHUNK_ENTRIES, 10**9):
+        monkeypatch.setattr(metropolis, "_CHUNK_ENTRIES", budget)
+        for workers in (1, 2, 3, 10):
+            monkeypatch.setattr(forked, "workers", lambda parts: workers)
+            got = metropolis._run_chains(*args)
+            assert np.array_equal(got[0], values) and got[1:] == (accepted, made)
+            assert estimate() == expected
+            assert os.sched_getaffinity(0) == mask  # only the children are pinned
+
+
+@pytest.mark.parametrize(
+    "kill, message",
+    [(False, "{1: 1}"), (True, f"{{1: -{int(signal.SIGKILL)}}}")],
+    ids=["worker_raises", "worker_killed"],
+)
+def test_failing_metropolis_worker_raises_and_leaves_no_process(monkeypatch, capfd, kill, message):
+    # the chains of worker 1 fail in its forked child: the call raises once
+    # both children are reaped, and the caller's affinity is untouched
+    job = qg.triangle_job(dim=3)
+    table = expand_action(job.quiver, job.action)
+    caller, run = os.getpid(), metropolis._Chains.run
+
+    def failing(self, sweeps, thin=0):
+        if self.rows.start == 1 and os.getpid() != caller:  # never the test's own process
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("injected failure")
+        return run(self, sweeps, thin)
+
+    monkeypatch.setattr(metropolis._Chains, "run", failing)
+    monkeypatch.setattr(forked, "workers", lambda parts: 2)
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(RuntimeError) as info:
+        estimate_wilson(job.network, table, ZETA, samples=100, seed=3,
+                        method="metropolis", burnin=100, thin=1)
+    assert message in str(info.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+    if not kill:  # the child's traceback is not lost
+        assert "ValueError: injected failure" in capfd.readouterr().err
+
+
 class TestChains:
     def test_rhat_of_iid_chains_is_one(self, rng):
-        assert abs(monte_carlo._rhat(rng.standard_normal((10, 1000))) - 1) < 0.05
+        assert abs(metropolis._rhat(rng.standard_normal((10, 1000))) - 1) < 0.05
 
     def test_rhat_flags_chains_that_disagree(self, rng):
         shifted = rng.standard_normal((10, 1000)) + 4 * np.arange(10)[:, None]
-        assert monte_carlo._rhat(shifted) > 1.5
+        assert metropolis._rhat(shifted) > 1.5
 
     def test_rhat_is_undefined_without_spread(self, rng):
-        assert monte_carlo._rhat(rng.standard_normal((10, 1))) is None
-        assert monte_carlo._rhat(np.ones((10, 50))) is None
+        assert metropolis._rhat(rng.standard_normal((10, 1))) is None
+        assert metropolis._rhat(np.ones((10, 50))) is None
 
     def test_triangle_moves_only_the_off_tree_block(self, tri3):
         # a sweep keeps the network's 3 proposals, all on e3
         job, table = tri3
-        chains = monte_carlo._Chains(job.network, table, seed=3)
+        chains = metropolis._Chains(job.network, table, seed=3)
         assert chains.sites == [("e3", 0)] and chains.sweep == [("e3", 0)] * 3
         assert set(chains.assignment) == {"e3"}
         assert chains.plan == ([(("e3", 1),)], [0.4])
@@ -472,11 +540,11 @@ class TestChains:
         # accepted and rejected chains mixed by np.where keep S equal to the state's
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         table = expand_action(job.quiver, job.action)
-        chains = monte_carlo._Chains(job.network, table, seed=3)
+        chains = metropolis._Chains(job.network, table, seed=3)
         for b in chains.sites:
             chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
-        accepted = sum(int(chains.propose(*b).sum()) for _ in range(10) for b in chains.sites)
-        assert 0 < accepted < 10 * len(chains.sites) * monte_carlo._CHAINS
+        accepted = sum(int(a.sum()) for a in chains.run(10)[0].values())
+        assert 0 < accepted < 10 * len(chains.sweep) * metropolis._CHAINS
         assert chains.plan == action_plan(gauge_fixed_table(table, ("e",)))
         assert (chains.s == plan_sum(chains.plan, chains.assignment, job.network.dim)).all()
 
@@ -485,8 +553,8 @@ class TestChains:
         # ov stays U(3)x4 + U(2)x2 and ow stays U(8)x2 in every chain
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 0, "1/2000"]))
-        chains = monte_carlo._Chains(job.network, table, seed=3)
-        accepted = sum(int(chains.propose(*b).sum()) for _ in range(5) for b in chains.sweep)
+        chains = metropolis._Chains(job.network, table, seed=3)
+        accepted = sum(int(a.sum()) for a in chains.run(5)[0].values())
         assert accepted > 0
         eye = np.eye(job.network.dim)
         for e, stack in chains.assignment.items():
