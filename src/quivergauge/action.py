@@ -79,6 +79,7 @@ class PlaquetteTable:
 
     entries: dict[CyclicWord, Fraction] = field(default_factory=dict)
     constant_coeff: Fraction = Fraction(0)
+    _occurrences: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def coupling(self, w: CyclicWord) -> Fraction:
         return self.entries.get(w, Fraction(0))
@@ -90,10 +91,22 @@ class PlaquetteTable:
             self.constant_coeff += g
         else:
             self.entries[w] = self.coupling(w) + g
+            self._occurrences = None
 
     def drop_zeros(self) -> "PlaquetteTable":
         self.entries = {w: g for w, g in self.entries.items() if g != 0}
+        self._occurrences = None
         return self
+
+    def occurrences(self, edge: str) -> list[tuple[CyclicWord, int, int]]:
+        """(class, position, orientation) of every step on ``edge``, in table
+        order, then word order; indexed on first use after ``add``/``drop_zeros``."""
+        if self._occurrences is None:
+            self._occurrences = {}
+            for w in self.entries:
+                for i, (e, o) in enumerate(w.steps):
+                    self._occurrences.setdefault(e, []).append((w, i, o))
+        return self._occurrences.get(edge, [])
 
 
 def expand_action(q: Quiver, f: ActionSpec) -> PlaquetteTable:

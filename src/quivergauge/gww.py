@@ -75,7 +75,8 @@ class GwwCurve:
     x: np.ndarray
     z: np.ndarray  # partition-function values
     y: np.ndarray  # first moment, NaN where flagged
-    flags: list[str]  # per-sample: "" | "near-singular" (Z <= 0 or non-finite)
+    # per-sample: "" | "near-singular" (Z <= 0 or non-finite) | "out-of-range" (|y| > 1)
+    flags: list[str]
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -90,17 +91,19 @@ def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:
 
     Z_N and its logarithmic derivative come from one longdouble Levinson
     pass with forward-mode derivatives.  Points where Z_N <= 0 or a value
-    is non-finite get y = NaN and the flag "near-singular".
+    is non-finite get y = NaN and the flag "near-singular"; a normalised
+    trace has |y| <= 1, so other points beyond it, where the longdouble
+    pass has lost its digits, get y = NaN and the flag "out-of-range".
     """
     xs = np.asarray(x_grid, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         E, dE = _prediction_errors(N, xs, derivative=True)
-        zs = np.prod(E, axis=-1)
-        ys = -np.sum(dE / E, axis=-1) / (2 * N * N)
-    zs, ys = zs.astype(float), ys.astype(float)
+        zs = np.prod(E, axis=-1).astype(float)
+        ys = (-np.sum(dE / E, axis=-1) / (2 * N * N)).astype(float)
     bad = ~(zs > 0) | ~np.isfinite(zs) | ~np.isfinite(ys)
-    ys[bad] = np.nan
-    flags = ["near-singular" if b else "" for b in bad]
+    beyond = ~bad & (np.abs(ys) > 1)
+    ys[bad | beyond] = np.nan
+    flags = ["near-singular" if b else "out-of-range" if o else "" for b, o in zip(bad, beyond)]
     return GwwCurve(x=xs, z=zs, y=ys, flags=flags)
 
 

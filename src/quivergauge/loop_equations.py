@@ -180,22 +180,22 @@ def generate_loop_equation(
                 "the spliced terms are not expressible as closed words"
             )
 
-    def cuts(steps: tuple) -> list[tuple[int, int]]:
-        # (cut, orientation) per root step: the cut falls before a step whose
-        # orientation matches the translation, after one that opposes it
-        return [
-            (i if (o > 0) == forward else i + 1, o) for i, (e, o) in enumerate(steps) if e == root
-        ]
+    def cut(i: int, o: int) -> int:
+        # the cut falls before a root step whose orientation matches the
+        # translation, after one that opposes it
+        return i if (o > 0) == forward else i + 1
 
     # every cut falls at the vertex where rot starts, so the pieces and the
     # splices are closed words like beta: no term needs a closedness walk
     lhs_raw = [
-        (o, _sorted_pair(CyclicWord.of(rot[:c]), CyclicWord.of(rot[c:]))) for c, o in cuts(rot)
+        (o, _sorted_pair(CyclicWord.of(rot[:c]), CyclicWord.of(rot[c:])))
+        for i, (e, o) in enumerate(rot) if e == root
+        for c in (cut(i, o),)
     ]
     rhs_raw = [
-        (o, (gamma, CyclicWord.of(rot + gamma.steps[c:] + gamma.steps[:c])))
-        for gamma in table.entries
-        for c, o in cuts(gamma.steps)
+        (o, (gamma, CyclicWord.splice(rot, gamma.steps[c:] + gamma.steps[:c])))
+        for gamma, i, o in table.occurrences(root)
+        for c in (cut(i, o),)
     ]
 
     return LoopEquation(

@@ -88,6 +88,14 @@ class CyclicWord:
         """The class of a closed word's steps: cyclic reduction, then minimal rotation."""
         return cls(_min_rotation(_cyclic_reduce(steps)))
 
+    @classmethod
+    def splice(cls, u: tuple[Step, ...], v: tuple[Step, ...]) -> "CyclicWord":
+        """The class of u + v, both cyclically reduced: cancel where they meet, peel the ends."""
+        k, n = 0, min(len(u), len(v))
+        while k < n and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
+            k += 1
+        return cls(_min_rotation(_peel(u[: len(u) - k] + v[k:])))
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -210,13 +218,16 @@ def is_reduced(w: EdgeWord) -> bool:
     return _free_reduce(w.steps) == w.steps
 
 
-def _cyclic_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
+def _peel(cur: tuple[Step, ...]) -> tuple[Step, ...]:
     # a freely reduced word stays reduced once matching ends are peeled off
-    cur = _free_reduce(steps)
     i, j = 0, len(cur)
     while j - i >= 2 and cur[i][0] == cur[j - 1][0] and cur[i][1] == -cur[j - 1][1]:
         i, j = i + 1, j - 1
     return cur[i:j]
+
+
+def _cyclic_reduce(steps: Sequence[Step]) -> tuple[Step, ...]:
+    return _peel(_free_reduce(steps))
 
 
 def gauge_fixed_steps(steps: Sequence[Step], tree) -> tuple[Step, ...]:
@@ -231,10 +242,15 @@ def _step_key(step: Step) -> tuple[str, int]:
 
 
 def _min_rotation(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+    # the least rotation starts at the least step; only a repeated one needs comparisons
     if not steps:
         return steps
-    keys = [_step_key(s) for s in steps] * 2
-    best = min(range(len(steps)), key=lambda k: keys[k : k + len(steps)])
+    e = min(steps)[0]
+    first = (e, 1) if (e, 1) in steps else (e, -1)
+    best = steps.index(first)
+    if steps.count(first) > 1:
+        keys = [_step_key(s) for s in steps]
+        best = min((k for k, s in enumerate(steps) if s == first), key=lambda k: keys[k:] + keys[:k])
     return steps[best:] + steps[:best]
 
 

@@ -1,7 +1,8 @@
 """Independent reference computations that only the tests call.
 
 Each one recomputes a quantity the package derives another way: the
-holonomy of a word as a plain product, the Dirac operator whose eigenvalues
+holonomy of a word as a plain product, the traced class of a word by its
+definition, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
 the maximal-tree gauge transform of a configuration and the distance of a
 unitary from its block group, the dense Toeplitz moment matrix, the
@@ -19,6 +20,7 @@ from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.gww import bessel_i
 from quivergauge.metropolis import _CHAINS
 from quivergauge.monte_carlo import DiracSample, _embed_blocks, _gauge_fixed
+from quivergauge.quiver import _step_key
 
 from conftest import random_unitary
 
@@ -32,6 +34,22 @@ def holonomy(assignment, steps, dim: int) -> np.ndarray:
         u = assignment[e]
         out = out @ (u if o > 0 else u.conj().T)
     return out
+
+
+def cyclic_class(steps) -> tuple:
+    """The canonical steps of a closed word's traced class by definition:
+    free reduction on a stack, matching end steps peeled one pair at a
+    time, then the least of all rotations under the step order."""
+    stack = []
+    for e, o in steps:
+        if stack and stack[-1] == (e, -o):
+            stack.pop()
+        else:
+            stack.append((e, o))
+    while len(stack) >= 2 and stack[0] == (stack[-1][0], -stack[-1][1]):
+        stack = stack[1:-1]
+    rotations = [tuple(stack[k:] + stack[:k]) for k in range(len(stack))]
+    return min(rotations, key=lambda r: [_step_key(s) for s in r], default=())
 
 
 def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:

@@ -253,6 +253,13 @@ class TestGww:
         rows = out.read_text().splitlines()
         assert len(rows) == 22
 
+    def test_out_of_range_point_is_flagged(self, tmp_path, capsys):
+        out = tmp_path / "gww.csv"
+        args = ["gww", "--dim", "12", "--xmin", "-2.73", "--xmax", "-2.73", "--out", str(out)]
+        assert run(args) == 0
+        assert capsys.readouterr().out == "wrote 1 samples for N=12 (1 flagged)\n"
+        assert out.read_text().splitlines()[1].endswith(",nan")
+
 
 class TestMc:
     def test_estimate_output(self, tmp_path):

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -146,6 +147,27 @@ class TestFirstMomentCurve:
             assert y == pytest.approx(y_ref, rel=0, abs=y_tol), x
             assert z == pytest.approx(z_ref, rel=1e-5), x
         assert curve.flags == [""] * len(xs)
+
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
+    def test_unflagged_points_are_normalised_traces(self, n):
+        curve = first_moment_curve(n, curve_grid(**WINDOW))
+        kept = np.array([not f for f in curve.flags])
+        assert (np.abs(curve.y[kept]) <= 1).all()
+        assert np.isnan(curve.y[~kept]).all()
+
+    def test_lost_digits_are_flagged_out_of_range(self):
+        # the longdouble pass gives y = 1.367 here; the exact value is 0.90839
+        curve = first_moment_curve(12, np.array([-2.73]))
+        assert curve.flags == ["out-of-range"]
+        assert np.isnan(curve.y[0]) and curve.z[0] > 0
+
+    def test_overflow_is_flagged_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = first_moment_curve(13, curve_grid(**WINDOW))
+        overflowed = ~np.isfinite(curve.z)
+        assert overflowed.any()
+        assert all(f == "near-singular" for f, o in zip(curve.flags, overflowed) if o)
 
     def test_csv(self, tmp_path):
         curve = first_moment_curve(2, np.array([0.0, 0.5]))

@@ -1,10 +1,11 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 import quivergauge as qg
-from quivergauge.action import ActionSpec, expand_action
+from quivergauge.action import ActionSpec, PlaquetteTable, expand_action
 from quivergauge.laurent import YXPoly
 from quivergauge.loop_equations import factorize_large_N, generate_loop_equation
 from quivergauge.quiver import EdgeWord, QuiverError, _cyclic_reduce, reduced_closed_walk_counts
@@ -240,6 +241,22 @@ class TestGenerateLoopEquation:
     def test_open_word_rejected(self, triangle_quiver, tri_table):
         with pytest.raises(QuiverError, match="word e1\\+ e2\\+ is not closed"):
             generate_loop_equation(triangle_quiver, tri_table, EdgeWord.from_string("e1+ e2+"), "e1")
+
+    def test_root_occurrences_follow_the_table(self, triangle_quiver):
+        table = expand_action(triangle_quiver, ActionSpec.from_list([0, 0, 0, "1/3"]))
+        before = generate_loop_equation(triangle_quiver, table, ZETA, "e1")
+        new = cyc(triangle_quiver, ZETA**2)
+        assert new not in table.entries and new not in {t.plaquette for t in before.rhs}
+        table.add(new, Fraction(1))
+        added = generate_loop_equation(triangle_quiver, table, ZETA, "e1")
+        # both e1 steps of zeta^2 splice zeta into zeta^3
+        spliced = [(t.multiplicity, t.word) for t in added.rhs if t.plaquette == new]
+        assert spliced == [(2, cyc(triangle_quiver, ZETA**3))]
+        fresh = PlaquetteTable(entries=dict(table.entries))
+        assert added == generate_loop_equation(triangle_quiver, fresh, ZETA, "e1")
+        table.add(new, Fraction(-1))
+        table.drop_zeros()
+        assert generate_loop_equation(triangle_quiver, table, ZETA, "e1") == before
 
     def test_serialization_roundtrip(self, triangle_quiver, tri_table):
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quivergauge as qg
 from quivergauge.quiver import (
+    CyclicWord,
     EdgeWord,
     QuiverError,
     _free_reduce,
@@ -13,7 +14,7 @@ from quivergauge.quiver import (
 )
 
 from conftest import random_unitary
-from oracles import holonomy
+from oracles import cyclic_class, holonomy
 
 
 def word(text):
@@ -140,12 +141,7 @@ class TestCyclicCanonical:
 
     def test_random_rotation_matches_bruteforce(self, triangle_quiver):
         w = word("e1+ e2+ e3+ e1+ e2+ e3+")
-        # oracle: minimum over all rotations under the step order
-        from quivergauge.quiver import _step_key
-
-        rots = [w.rotate(j).steps for j in range(len(w))]
-        expected = min(rots, key=lambda s: tuple(_step_key(t) for t in s))
-        assert qg.cyclic_canonical(triangle_quiver, w.rotate(2)).steps == expected
+        assert qg.cyclic_canonical(triangle_quiver, w.rotate(2)).steps == cyclic_class(w.steps)
 
 
 class TestEnumerateClosedWalks:
@@ -211,3 +207,37 @@ class TestWordProperties:
         assert qg.cyclic_canonical(triangle_quiver, w.rotate(j)) == qg.cyclic_canonical(
             triangle_quiver, w
         )
+
+
+# words over one to three edges, named so that string order is not length order
+small_words_st = st.lists(
+    st.sampled_from(["e1", "e10", "e2"]), min_size=1, max_size=3, unique=True
+).flatmap(
+    lambda edges: st.lists(
+        st.tuples(st.sampled_from(edges), st.sampled_from([1, -1])), max_size=12
+    ).map(tuple)
+)
+
+
+class TestCanonicalFormOracle:
+    @given(small_words_st, st.integers(min_value=1, max_value=4))
+    @example((("e1", 1), ("e2", 1), ("e1", 1), ("e2", -1)), 1)  # least step twice, aperiodic
+    @example((("e2", 1), ("e1", -1), ("e2", -1), ("e1", -1)), 1)  # least edge only backward
+    @example((("e10", 1), ("e1", -1), ("e2", 1)), 3)  # a power
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition(self, steps, power):
+        w = steps * power
+        assert CyclicWord.of(w).steps == cyclic_class(w)
+
+    @given(small_words_st, small_words_st, st.integers(min_value=0, max_value=11),
+           st.integers(min_value=0, max_value=11))
+    @example((("e1", 1), ("e2", 1)), (("e2", -1), ("e1", -1)), 0, 0)  # cancels to nothing
+    @example((("e1", 1), ("e2", 1), ("e10", 1)), (("e1", -1), ("e2", 1)), 0, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_splice_of_reduced_words(self, u, v, i, j):
+        # any rotation of a cyclically reduced word is cyclically reduced
+        u, v = cyclic_class(u), cyclic_class(v)
+        u = u[i % len(u) :] + u[: i % len(u)] if u else u
+        v = v[j % len(v) :] + v[: j % len(v)] if v else v
+        assert CyclicWord.splice(u, v) == CyclicWord.of(u + v)
+        assert CyclicWord.splice(u, v).steps == cyclic_class(u + v)
