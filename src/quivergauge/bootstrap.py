@@ -24,6 +24,7 @@ from .jobfile import Job, triangle_job
 from .laurent import YXPoly
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .quiver import EdgeWord, _cyclic_reduce
+from .toeplitz import leading_minors
 
 
 def derive_moments(job: Job) -> Iterator[YXPoly]:
@@ -76,99 +77,6 @@ def moment(n: int) -> YXPoly:
     return _MOMENTS[n]
 
 
-def _toeplitz(r: np.ndarray, order: int) -> np.ndarray:
-    """Batched Toeplitz assembly: first rows (..., order) -> matrices (..., order, order)."""
-    idx = np.arange(order)
-    return r[..., np.abs(idx[:, None] - idx[None, :])]
-
-
-def levinson(
-    r: np.ndarray, dr: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Levinson-Durbin prediction errors of symmetric Toeplitz matrices.
-
-    ``r`` holds first rows, shape (..., n), in any float dtype; the
-    recursion runs in that dtype.  Returns ``E`` of the same shape with
-    ``det T_k = E_0 E_1 ... E_{k-1}`` for the k x k leading block, so the
-    leading minors are running products of ``E`` and the reflection
-    coefficients are ``kappa_k = acc_k / E_{k-1}`` (Szego-Verblunsky).
-    Given ``dr = dr/dx``, also returns ``dE/dx`` by forward-mode
-    differentiation of the same recursion, else ``None``.
-
-    The recursion is stable on positive-definite matrices (Cybenko 1980).
-    On indefinite ones a small ``E_j`` costs digits in the later entries,
-    and an exactly zero one (a singular leading block) leaves them
-    non-finite; :func:`leading_minors` shows one repair.
-    """
-    n = r.shape[-1]
-    E = np.empty_like(r)
-    E[..., 0] = r[..., 0]
-    a = np.zeros_like(r)  # a[..., i] is predictor coefficient a_{i+1}
-    if dr is not None:
-        dE = np.empty_like(r)
-        dE[..., 0] = dr[..., 0]
-        da = np.zeros_like(r)
-    for k in range(1, n):
-        ak, rev = a[..., : k - 1], r[..., k - 1 : 0 : -1]  # rev[i - 1] = r_{k-i}
-        acc = r[..., k] - (ak * rev).sum(axis=-1)
-        kappa = acc / E[..., k - 1]
-        if dr is not None:
-            dak = da[..., : k - 1]
-            dacc = dr[..., k] - (dak * rev + ak * dr[..., k - 1 : 0 : -1]).sum(axis=-1)
-            dkappa = (dacc - kappa * dE[..., k - 1]) / E[..., k - 1]
-            da[..., : k - 1] = (
-                dak - dkappa[..., None] * ak[..., ::-1] - kappa[..., None] * dak[..., ::-1]
-            )
-            da[..., k - 1] = dkappa
-            dE[..., k] = dE[..., k - 1] - dkappa * acc - kappa * dacc
-        a[..., : k - 1] = ak - kappa[..., None] * ak[..., ::-1]
-        a[..., k - 1] = kappa
-        E[..., k] = E[..., k - 1] - kappa * acc
-    return E, (dE if dr is not None else None)
-
-
-# On an indefinite matrix, a prediction error that drops below this fraction
-# of the one before it (a nearly singular leading block) makes the later
-# Levinson steps lose digits; an exactly singular block breaks them down.
-# Against exact rational minors of triangle moment matrices of orders 6 and 9,
-# later minors stayed within 5e-11 relative of exact (or of the dense
-# determinant's own error) above this fraction, and lost up to 5e-9 at 1e-3.
-_PIVOT_DROP = 1e-2
-
-
-def leading_minors(mvals: np.ndarray, max_order: int) -> np.ndarray:
-    """det M_1 .. det M_n for Toeplitz matrices built from m-values.
-
-    ``mvals`` has shape (..., max_order); the result has shape
-    (..., max_order).  Minors are running products of the float64
-    Levinson prediction errors.  Matrices whose recursion passes a nearly
-    or exactly singular leading block fall back to a dense pivoted
-    determinant per leading block; that is judged over the ``max_order``
-    orders given, in :func:`scan_region` over the deciding stage's orders.
-    Minor k is not finite when one of m_0 .. m_{k-1} is not: the recursion
-    carries a non-finite value on by itself, and the fallback, whose
-    determinant need not show it, sets such minors to NaN.
-    """
-    r = np.asarray(mvals, dtype=float)[..., :max_order]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        E, _ = levinson(r)
-        minors = np.cumprod(E, axis=-1)
-        piv = np.abs(E[..., :-1])  # the last error feeds no later minor
-        # comparisons written so that NaN errors count as unsteady too
-        steady = (piv[..., :1] > 0).all(axis=-1) & (
-            piv[..., 1:] > _PIVOT_DROP * piv[..., :-1]
-        ).all(axis=-1)
-        if not steady.all():
-            rows = r[~steady]
-            mats = _toeplitz(rows, max_order)
-            dense = np.stack(
-                [np.linalg.det(mats[:, :k, :k]) for k in range(1, max_order + 1)], axis=-1
-            )
-            dense[np.logical_or.accumulate(~np.isfinite(rows), axis=-1)] = np.nan
-            minors[~steady] = dense
-    return minors
-
-
 def _first_failure(minors: np.ndarray, tol: float) -> np.ndarray:
     """First order whose minor drops below -tol or is non-finite; 0 if none."""
     bad = (minors < -tol) | ~np.isfinite(minors)
@@ -178,6 +86,8 @@ def _first_failure(minors: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _check_scan_args(max_order: int, tol: float) -> None:
+    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
+        raise ValueError("max_order must be an integer")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if tol < 0:
@@ -208,7 +118,9 @@ class FeasibilityMap:
     pass (0 if even order 1 fails, -1 for undefined cells at x = 0);
     ``first_failing[i, j]`` is the first failing order (0 = none);
     ``overflow[i, j]`` marks a verdict that rests on an overflow: the first
-    failing minor is non-finite.
+    failing minor is non-finite.  These four (len(xs), len(ys)) arrays,
+    int64 orders and bool flags at 18 bytes a cell, are the only grid-size
+    memory of :func:`scan_region`, which fills them in place.
     """
 
     xs: np.ndarray
@@ -268,6 +180,38 @@ def _order_palette(max_order: int) -> list[str]:
 
 # order of the first scan_region stage; each later stage doubles it, up to max_order
 _FIRST_STAGE = 3
+# most cells scan_region evaluates at once: a slice's moment stack, Levinson
+# arrays and minors take about 50 bytes per cell and order
+_BLOCK_CELLS = 8192
+
+
+def _pending(max_feasible: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
+    """Indices of the flat ``max_feasible`` cells still at ``max_order``, in
+    grid order, gathered across the grid into slices of ``_BLOCK_CELLS``.
+
+    Windows of the grid are read once each, in order, so the caller may
+    write the cells of a slice before it takes the next.
+    """
+    cells = np.empty(0, dtype=np.intp)
+    for s in range(0, max_feasible.size, _BLOCK_CELLS):
+        cells = np.append(cells, np.flatnonzero(max_feasible[s : s + _BLOCK_CELLS] == max_order) + s)
+        if len(cells) >= _BLOCK_CELLS:  # a window adds at most one slice's worth
+            yield cells[:_BLOCK_CELLS]
+            cells = cells[_BLOCK_CELLS:]
+    if len(cells):
+        yield cells
+
+
+def _verdicts(
+    X: np.ndarray, Y: np.ndarray, order: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First failing order (0 if none) of the cells at couplings ``X``, ``Y``
+    (equal-length vectors), and whether that failing minor is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
+    minors = leading_minors(mvals, order)
+    first = _first_failure(minors, tol)
+    return first, (first > 0) & ~np.isfinite(minors[np.arange(len(first)), first - 1])
 
 
 def scan_region(
@@ -281,37 +225,35 @@ def scan_region(
     Stages of orders 3, 6, 12, ... (capped at ``max_order``) each evaluate the
     moments, and the minors from order 1, on the cells no stage has seen fail,
     so a cell's float operations up to its verdict (the first failing order
-    of the stage that decided it) are those of one pass at full order.
+    of the stage that decided it) are those of one pass at full order.  Each
+    stage takes those cells in grid order, at most ``_BLOCK_CELLS`` at a time,
+    so beside the returned arrays memory is bounded by that slice, not by the
+    grid.
     """
     _check_scan_args(max_order, tol)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    undefined = np.broadcast_to(xs[:, None] == 0, (len(xs), len(ys))).copy()
-    first = np.zeros(undefined.shape, dtype=np.int64)
-    overflow = np.zeros(undefined.shape, dtype=bool)
-    order, cells, X, Y = min(_FIRST_STAGE, max_order), ..., xs[:, None], ys[None, :]
-    while True:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
-        minors = leading_minors(mvals, order)
-        stage = _first_failure(minors, tol)
-        first[cells] = stage
-        # with tol = inf only a non-finite minor fails: is the first failing one non-finite?
-        overflow[cells] = (stage > 0) & (_first_failure(minors, np.inf) == stage)
-        i, j = np.nonzero((first == 0) & ~undefined)
-        if order == max_order or not len(i):
-            break
-        del mvals, minors  # freed before the next stage allocates, which lowers peak memory
-        order, cells, X, Y = min(2 * order, max_order), (i, j), xs[i], ys[j]
-    first[undefined], overflow[undefined] = 0, False
+    shape = (len(xs), len(ys))
+    undefined = np.broadcast_to(xs[:, None] == 0, shape).copy()
+    # the map's arrays, flat while the stages fill them; max_order marks a
+    # cell that no stage has seen fail, and undefined cells are never evaluated
+    max_feasible = np.full(undefined.size, max_order, dtype=np.int64)
+    max_feasible[undefined.reshape(-1)] = -1
+    first, overflow = np.zeros_like(max_feasible), np.zeros(undefined.size, dtype=bool)
+    order = 0
+    while order < max_order:
+        order = min(2 * order or _FIRST_STAGE, max_order)
+        for cells in _pending(max_feasible, max_order):
+            stage, overflow[cells] = _verdicts(xs[cells // len(ys)], ys[cells % len(ys)], order, tol)
+            first[cells], max_feasible[cells] = stage, np.where(stage > 0, stage - 1, max_order)
     return FeasibilityMap(
         xs=xs,
         ys=ys,
         max_order=max_order,
-        max_feasible=np.where(undefined, -1, np.where(first == 0, max_order, first - 1)),
-        first_failing=first,
+        max_feasible=max_feasible.reshape(shape),
+        first_failing=first.reshape(shape),
         undefined=undefined,
-        overflow=overflow,
+        overflow=overflow.reshape(shape),
     )
 
 

@@ -5,7 +5,7 @@ single-matrix integral over U(N) with weight exp(-N x Tr(U + U*)).  Its
 partition function is the N x N Toeplitz determinant of modified Bessel
 functions I_{k-m} evaluated at z = -2 x N, and the first moment follows by
 differentiating the determinant in the coupling.  Both come from the
-Levinson-Durbin kernel of :mod:`quivergauge.bootstrap`, run in longdouble:
+Levinson-Durbin kernel of :mod:`quivergauge.toeplitz`, run in longdouble:
 Z_N is the product of the prediction errors E_j and d log Z_N / dx the sum
 of dE_j / E_j.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import levinson
+from .toeplitz import levinson
 
 _Z_GUARD = 700.0  # exp-scale overflow guard on the Bessel argument
 

@@ -15,12 +15,13 @@ import math
 import numpy as np
 
 from quivergauge.action import PlaquetteTable, action_plan, loop_trace, plan_sum
-from quivergauge.bootstrap import _first_failure, _toeplitz, leading_minors, moment
+from quivergauge.bootstrap import _first_failure, moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.gww import bessel_i
 from quivergauge.metropolis import _CHAINS
 from quivergauge.monte_carlo import DiracSample, _embed_blocks, _gauge_fixed
 from quivergauge.quiver import _step_key
+from quivergauge.toeplitz import _toeplitz, leading_minors
 
 from conftest import random_unitary
 

@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivergauge import bootstrap
 from quivergauge.bootstrap import (
     default_grid,
     derive_moments,
@@ -142,6 +144,19 @@ class TestFeasibility:
     def test_rejects_zero_coupling(self):
         with pytest.raises(ValueError, match="singular"):
             feasible(0.0, 0.1, 3)
+
+    @pytest.mark.parametrize("order", [7.0, 7.5, True, "7"])
+    def test_non_integer_order_is_a_domain_error(self, order):
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            scan_region(np.array([-0.3]), np.array([0.3]), order)
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            feasible(-0.3, 0.3, order)
+
+    def test_numpy_integer_order_is_an_integer(self):
+        fmap = scan_region(np.array([-0.3]), np.array([0.3]), np.int32(7))
+        assert fmap.max_feasible.dtype == np.int64
+        first = int(fmap.first_failing[0, 0])
+        assert feasible(-0.3, 0.3, np.int64(7)) == (first == 0, first or None)
 
     @given(
         st.floats(min_value=0.3, max_value=3.0),
@@ -319,3 +334,76 @@ class TestStagedScan:
             assert not np.isfinite(minors[:, j:]).any()
             # a NaN error sends the first row to the fallback too: rounding differs
             np.testing.assert_allclose(minors[:, :j], leading_minors(base, 6)[:, :j], rtol=1e-12)
+
+
+OVERFLOW = (np.array([-1e-200, 0.0, 1e-200, 0.5]), np.array([-0.5, -0.25, 0.25, 0.5]))
+NAN_CELL = (np.array([1e-200]), np.array([0.0]))
+DEFAULT_BUDGET = bootstrap._BLOCK_CELLS
+
+
+def assert_same_map(got, want):
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
+class TestBlockBudget:
+    """``scan_region`` takes at most ``_BLOCK_CELLS`` cells at a time; where
+    the slices fall must not change a verdict, a flag or a dtype."""
+
+    @staticmethod
+    def budgets(xs, ys, small):
+        seams = [len(ys) - 1] if len(ys) > 1 else []
+        return ([1, 7] if small else []) + seams + [DEFAULT_BUDGET, len(xs) * len(ys) + 1]
+
+    @pytest.mark.parametrize(
+        "grid, orders, small",
+        [
+            (SMALL_X, [2, 7, 30], True),
+            (ODD, [5, 12, 20], False),
+            (OVERFLOW, [5, 15], True),
+            (NAN_CELL, [5], True),
+            ((np.array([]), np.linspace(-1, 1, 5)), [7], True),
+            ((np.linspace(-1, 1, 5), np.array([])), [7], True),
+        ],
+        ids=["small_x", "odd", "overflow", "nan_cell", "no_rows", "no_columns"],
+    )
+    def test_any_budget_gives_the_one_pass_map(self, monkeypatch, grid, orders, small):
+        xs, ys = grid
+        for order in orders:
+            want = scan_region(xs, ys, order)
+            first, overflow = scan_first_failing(xs, ys, order, 1e-10)
+            np.testing.assert_array_equal(want.first_failing, first, err_msg=f"order {order}")
+            np.testing.assert_array_equal(want.overflow, overflow, err_msg=f"order {order}")
+            for budget in self.budgets(xs, ys, small):
+                monkeypatch.setattr(bootstrap, "_BLOCK_CELLS", budget)
+                assert_same_map(scan_region(xs, ys, order), want)
+            monkeypatch.undo()
+
+    def test_a_row_longer_than_the_budget(self):
+        # 40,000 cells in one row: the slices split the row
+        xs, ys = np.array([0.7]), np.linspace(-1.5, 1.5, 40_000)
+        assert len(ys) > DEFAULT_BUDGET
+        fmap = scan_region(xs, ys, 15)
+        first, overflow = scan_first_failing(xs, ys, 15, 1e-10)
+        np.testing.assert_array_equal(fmap.first_failing, first)
+        np.testing.assert_array_equal(fmap.overflow, overflow)
+        assert 0 < fmap.feasible_cell_count(15) < len(ys)
+
+
+@pytest.mark.parametrize("n", [300, 1000], ids=["default_grid", "1000x1000"])
+def test_scan_memory_is_bounded_by_the_map(n):
+    # beside the returned arrays, a scan holds one slice of cells at a time
+    xs, ys = np.linspace(-3, 3, n), np.linspace(-1.2, 1.2, n)
+    for k in range(15):
+        moment(k)  # memoized outside the measurement
+    tracemalloc.start()
+    try:
+        fmap = scan_region(xs, ys, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.nbytes for v in vars(fmap).values() if isinstance(v, np.ndarray))
+    assert peak <= 2 * arrays + 4e6, (peak, arrays)

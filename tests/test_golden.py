@@ -3,13 +3,16 @@
 The files under ``tests/data/golden/`` are the stdout (or, for a refused
 request, the stderr) of ``quivergauge validate``, ``expand`` and ``loopeq``
 on the shipped jobs, and the stdout, CSV and moment table of a small
-``bootstrap`` scan.  ``validate`` prints integers, block layouts and edge
+``bootstrap`` scan; for the large CSV and SVG of scans on the default grid,
+``bootstrap_triangle_default_grid.sha256`` holds their SHA-256 in
+``sha256sum`` format.  ``validate`` prints integers, block layouts and edge
 names; ``expand`` and ``loopeq`` print exact rationals and words; the
 moment table holds exact integer coefficients, and the scan's CSV holds
 orders at grid points that ``numpy.linspace`` fixes.  Any change to them is
 a change of meaning, not of rounding.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -79,3 +82,22 @@ def test_conjugated_loop_matches_triangle_golden(capsys, tmp_path):
     path = tmp_path / "pendant.json"
     path.write_text(json.dumps(job))
     assert_bootstrap_matches_golden(str(path), capsys, tmp_path)
+
+
+def default_grid_digests():
+    lines = (GOLDEN / "bootstrap_triangle_default_grid.sha256").read_text().splitlines()
+    return dict(reversed(line.split("  ")) for line in lines)
+
+
+@pytest.mark.parametrize("order", [7, 15])
+def test_default_grid_scan_matches_golden_digests(capsys, tmp_path, order):
+    # 90,000 cells span many scan slices, so these files cross the slice seams
+    csv = tmp_path / f"bootstrap_triangle_order{order}.csv"
+    svg = csv.with_suffix(".svg")
+    argv = ["bootstrap", "builtin:triangle", "--max-order", str(order),
+            "--out", str(csv), "--svg", str(svg)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    digests = default_grid_digests()
+    for path in (csv, svg):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[path.name], path.name
