@@ -176,7 +176,7 @@ def trace_words(assignment: Mapping[str, np.ndarray], words: Sequence[tuple], di
         differ = (i for i, (a, b) in enumerate(zip(steps, last)) if a != b)
         del prefix[next(differ, len(prefix)) :]
         if len(steps) == 1:
-            traces[steps] = np.trace(mats[steps[0]], axis1=-2, axis2=-1)
+            traces[steps] = mats[steps[0]].trace(axis1=-2, axis2=-1)
         else:
             m = _fold(mats, steps[:-1], prefix)[-1]
             traces[steps] = np.einsum("...ij,...ji->...", m, mats[steps[-1]])

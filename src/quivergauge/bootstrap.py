@@ -12,8 +12,8 @@ region; scanning leading principal minors over a grid reproduces it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import cache
 from itertools import count, groupby
 from typing import Iterator
 
@@ -135,13 +135,19 @@ class FeasibilityMap:
         return int((self.max_feasible >= order).sum())
 
     def to_csv(self, path: str) -> None:
-        ys = [repr(float(y)) for y in self.ys]
+        """Header ``x,y,max_feasible_order,first_failing_order``, then a line per
+        cell, x-major (every y of one x, then the next x): ``repr`` of the float
+        x and y, the orders as integers, each ended by ``\\r\\n``.  A row is one string."""
+        ys = [repr(float(y)) + "," for y in self.ys]
+        tail = cache("{},{}\r\n".format)  # one string per distinct pair of orders
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "max_feasible_order", "first_failing_order"])
-            for i, x in enumerate(self.xs):
-                feasible, failing = self.max_feasible[i].tolist(), self.first_failing[i].tolist()
-                writer.writerows(zip([repr(float(x))] * len(ys), ys, feasible, failing))
+            fh.write("x,y,max_feasible_order,first_failing_order\r\n")
+            if not ys:  # no cells: a join over an empty row would still write x
+                return
+            for x, feasible, failing in zip(self.xs, self.max_feasible, self.first_failing):
+                row = repr(float(x)) + ","
+                cells = map(str.__add__, ys, map(tail, feasible.tolist(), failing.tolist()))
+                fh.write(row + row.join(cells))
 
     def to_svg(self, path: str) -> None:
         """Compact heat map: one run-length-merged rect per row segment."""

@@ -12,7 +12,6 @@ of dE_j / E_j.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +78,12 @@ class GwwCurve:
     flags: list[str]
 
     def to_csv(self, path: str) -> None:
+        """Header ``x,Z,y``, then a line per sample in grid order: ``repr`` of the float
+        x, Z and y (``inf`` where Z overflowed, ``nan`` where y is flagged), each
+        ended by ``\\r\\n``.  The whole curve is written as one string."""
+        rows = zip(*(map(float, column) for column in (self.x, self.z, self.y)))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "Z", "y"])
-            for xi, zi, yi in zip(self.x, self.z, self.y):
-                writer.writerow([repr(float(xi)), repr(float(zi)), repr(float(yi))])
+            fh.write("x,Z,y\r\n" + "".join(map("%r,%r,%r\r\n".__mod__, rows)))
 
 
 def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:

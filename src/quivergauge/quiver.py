@@ -83,6 +83,13 @@ class CyclicWord:
 
     steps: tuple[Step, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the generated __hash__'s value, once per word: no dict or set order moves
+        object.__setattr__(self, "_hash", hash((self.steps,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def of(cls, steps: Sequence[Step]) -> "CyclicWord":
         """The class of a closed word's steps: cyclic reduction, then minimal rotation."""

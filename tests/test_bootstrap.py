@@ -224,11 +224,25 @@ class TestScanRegion:
         assert lines[0] == "x,y,max_feasible_order,first_failing_order"
         assert len(lines) == 1 + 40 * 41
 
-    def test_csv_matches_per_cell_writer(self, tmp_path):
+    @pytest.mark.parametrize(
+        "xs, ys, order",
+        [
+            (np.linspace(-2, 2, 9), np.linspace(-1.5, 1.5, 13), 6),
+            (np.array([-1.0, 1.0]), np.array([]), 3),
+            (np.linspace(-2, 2, 9), np.array([0.25]), 6),
+            (np.array([0.7]), np.linspace(-1.5, 1.5, 13), 6),
+            (np.array([]), np.linspace(-1.5, 1.5, 13), 3),
+            (np.array([-0.0, 1e-200, -2.5]), np.array([-1e-200, 0.0, 2.0 / 3.0]), 7),
+            (*default_grid(), 15),
+        ],
+        ids=["zero-column", "no-y", "one-y", "one-x", "no-x", "tiny", "default"],
+    )
+    def test_csv_matches_per_cell_writer(self, tmp_path, xs, ys, order):
         # the row-at-a-time writer must give the bytes of one repr per cell,
-        # on a grid with an undefined x = 0 column
-        fmap = scan_region(np.linspace(-2, 2, 9), np.linspace(-1.5, 1.5, 13), 6)
-        assert fmap.undefined[4].all()
+        # on grids with an undefined x = 0 column, with no y (header only),
+        # one y and one x
+        fmap = scan_region(xs, ys, order)
+        assert fmap.undefined[xs == 0].all()
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,3 +1,4 @@
+import csv
 import warnings
 from decimal import Decimal, localcontext
 
@@ -176,6 +177,20 @@ class TestFirstMomentCurve:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,Z,y"
         assert len(lines) == 3
+
+    def test_csv_matches_per_row_writer(self, tmp_path):
+        # the N = 13 window has overflowed Z (inf) and flagged y (nan) rows
+        curve = first_moment_curve(13, curve_grid(**WINDOW))
+        assert np.isinf(curve.z).any() and np.isnan(curve.y).any()
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "Z", "y"])
+            for xi, zi, yi in zip(curve.x, curve.z, curve.y):
+                writer.writerow([repr(float(xi)), repr(float(zi)), repr(float(yi))])
+        out = tmp_path / "c.csv"
+        curve.to_csv(str(out))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_degenerate_grid(self):
         assert list(curve_grid(0.0, 0.0, 3)) == [0.0]

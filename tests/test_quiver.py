@@ -227,7 +227,11 @@ class TestCanonicalFormOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_definition(self, steps, power):
         w = steps * power
-        assert CyclicWord.of(w).steps == cyclic_class(w)
+        c = CyclicWord.of(w)
+        assert c.steps == cyclic_class(w)
+        # the generated dataclass hash, so dict and set orders stay as they were
+        assert hash(c) == hash((c.steps,)) and c == CyclicWord(c.steps)
+        assert repr(c) == f"CyclicWord(steps={c.steps!r})"
 
     @given(small_words_st, small_words_st, st.integers(min_value=0, max_value=11),
            st.integers(min_value=0, max_value=11))
