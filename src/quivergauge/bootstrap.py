@@ -13,7 +13,6 @@ region; scanning leading principal minors over a grid reproduces it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import count, groupby
 from typing import Iterator
 
@@ -77,37 +76,27 @@ def moment(n: int) -> YXPoly:
     return _MOMENTS[n]
 
 
-def _first_failure(minors: np.ndarray, tol: float) -> np.ndarray:
-    """First order whose minor drops below -tol or is non-finite; 0 if none."""
-    bad = (minors < -tol) | ~np.isfinite(minors)
-    any_bad = bad.any(axis=-1)
-    first = bad.argmax(axis=-1) + 1
-    return np.where(any_bad, first, 0)
-
-
 def _check_scan_args(max_order: int, tol: float) -> None:
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise ValueError("max_order must be an integer")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0 <= tol < np.inf:  # a NaN tol would pass every minor
+        raise ValueError("tol must be >= 0 and finite")
 
 
 def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bool, int | None]:
     """Whether all leading principal minors up to ``max_order`` stay >= -tol.
 
     Returns (feasible, first failing order or None).  Non-finite minors
-    (overflow at extreme couplings) count as failures.
+    (overflow at extreme couplings) count as failures.  This is the verdict
+    :func:`scan_region` gives the cell at (x, y), from the same code.
     """
     if x == 0:
         raise ValueError("moments are singular at x = 0")
     _check_scan_args(max_order, tol)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x^b = 0 divides to inf
-        mvals = np.array([moment(k).evaluate(np.float64(x), np.float64(y)) for k in range(max_order)])
-    minors = leading_minors(mvals, max_order)
-    first = int(_first_failure(minors, tol))
-    return (first == 0), (first or None)
+    first = int(_verdicts(np.float64(x), np.float64(y), max_order, tol)[0])
+    return first == 0, first or None
 
 
 @dataclass
@@ -115,21 +104,29 @@ class FeasibilityMap:
     """Per-cell positivity depth over an (x, y) grid.
 
     ``max_feasible[i, j]`` is the highest order n such that minors 1..n all
-    pass (0 if even order 1 fails, -1 for undefined cells at x = 0);
-    ``first_failing[i, j]`` is the first failing order (0 = none);
+    pass (0 if even order 1 fails, -1 for undefined cells at x = 0), and
     ``overflow[i, j]`` marks a verdict that rests on an overflow: the first
-    failing minor is non-finite.  These four (len(xs), len(ys)) arrays,
-    int64 orders and bool flags at 18 bytes a cell, are the only grid-size
-    memory of :func:`scan_region`, which fills them in place.
+    failing minor is non-finite.  These two (len(xs), len(ys)) arrays, int64
+    orders and bool flags at 9 bytes a cell, are the only grid-size memory
+    of :func:`scan_region`, which fills them in place; ``first_failing`` is
+    derived from ``max_feasible``.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     max_order: int
     max_feasible: np.ndarray
-    first_failing: np.ndarray
-    undefined: np.ndarray
     overflow: np.ndarray
+
+    @property
+    def first_failing(self) -> np.ndarray:
+        """First failing order of every cell (0 = none, and 0 at x = 0), made
+        from ``max_feasible`` on each access: index the array, not the property."""
+        return self._first_failing(self.max_feasible)
+
+    def _first_failing(self, max_feasible: np.ndarray) -> np.ndarray:
+        # the order after the highest passing one, unless that is max_order or -1
+        return np.where((max_feasible >= 0) & (max_feasible < self.max_order), max_feasible + 1, 0)
 
     def feasible_cell_count(self, order: int) -> int:
         return int((self.max_feasible >= order).sum())
@@ -139,14 +136,17 @@ class FeasibilityMap:
         cell, x-major (every y of one x, then the next x): ``repr`` of the float
         x and y, the orders as integers, each ended by ``\\r\\n``.  A row is one string."""
         ys = [repr(float(y)) + "," for y in self.ys]
-        tail = cache("{},{}\r\n".format)  # one string per distinct pair of orders
+        # one "a,b\r\n" tail per max_feasible value a, which decides the first failing order b
+        values = np.arange(-1, self.max_order + 1)
+        firsts = self._first_failing(values)
+        tails = {a: f"{a},{b}\r\n" for a, b in zip(values.tolist(), firsts.tolist())}
         with open(path, "w", newline="") as fh:
             fh.write("x,y,max_feasible_order,first_failing_order\r\n")
             if not ys:  # no cells: a join over an empty row would still write x
                 return
-            for x, feasible, failing in zip(self.xs, self.max_feasible, self.first_failing):
+            for x, feasible in zip(self.xs, self.max_feasible):
                 row = repr(float(x)) + ","
-                cells = map(str.__add__, ys, map(tail, feasible.tolist(), failing.tolist()))
+                cells = map(str.__add__, ys, map(tails.__getitem__, feasible.tolist()))
                 fh.write(row + row.join(cells))
 
     def to_svg(self, path: str) -> None:
@@ -208,16 +208,20 @@ def _pending(max_feasible: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
         yield cells
 
 
-def _verdicts(
-    X: np.ndarray, Y: np.ndarray, order: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First failing order (0 if none) of the cells at couplings ``X``, ``Y``
-    (equal-length vectors), and whether that failing minor is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
+def _verdicts(X: np.ndarray, Y: np.ndarray, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First order whose minor drops below -tol or is not finite (0 if none),
+    and whether that minor is not finite, at couplings ``X``, ``Y``: the
+    cells of two equal-length vectors, or one point as two scalars."""
+    mvals = np.empty(np.shape(X) + (order,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x^b = 0 divides to inf
+        for k in range(order):
+            mvals[..., k] = moment(k).evaluate_grid(X, Y)
     minors = leading_minors(mvals, order)
-    first = _first_failure(minors, tol)
-    return first, (first > 0) & ~np.isfinite(minors[np.arange(len(first)), first - 1])
+    lost = ~np.isfinite(minors)
+    bad = (minors < -tol) | lost
+    first = np.where(bad.any(axis=-1), bad.argmax(axis=-1) + 1, 0)
+    # non-finite minors are all bad: the first bad one is non-finite if it is the first non-finite
+    return first, lost.any(axis=-1) & (lost.argmax(axis=-1) + 1 == first)
 
 
 def scan_region(
@@ -239,28 +243,19 @@ def scan_region(
     _check_scan_args(max_order, tol)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    shape = (len(xs), len(ys))
-    undefined = np.broadcast_to(xs[:, None] == 0, shape).copy()
-    # the map's arrays, flat while the stages fill them; max_order marks a
-    # cell that no stage has seen fail, and undefined cells are never evaluated
-    max_feasible = np.full(undefined.size, max_order, dtype=np.int64)
-    max_feasible[undefined.reshape(-1)] = -1
-    first, overflow = np.zeros_like(max_feasible), np.zeros(undefined.size, dtype=bool)
+    # the map's arrays, which the stages fill through flat views; max_order
+    # marks a cell that no stage has seen fail, and x = 0 cells are never evaluated
+    max_feasible = np.full((len(xs), len(ys)), max_order, dtype=np.int64)
+    max_feasible[xs == 0] = -1
+    overflow = np.zeros(max_feasible.shape, dtype=bool)
+    flat, flags = max_feasible.reshape(-1), overflow.reshape(-1)
     order = 0
     while order < max_order:
         order = min(2 * order or _FIRST_STAGE, max_order)
-        for cells in _pending(max_feasible, max_order):
-            stage, overflow[cells] = _verdicts(xs[cells // len(ys)], ys[cells % len(ys)], order, tol)
-            first[cells], max_feasible[cells] = stage, np.where(stage > 0, stage - 1, max_order)
-    return FeasibilityMap(
-        xs=xs,
-        ys=ys,
-        max_order=max_order,
-        max_feasible=max_feasible.reshape(shape),
-        first_failing=first.reshape(shape),
-        undefined=undefined,
-        overflow=overflow.reshape(shape),
-    )
+        for cells in _pending(flat, max_order):
+            first, flags[cells] = _verdicts(xs[cells // len(ys)], ys[cells % len(ys)], order, tol)
+            flat[cells] = np.where(first > 0, first - 1, max_order)
+    return FeasibilityMap(xs, ys, max_order, max_feasible, overflow)
 
 
 # the scan window of default_grid() and of the bootstrap subcommand's defaults

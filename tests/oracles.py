@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from quivergauge.action import PlaquetteTable, action_plan, loop_trace, plan_sum
-from quivergauge.bootstrap import _first_failure, moment
+from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.gww import bessel_i
 from quivergauge.metropolis import _CHAINS
@@ -151,7 +151,11 @@ def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mvals = np.stack([moment(k).evaluate_grid(X, Y) for k in range(order)], axis=-1)
     minors = leading_minors(mvals, order)
-    first = np.where(X == 0, 0, _first_failure(minors, tol))
+    first = np.zeros(minors.shape[:-1], dtype=np.int64)
+    for k in range(order, 0, -1):  # downwards, so the lowest failing order is written last
+        minor = minors[..., k - 1]
+        first[(minor < -tol) | ~np.isfinite(minor)] = k
+    first = np.where(X == 0, 0, first)
     at_first = np.take_along_axis(minors, np.maximum(first - 1, 0)[..., None], axis=-1)[..., 0]
     return first, (first > 0) & ~np.isfinite(at_first)
 

@@ -152,6 +152,14 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="max_order must be an integer"):
             feasible(-0.3, 0.3, order)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_not_negative(self, tol):
+        # a NaN tol passes every minor, since no minor compares below NaN
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+            scan_region(np.array([1.0]), np.array([0.9]), 7, tol=tol)
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+            feasible(1.0, 0.9, 7, tol=tol)
+
     def test_numpy_integer_order_is_an_integer(self):
         fmap = scan_region(np.array([-0.3]), np.array([0.3]), np.int32(7))
         assert fmap.max_feasible.dtype == np.int64
@@ -213,9 +221,9 @@ class TestScanRegion:
         xs = np.array([-1.0, 0.0, 1.0])
         ys = np.array([-0.5, 0.5])
         fmap = scan_region(xs, ys, 3)
-        assert fmap.undefined[1].all()
         assert (fmap.max_feasible[1] == -1).all()
-        assert not fmap.undefined[0].any()
+        assert not (fmap.max_feasible[[0, 2]] == -1).any()
+        assert (fmap.first_failing[1] == 0).all()
 
     def test_csv_output(self, small_map, tmp_path):
         out = tmp_path / "scan.csv"
@@ -242,8 +250,8 @@ class TestScanRegion:
         # on grids with an undefined x = 0 column, with no y (header only),
         # one y and one x
         fmap = scan_region(xs, ys, order)
-        assert fmap.undefined[xs == 0].all()
-        ref = tmp_path / "ref.csv"
+        assert (fmap.max_feasible[xs == 0] == -1).all()
+        ref, first_failing = tmp_path / "ref.csv", fmap.first_failing  # derived on each access
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "max_feasible_order", "first_failing_order"])
@@ -251,7 +259,7 @@ class TestScanRegion:
                 for j, y in enumerate(fmap.ys):
                     writer.writerow(
                         [repr(float(x)), repr(float(y)),
-                         int(fmap.max_feasible[i, j]), int(fmap.first_failing[i, j])]
+                         int(fmap.max_feasible[i, j]), int(first_failing[i, j])]
                     )
         out = tmp_path / "scan.csv"
         fmap.to_csv(str(out))
@@ -265,6 +273,7 @@ class TestScanRegion:
         xs, ys = default_grid()
         fmap = scan_region(xs, ys, order)
         grid = [moment(k).evaluate_grid(xs[:, None], ys[None, :]) for k in range(order)]
+        first_failing = fmap.first_failing
         for i in range(0, len(xs), 6):
             for j in range(0, len(ys), 6):
                 x, y = float(xs[i]), float(ys[j])
@@ -272,7 +281,7 @@ class TestScanRegion:
                 cell = np.array([g[i, j] for g in grid])
                 np.testing.assert_array_equal(point.view(np.uint64), cell.view(np.uint64))
                 _, first = feasible(x, y, order)
-                assert (first or 0) == fmap.first_failing[i, j], (x, y)
+                assert (first or 0) == first_failing[i, j], (x, y)
 
     @pytest.mark.parametrize("x, y, order", [(1e-25, 0.1, 15), (-1e-25, 0.1, 15), (1e-200, 0.0, 7)])
     def test_feasible_gives_the_scan_verdict_where_a_power_underflows(self, x, y, order):
@@ -315,7 +324,7 @@ class TestStagedScan:
             assert_matches_one_pass(*grid, order)
 
     def test_small_x_grid_has_an_undefined_column(self):
-        assert scan_region(*SMALL_X, 3).undefined[20].all()
+        assert (scan_region(*SMALL_X, 3).max_feasible[20] == -1).all()
 
     @pytest.mark.parametrize("order", [7, 15, 25])
     def test_matches_one_pass_on_default_grid(self, order):
@@ -420,4 +429,6 @@ def test_scan_memory_is_bounded_by_the_map(n):
     finally:
         tracemalloc.stop()
     arrays = sum(v.nbytes for v in vars(fmap).values() if isinstance(v, np.ndarray))
+    # the map holds one int64 order and one bool flag a cell, nothing derived
+    assert arrays == xs.nbytes + ys.nbytes + 9 * n * n
     assert peak <= 2 * arrays + 4e6, (peak, arrays)

@@ -204,13 +204,16 @@ class TestBootstrap:
         "flags, message",
         [
             (["--tol", "-1"], "tol must be >= 0"),
+            (["--tol", "nan"], "tol must be >= 0"),
+            (["--tol", "inf"], "tol must be >= 0"),
             (["--max-order", "0"], "max_order must be >= 1"),
             (["--xres", "0"], "xres must be >= 1"),
             (["--xres", "-1"], "xres must be >= 1"),
             (["--yres", "0"], "yres must be >= 1"),
             (["--yres", "-1"], "yres must be >= 1"),
         ],
-        ids=["negative_tol", "zero_order", "zero_xres", "negative_xres", "zero_yres", "negative_yres"],
+        ids=["negative_tol", "nan_tol", "inf_tol", "zero_order",
+             "zero_xres", "negative_xres", "zero_yres", "negative_yres"],
     )
     def test_bad_scan_arguments_are_domain_errors(self, tmp_path, capsys, flags, message):
         out = tmp_path / "scan.csv"

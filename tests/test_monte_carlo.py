@@ -467,10 +467,17 @@ def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
         return estimate_wilson(job.network, table, job.loops[0], samples=120, seed=11,
                                method="metropolis", burnin=250, thin=3)
 
+    oracle = []  # the one oracle run: the arguments estimate() passes, and the chains
+
+    def one_at_a_time(*called):
+        oracle.append((called, metropolis_chains(*called)))
+        return oracle[-1][1]
+
     with monkeypatch.context() as m:
-        m.setattr(metropolis, "_run_chains", metropolis_chains)
+        m.setattr(metropolis, "_run_chains", one_at_a_time)
         expected = estimate()
-    values, accepted, made = metropolis_chains(*args)
+    [(called, (values, accepted, made))] = oracle
+    assert called[0] is args[0] and called[1] is args[1] and called[2:] == args[2:]
     assert 0 < accepted < made and np.all(values != 0)
     mask = os.sched_getaffinity(0)
     for budget in (1, metropolis._CHUNK_ENTRIES, 10**9):
@@ -479,8 +486,9 @@ def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
             monkeypatch.setattr(forked, "workers", lambda parts: workers)
             got = metropolis._run_chains(*args)
             assert np.array_equal(got[0], values) and got[1:] == (accepted, made)
-            assert estimate() == expected
             assert os.sched_getaffinity(0) == mask  # only the children are pinned
+        # estimate() is _run_chains and a deterministic reduction: once per budget
+        assert estimate() == expected
 
 
 @pytest.mark.parametrize(
