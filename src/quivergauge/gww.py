@@ -3,11 +3,12 @@
 Integrating the triangle weight over two of its three unitaries leaves the
 single-matrix integral over U(N) with weight exp(-N x Tr(U + U*)).  Its
 partition function is the N x N Toeplitz determinant of modified Bessel
-functions I_{k-m} evaluated at z = -2 x N, and the first moment follows by
-differentiating the determinant in the coupling.  Both come from the
-Levinson-Durbin kernel of :mod:`quivergauge.toeplitz`, run in longdouble:
-Z_N is the product of the prediction errors E_j and d log Z_N / dx the sum
-of dE_j / E_j.
+functions I_{k-m} evaluated at z = -2 x N.  By Heine's identity
+E[det(z - U)] is the monic orthogonal polynomial of degree N on the unit
+circle, z^N - a_1 z^(N-1) - ..., so E[Tr U] = a_1, the first coefficient
+of the order-N predictor.  Both come from one Levinson-Durbin pass of
+:mod:`quivergauge.toeplitz`, run in longdouble on (I_0, ..., I_N): Z_N is
+the product of the prediction errors E_0 .. E_{N-1}.
 """
 
 from __future__ import annotations
@@ -45,26 +46,19 @@ def bessel_i(q: int, z):
     return total
 
 
-def _prediction_errors(N: int, xs: np.ndarray, derivative: bool):
-    """Levinson errors E_j (and dE_j/dx) of [I_{k-m}(-2 x N)] at each x, in longdouble."""
+def _levinson_pass(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson errors E_0 .. E_N and order-N predictor of r = (I_0, ..., I_N)(-2 x N),
+    in longdouble."""
     if N < 1:
         raise ValueError("N must be >= 1")
     z = np.asarray(xs, dtype=np.longdouble) * (-2 * N)
-    ivals = [bessel_i(q, z) for q in range(N + 1)]
-    r = np.stack(ivals[:N], axis=-1)
-    dr = None
-    if derivative:
-        # dI_q/dx = -2N I_q'(z) with I_q' = (I_{q-1} + I_{q+1}) / 2 and I_{-1} = I_1
-        ivals = [ivals[1]] + ivals
-        dr = np.stack([ivals[q] + ivals[q + 2] for q in range(N)], axis=-1) * (-N)
-    return levinson(r, dr)
+    return levinson(np.stack([bessel_i(q, z) for q in range(N + 1)], axis=-1))
 
 
 def partition_function(N: int, x: float) -> float:
     """det of the N x N Toeplitz matrix [I_{k-m}(-2 x N)]: the product of
     its longdouble Levinson prediction errors."""
-    E, _ = _prediction_errors(N, x, derivative=False)
-    return float(np.prod(E))
+    return float(np.prod(_levinson_pass(N, x)[0][:N]))
 
 
 @dataclass
@@ -74,7 +68,8 @@ class GwwCurve:
     x: np.ndarray
     z: np.ndarray  # partition-function values
     y: np.ndarray  # first moment, NaN where flagged
-    # per-sample: "" | "near-singular" (Z <= 0 or non-finite) | "out-of-range" (|y| > 1)
+    # per-sample: "" | "near-singular" (some E_k <= 0 or a value non-finite)
+    # | "out-of-range" (|y| > 1)
     flags: list[str]
 
     def to_csv(self, path: str) -> None:
@@ -87,20 +82,21 @@ class GwwCurve:
 
 
 def first_moment_curve(N: int, x_grid: np.ndarray) -> GwwCurve:
-    """y_N(x) = -(1 / (2 N^2)) d log Z_N/dx on a grid.
+    """y_N(x) = E[Tr U] / N = -(1 / (2 N^2)) d log Z_N/dx on a grid.
 
-    Z_N and its logarithmic derivative come from one longdouble Levinson
-    pass with forward-mode derivatives.  Points where Z_N <= 0 or a value
-    is non-finite get y = NaN and the flag "near-singular"; a normalised
+    Z_N and y_N = a_1 / N come from one longdouble Levinson pass.  The
+    exact Toeplitz matrices are positive definite at every real x, so
+    points where some prediction error E_0 .. E_N is <= 0 or a value is
+    non-finite get y = NaN and the flag "near-singular"; a normalised
     trace has |y| <= 1, so other points beyond it, where the longdouble
     pass has lost its digits, get y = NaN and the flag "out-of-range".
     """
     xs = np.asarray(x_grid, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        E, dE = _prediction_errors(N, xs, derivative=True)
-        zs = np.prod(E, axis=-1).astype(float)
-        ys = (-np.sum(dE / E, axis=-1) / (2 * N * N)).astype(float)
-    bad = ~(zs > 0) | ~np.isfinite(zs) | ~np.isfinite(ys)
+        E, a = _levinson_pass(N, xs)
+        zs = np.prod(E[..., :N], axis=-1).astype(float)
+        ys = (a[..., 0] / N).astype(float)
+    bad = ~(E > 0).all(axis=-1) | ~np.isfinite(zs) | ~np.isfinite(ys)
     beyond = ~bad & (np.abs(ys) > 1)
     ys[bad | beyond] = np.nan
     flags = ["near-singular" if b else "out-of-range" if o else "" for b, o in zip(bad, beyond)]

@@ -16,18 +16,17 @@ def _toeplitz(r: np.ndarray, order: int) -> np.ndarray:
     return r[..., np.abs(idx[:, None] - idx[None, :])]
 
 
-def levinson(
-    r: np.ndarray, dr: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Levinson-Durbin prediction errors of symmetric Toeplitz matrices.
+def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin prediction errors and predictor of symmetric Toeplitz matrices.
 
     ``r`` holds first rows, shape (..., n), in any float dtype; the
     recursion runs in that dtype.  Returns ``E`` of the same shape with
     ``det T_k = E_0 E_1 ... E_{k-1}`` for the k x k leading block, so the
     leading minors are running products of ``E`` and the reflection
-    coefficients are ``kappa_k = acc_k / E_{k-1}`` (Szego-Verblunsky).
-    Given ``dr = dr/dx``, also returns ``dE/dx`` by forward-mode
-    differentiation of the same recursion, else ``None``.
+    coefficients are ``kappa_k = acc_k / E_{k-1}`` (Szego-Verblunsky), and
+    ``a`` of the same shape, whose first n - 1 entries are the order-(n-1)
+    predictor: the solution of ``T_{n-1} a = (r_1, ..., r_{n-1})``
+    (Yule-Walker); its last entry is 0.
 
     The recursion is stable on positive-definite matrices (Cybenko 1980).
     On indefinite ones a small ``E_j`` costs digits in the later entries,
@@ -38,27 +37,14 @@ def levinson(
     E = np.empty_like(r)
     E[..., 0] = r[..., 0]
     a = np.zeros_like(r)  # a[..., i] is predictor coefficient a_{i+1}
-    if dr is not None:
-        dE = np.empty_like(r)
-        dE[..., 0] = dr[..., 0]
-        da = np.zeros_like(r)
     for k in range(1, n):
         ak, rev = a[..., : k - 1], r[..., k - 1 : 0 : -1]  # rev[i - 1] = r_{k-i}
         acc = r[..., k] - (ak * rev).sum(axis=-1)
         kappa = acc / E[..., k - 1]
-        if dr is not None:
-            dak = da[..., : k - 1]
-            dacc = dr[..., k] - (dak * rev + ak * dr[..., k - 1 : 0 : -1]).sum(axis=-1)
-            dkappa = (dacc - kappa * dE[..., k - 1]) / E[..., k - 1]
-            da[..., : k - 1] = (
-                dak - dkappa[..., None] * ak[..., ::-1] - kappa[..., None] * dak[..., ::-1]
-            )
-            da[..., k - 1] = dkappa
-            dE[..., k] = dE[..., k - 1] - dkappa * acc - kappa * dacc
         a[..., : k - 1] = ak - kappa[..., None] * ak[..., ::-1]
         a[..., k - 1] = kappa
         E[..., k] = E[..., k - 1] - kappa * acc
-    return E, (dE if dr is not None else None)
+    return E, a
 
 
 # On an indefinite matrix, a prediction error that drops below this fraction
@@ -86,7 +72,7 @@ def leading_minors(mvals: np.ndarray, max_order: int) -> np.ndarray:
     """
     r = np.asarray(mvals, dtype=float)[..., :max_order]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        E, _ = levinson(r)
+        E = levinson(r)[0]  # the predictor is not kept alive through the minors
         minors = np.cumprod(E, axis=-1)
         piv = np.abs(E[..., :-1])  # the last error feeds no later minor
         # comparisons written so that NaN errors count as unsteady too

@@ -6,8 +6,8 @@ definition, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
 the maximal-tree gauge transform of a configuration and the distance of a
 unitary from its block group, the dense Toeplitz moment matrix, the
-one-pass positivity scan at full order, the Bessel derivative by its
-recurrence, and the Metropolis chains run one proposal at a time.
+one-pass positivity scan at full order, and the Metropolis chains run one
+proposal at a time.
 """
 
 import math
@@ -17,7 +17,6 @@ import numpy as np
 from quivergauge.action import PlaquetteTable, action_plan, loop_trace, plan_sum
 from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
-from quivergauge.gww import bessel_i
 from quivergauge.metropolis import _CHAINS
 from quivergauge.monte_carlo import DiracSample, _embed_blocks, _gauge_fixed
 from quivergauge.quiver import _step_key
@@ -158,11 +157,6 @@ def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.n
     first = np.where(X == 0, 0, first)
     at_first = np.take_along_axis(minors, np.maximum(first - 1, 0)[..., None], axis=-1)[..., 0]
     return first, (first > 0) & ~np.isfinite(at_first)
-
-
-def bessel_i_derivative(q: int, z):
-    """d/dz I_q(z) = (I_{q-1}(z) + I_{q+1}(z)) / 2."""
-    return 0.5 * (bessel_i(q - 1, z) + bessel_i(q + 1, z))
 
 
 class OneAtATimeChains:
