@@ -15,9 +15,10 @@ in which a walk-by-walk expansion (lengths outer, base vertices inner)
 first meets their classes; float sums over the table (:func:`plan_sum`)
 and the loop equations built from it depend on that order.
 
-Every numeric trace goes through one kernel, :func:`trace_words`.  It visits
-sorted words over a stack of prefix products, built by the left fold
-``_fold``, so a shared prefix is multiplied once.  Action weights
+Every numeric trace goes through one kernel, :class:`TracePlan`: the
+schedule of a word list, built once and run on any number of configurations.
+It visits sorted words over a stack of prefix products, so a shared prefix
+is multiplied once; :func:`trace_words` builds and runs one.  Action weights
 trace each class once with its equal-coupling reverse (:func:`action_plan`).
 """
 
@@ -150,38 +151,60 @@ def gauge_fixed_table(table: PlaquetteTable, tree) -> PlaquetteTable:
     return fixed.drop_zeros()
 
 
-def _step_matrices(assignment: Mapping[str, np.ndarray], words) -> dict[Step, np.ndarray]:
-    """The matrix of every step the words take; each edge's adjoint is formed once."""
-    mats = {(e, o): assignment[e] for w in words for e, o in w}
-    return {(e, o): u if o > 0 else u.conj().swapaxes(-1, -2) for (e, o), u in mats.items()}
+class TracePlan:
+    """The traces of a fixed list of closed words, scheduled once and run on
+    any assignment of edge matrices, 2-D or stacked on leading sample axes.
 
+    The distinct nonempty words are visited in sorted order over a stack of
+    prefix products, so a prefix shared with the word before is multiplied
+    once: each word keeps ``keep`` products of that stack, folds its further
+    steps but the last onto it (``prefix[-1] @ step``), and enters its last
+    factor U as sum_ij M_ij U_ji.  A run forms each step's matrix once, each
+    adjoint once.  A word's trace is the same bits whatever other words share
+    the plan; the empty word gives N.
+    """
 
-def _fold(mats: Mapping[Step, np.ndarray], steps, prefix: list) -> list:
-    """Extend ``prefix``, the left fold over steps[:1], steps[:2], ..., to all of ``steps``."""
-    for step in steps[len(prefix) :]:
-        prefix.append(mats[step] if not prefix else prefix[-1] @ mats[step])
-    return prefix
+    def __init__(self, words: Sequence[tuple], dim: int):
+        distinct = sorted(set(words) - {()})
+        self.dim = dim
+        self.steps = {s for w in distinct for s in w}
+        self.schedule = []  # (keep, steps to fold, last step) per distinct word
+        last = ()
+        for w in distinct:
+            differ = (i for i, (a, b) in enumerate(zip(w, last)) if a != b)
+            keep = min(next(differ, len(last)), max(len(last) - 1, 0))
+            self.schedule.append((keep, w[keep:-1], w[-1]))
+            last = w
+        # position of each word's trace in a run's list; the empty word's comes last
+        slot = {w: k for k, w in enumerate(distinct)}
+        self.slots = [slot.get(w, len(distinct)) for w in words]
+        self.empty = () in words
+
+    def traces(self, assignment: Mapping[str, np.ndarray]) -> list:
+        """The words' traces on ``assignment``, in the order they were given."""
+        mats = {
+            (e, o): assignment[e] if o > 0 else assignment[e].conj().swapaxes(-1, -2)
+            for e, o in self.steps
+        }
+        out, prefix = [], []
+        for keep, fold, last in self.schedule:
+            del prefix[keep:]
+            for step in fold:
+                prefix.append(prefix[-1] @ mats[step] if prefix else mats[step])
+            if prefix:
+                out.append(np.einsum("...ij,...ji->...", prefix[-1], mats[last]))
+            else:
+                out.append(mats[last].trace(axis1=-2, axis2=-1))
+        if self.empty:
+            batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
+            out.append(np.full(batch, complex(self.dim)))
+        return [out[k] for k in self.slots]
 
 
 def trace_words(assignment: Mapping[str, np.ndarray], words: Sequence[tuple], dim: int) -> list:
-    """Traces of closed words (one per sample for batched matrices); the empty
-    word gives N.  The last factor U of each enters as sum_ij M_ij U_ji, and a
-    word's trace is the same bits whatever other words share the call."""
-    mats = _step_matrices(assignment, words)
-    batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
-    traces = {(): np.full(batch, complex(dim))} if () in words else {}
-    prefix, last = [], ()
-    for steps in sorted(set(words) - {()}):
-        # keep the products over the steps shared with the last (sorted: smaller) word
-        differ = (i for i, (a, b) in enumerate(zip(steps, last)) if a != b)
-        del prefix[next(differ, len(prefix)) :]
-        if len(steps) == 1:
-            traces[steps] = mats[steps[0]].trace(axis1=-2, axis2=-1)
-        else:
-            m = _fold(mats, steps[:-1], prefix)[-1]
-            traces[steps] = np.einsum("...ij,...ji->...", m, mats[steps[-1]])
-        last = steps
-    return [traces[w] for w in words]
+    """Traces of closed words (one per sample for batched matrices): one
+    :class:`TracePlan` built and run."""
+    return TracePlan(words, dim).traces(assignment)
 
 
 def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex | np.ndarray:
@@ -204,10 +227,15 @@ def action_plan(table: PlaquetteTable) -> tuple[list[tuple[Step, ...]], list[flo
     return list(plan), [float(g) for g in plan.values()]
 
 
+def weighted_sum(weights: Sequence[float], traces: Sequence) -> float | np.ndarray:
+    """``sum weight * Re trace`` over the leading ``len(weights)`` traces, in order."""
+    total = 0.0
+    for g, tr in zip(weights, traces):
+        total += g * tr.real
+    return total
+
+
 def plan_sum(plan: tuple[list, list[float]], assignment: Mapping[str, np.ndarray], dim: int):
     """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`, unchecked:
     a float, or one per sample for batched matrices."""
-    total = 0.0
-    for g, tr in zip(plan[1], trace_words(assignment, plan[0], dim)):
-        total += g * tr.real
-    return total
+    return weighted_sum(plan[1], TracePlan(plan[0], dim).traces(assignment))

@@ -76,7 +76,9 @@ def moment(n: int) -> YXPoly:
     return _MOMENTS[n]
 
 
-def _check_scan_args(max_order: int, tol: float) -> None:
+def _check_scan_args(x, y, max_order: int, tol: float) -> None:
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # a NaN cell would get a verdict
+        raise ValueError("couplings x and y must be finite")
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise ValueError("max_order must be an integer")
     if max_order < 1:
@@ -94,7 +96,7 @@ def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bo
     """
     if x == 0:
         raise ValueError("moments are singular at x = 0")
-    _check_scan_args(max_order, tol)
+    _check_scan_args(x, y, max_order, tol)
     first = int(_verdicts(np.float64(x), np.float64(y), max_order, tol)[0])
     return first == 0, first or None
 
@@ -240,9 +242,9 @@ def scan_region(
     so beside the returned arrays memory is bounded by that slice, not by the
     grid.
     """
-    _check_scan_args(max_order, tol)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    _check_scan_args(xs, ys, max_order, tol)
     # the map's arrays, which the stages fill through flat views; max_order
     # marks a cell that no stage has seen fail, and x = 0 cells are never evaluated
     max_feasible = np.full((len(xs), len(ys)), max_order, dtype=np.int64)

@@ -95,11 +95,19 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _check_grid_sizes(args, *names: str) -> None:
-    """Refuse a grid count below 1, which would write an empty grid."""
-    for name in names:
+def _check_grid(args, sizes: tuple[str, ...], windows: tuple[tuple[str, str], ...]) -> None:
+    """Refuse a grid count below 1, which would write an empty grid, and a
+    window whose bounds or width are not finite, before ``np.linspace``
+    spreads it over the grid."""
+    for name in sizes:
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    for lo, hi in windows:
+        for name in (lo, hi):
+            if not np.isfinite(getattr(args, name)):
+                raise ValueError(f"{name} must be finite")
+        if not np.isfinite(getattr(args, hi) - getattr(args, lo)):
+            raise ValueError(f"{hi} - {lo} must be finite")
 
 
 def _cmd_validate(args) -> int:
@@ -154,7 +162,7 @@ def _cmd_loopeq(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    _check_grid_sizes(args, "xres", "yres")
+    _check_grid(args, ("xres", "yres"), (("xmin", "xmax"), ("ymin", "ymax")))
     job = load_job(args.job)
     try:
         derived = list(islice(bs.derive_moments(job), args.max_order))
@@ -184,7 +192,7 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_gww(args) -> int:
-    _check_grid_sizes(args, "points")
+    _check_grid(args, ("points",), (("xmin", "xmax"),))
     grid = gww.curve_grid(args.xmin, args.xmax, args.points)
     curve = gww.first_moment_curve(args.dim, grid)
     curve.to_csv(args.out)

@@ -51,6 +51,8 @@ def _levinson_pass(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
     in longdouble."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not np.isfinite(xs).all():
+        raise ValueError("coupling x must be finite")
     z = np.asarray(xs, dtype=np.longdouble) * (-2 * N)
     return levinson(np.stack([bessel_i(q, z) for q in range(N + 1)], axis=-1))
 

@@ -1,10 +1,13 @@
 """Metropolis estimates of Wilson loops, in the maximal-tree gauge of
 :mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- exp(i eps H) U
 on the off-tree blocks, drawn from one generator.  Proposals are prepared a
-batch at a time, and the chains go round-robin to the workers of
-:mod:`~quivergauge.forked`; every result is bit-identical for any batch size
-or worker count.  Each chain tunes its own steps in burn-in; the error comes
-from batch means inside each chain, reported with the R-hat across them.
+batch at a time; each trial action runs the one trace plan of the action's
+words that the chains build (:class:`~quivergauge.action.TracePlan`), and
+each block's copies are read from a table built with them.  The chains go
+round-robin to the workers of :mod:`~quivergauge.forked`; every result is
+bit-identical for any batch size or worker count.  Each chain tunes its own
+steps in burn-in; the error comes from batch means inside each chain,
+reported with the R-hat across them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from . import forked
-from .action import PlaquetteTable, loop_trace, plan_sum
+from .action import PlaquetteTable, TracePlan, loop_trace, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _gauge_fixed
 
@@ -52,10 +55,11 @@ class _Chains:
     (on the triangle, a proposal on e1 or e2 moved the holonomy by a step of
     the same law as one on e3).  ``s`` is the batched ``plan_sum`` of the
     gauge-fixed table: the action without its constant part, which cancels
-    in every difference.  ``words`` are the measured words as traced on
-    ``assignment``.  The generator draws for all ``_CHAINS`` chains and each
-    copy keeps the rows of its own, so a chain moves the same whichever
-    chains share its copy.
+    in every difference, run through the prebuilt plan ``action``; each
+    site's block size and copy slices are read from ``copies``.  ``words``
+    are the measured words as traced on ``assignment``.  The generator
+    draws for all ``_CHAINS`` chains and each copy keeps the rows of its
+    own, so a chain moves the same whichever chains share its copy.
     """
 
     def __init__(
@@ -65,16 +69,24 @@ class _Chains:
         self.dim = net.dim
         tree = gauge_tree(net)
         self.plan, self.words = _gauge_fixed(tree, table, words)
-        self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
+        self.action = TracePlan(self.plan[0], self.dim)
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
-        self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
+        edges = [eid for eid in q.edge_ids if eid not in tree]
+        # each off-tree site's block size and the slices of its copies on the diagonal
+        self.copies = {}
+        for eid in edges:
+            pos = 0
+            for bi, (n, r) in enumerate(net.blocks(eid)):
+                self.copies[eid, bi] = n, [slice(at, at + n) for at in range(pos, pos + n * r, n)]
+                pos += n * r
+        self.sites = list(self.copies)
         n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(self.count, 0.5) for b in self.sites}
         identity = np.eye(self.dim, dtype=complex)
-        self.assignment = {eid: np.tile(identity, (self.count, 1, 1)) for eid in self.layouts}
-        self.s = plan_sum(self.plan, self.assignment, self.dim)
+        self.assignment = {eid: np.tile(identity, (self.count, 1, 1)) for eid in edges}
+        self.s = weighted_sum(self.plan[1], self.action.traces(self.assignment))
 
     def _prepare(self, batch: list) -> tuple[dict, list]:
         """The rotations exp(i eps H) of proposals on the sites of ``batch``,
@@ -83,9 +95,9 @@ class _Chains:
         at a time: H's Ginibre real parts, its imaginary parts, the uniforms;
         then each site takes one ``eigh`` and one product."""
         draws = [
-            (self.rng.standard_normal((2, _CHAINS) + (self.layouts[e][bi][0],) * 2)[:, self.rows],
+            (self.rng.standard_normal((2, _CHAINS) + (self.copies[b][0],) * 2)[:, self.rows],
              self.rng.random(_CHAINS)[self.rows])
-            for e, bi in batch
+            for b in batch
         ]
         rots = {}
         for b in set(batch):
@@ -104,7 +116,7 @@ class _Chains:
         normalised trace of the first word after every ``thin``-th sweep,
         (count, sweeps // thin)."""
         dim, todo = self.dim, self.sweep * sweeps
-        entries = _CHAINS * sum(self.layouts[e][bi][0] ** 2 for e, bi in self.sweep)
+        entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)
         size = max(1, _CHUNK_ENTRIES * len(self.sweep) // max(entries, 1))  # proposals per batch
         every = thin * len(self.sweep)  # proposals between measurements
         accepted = dict.fromkeys(self.sites, 0)
@@ -113,15 +125,14 @@ class _Chains:
             batch = todo[start : start + size]
             rots, uniforms = self._prepare(batch)
             for k, (eid, bi) in enumerate(batch):
-                edge, layout = self.assignment[eid], self.layouts[eid]
-                # pos: the row of the block's first copy
-                (n, r), pos = layout[bi], sum(m * c for m, c in layout[:bi])
-                new = rots[k] @ edge[:, pos : pos + n, pos : pos + n]
+                edge, (n, copies) = self.assignment[eid], self.copies[eid, bi]
+                new = rots[k] @ edge[:, copies[0], copies[0]]
                 trial = new if n == dim else edge.copy()
                 if n < dim:
-                    for at in range(pos, pos + n * r, n):
-                        trial[:, at : at + n, at : at + n] = new
-                s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, dim)
+                    for at in copies:
+                        trial[:, at, at] = new
+                trial_state = {**self.assignment, eid: trial}
+                s_new = weighted_sum(self.plan[1], self.action.traces(trial_state))
                 accept = uniforms[k] < np.exp(np.minimum(0.0, -dim * (s_new - self.s)))
                 self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
                 self.s = np.where(accept, s_new, self.s)

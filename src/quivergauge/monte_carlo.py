@@ -12,16 +12,19 @@ Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
 every Haar block by (master seed, edge index, block index), and draw i owns
 a fixed span of that Philox stream, so estimates do not depend on the
 chunking or worker partition.  It is the only source of configurations.
-Reweighting draws chunks of max(1, 4096 // N**2) samples: per chunk and
-off-tree block one ``random`` call and one stacked QR, then one trace-kernel
-call for the action plan (built once per estimate) and one for the
-observable's words.  The chunks go round-robin to the workers of
-:mod:`~quivergauge.forked`, one ``os.fork()`` child per CPU in the process's
-affinity mask, each pinned to its CPU, which write their rows into arrays
-on anonymous shared maps.  The weighted reduction
-runs in the caller over whole arrays in sample order, so every result is
-bit-identical for any chunking or worker count; ``taskset -c 0`` runs it
-serially in the caller, as does a platform without ``os.sched_getaffinity``.
+Reweighting builds one :class:`~quivergauge.action.TracePlan` per estimate,
+the action's words first, then the observable's, and runs it on trace
+slices of max(1, 4096 // N**2) draws.  Draws come in spans of whole slices
+whose off-tree blocks hold about 4096 entries (48 draws on the two-site
+job, one slice on the triangle): per span and off-tree block one ``random``
+call and one stacked QR, whose slices are traced as views.  The spans go
+round-robin to the workers of :mod:`~quivergauge.forked`, one ``os.fork()``
+child per CPU in the process's affinity mask, each pinned to its CPU, which
+write their rows into arrays on anonymous shared maps.  The weighted
+reduction runs in the caller over whole arrays in sample order, so every
+result is bit-identical for any chunking or worker count; ``taskset -c 0``
+runs it serially in the caller, as does a platform without
+``os.sched_getaffinity``.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forked
-from .action import PlaquetteTable, action_plan, gauge_fixed_table, loop_trace, plan_sum, trace_words
+from .action import PlaquetteTable, TracePlan, action_plan, gauge_fixed_table, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord, gauge_fixed_steps
@@ -195,14 +198,21 @@ def _reweighted_traces(
     Returns ``logs`` of shape (samples,) and ``traces`` of shape
     (len(words), samples); the constant part of S shifts every log weight
     equally and is left out.  The action and the words are traced as
-    rewritten in the sampler's off-tree edges.  Worker p of
-    :func:`forked.workers` fills chunks p, p + workers, ... in place.
+    rewritten in the sampler's off-tree edges, by one :class:`TracePlan`
+    whose action words come first.  Worker p of :func:`forked.workers` fills
+    spans p, p + workers, ... in place, a trace slice at a time.
     """
     sampler = KeyedSampler(net, seed)
-    plan, words = _gauge_fixed(sampler.tree, table, words)
+    (action, weights), words = _gauge_fixed(sampler.tree, table, words)
     dim = net.dim
-    chunk = max(1, _CHUNK_ENTRIES // dim**2)
-    starts = range(0, samples, chunk)
+    plan = TracePlan(action + words, dim)
+    # traced in slices of dim x dim draws holding about _CHUNK_ENTRIES entries,
+    # drawn in spans of whole slices whose off-tree blocks hold about as many
+    size = max(1, _CHUNK_ENTRIES // dim**2)
+    off_tree = (e for e in net.quiver.edge_ids if e not in sampler.tree)
+    drawn = sum(n * n for e in off_tree for n, _ in net.blocks(e))
+    span = size * max(1, _CHUNK_ENTRIES // (drawn * size)) if drawn else size
+    starts = range(0, samples, span)
     workers = forked.workers(len(starts))
     # two maps, so that the caller can free the traces before the logs
     logs = forked.shared_array((samples,), float)
@@ -210,13 +220,16 @@ def _reweighted_traces(
 
     def fill(part: int) -> None:
         for a in starts[part::workers]:
-            b = min(a + chunk, samples)
-            u = sampler.sample_chunk(a, b)
-            logs[a:b] = -dim * plan_sum(plan, u, dim)
-            for k, t in enumerate(trace_words(u, words, dim)):
-                # parts apart: numpy divides a complex array by the reciprocal of dim
-                traces[k, a:b].real = t.real / dim
-                traces[k, a:b].imag = t.imag / dim
+            stop = min(a + span, samples)
+            chunk = sampler.sample_chunk(a, stop)
+            for s in range(a, stop, size):
+                b = min(s + size, stop)
+                t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
+                logs[s:b] = -dim * weighted_sum(weights, t)
+                for k, tr in enumerate(t[len(action) :]):
+                    # parts apart: numpy divides a complex array by the reciprocal of dim
+                    traces[k, s:b].real = tr.real / dim
+                    traces[k, s:b].imag = tr.imag / dim
 
     forked.run(fill, workers)
     return logs, traces
@@ -276,6 +289,7 @@ def estimate_wilson(
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
     _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     _check_count("burnin", burnin, 0)
     _check_count("thin", thin, 1)
     if method == "reweight":
@@ -306,6 +320,7 @@ def check_loop_equation(
     if eq.mode != "finite":
         raise ValueError("finite-N mode equation required")
     _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     if not eq.lhs and not eq.rhs:
         # both sides structurally empty; nothing to estimate
         return ResidualResult(residual=0.0, stderr=0.0, samples=0, effective_samples=0.0)

@@ -160,6 +160,16 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             feasible(1.0, 0.9, 7, tol=tol)
 
+    @pytest.mark.parametrize(
+        "x, y", [(np.inf, 0.1), (np.nan, 0.1), (-np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_couplings_must_be_finite(self, x, y):
+        # feasible(inf, 0.1, 7) read feasible and feasible(nan, 0.1, 7) failing at order 3
+        with pytest.raises(ValueError, match="couplings x and y must be finite"):
+            feasible(x, y, 7)
+        with pytest.raises(ValueError, match="couplings x and y must be finite"):
+            scan_region(np.array([-1.0, x]), np.array([y, 0.5]), 7)
+
     def test_numpy_integer_order_is_an_integer(self):
         fmap = scan_region(np.array([-0.3]), np.array([0.3]), np.int32(7))
         assert fmap.max_feasible.dtype == np.int64

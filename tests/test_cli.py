@@ -211,9 +211,15 @@ class TestBootstrap:
             (["--xres", "-1"], "xres must be >= 1"),
             (["--yres", "0"], "yres must be >= 1"),
             (["--yres", "-1"], "yres must be >= 1"),
+            (["--xmax", "inf"], "xmax must be finite"),
+            (["--xmin=-inf"], "xmin must be finite"),
+            (["--ymin", "nan"], "ymin must be finite"),
+            (["--ymax", "inf"], "ymax must be finite"),
+            (["--ymin=-1e308", "--ymax", "1e308"], "ymax - ymin must be finite"),
         ],
         ids=["negative_tol", "nan_tol", "inf_tol", "zero_order",
-             "zero_xres", "negative_xres", "zero_yres", "negative_yres"],
+             "zero_xres", "negative_xres", "zero_yres", "negative_yres",
+             "inf_xmax", "inf_xmin", "nan_ymin", "inf_ymax", "overflowing_y_window"],
     )
     def test_bad_scan_arguments_are_domain_errors(self, tmp_path, capsys, flags, message):
         out = tmp_path / "scan.csv"
@@ -241,6 +247,18 @@ class TestGww:
         out = tmp_path / "gww.csv"
         assert run(["gww", "--dim", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: N must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [(["--xmin", "nan"], "xmin must be finite"), (["--xmax", "inf"], "xmax must be finite"),
+         (["--xmin=-1e308", "--xmax", "1e308"], "xmax - xmin must be finite")],
+    )
+    def test_non_finite_window_is_domain_error(self, tmp_path, capsys, window, message):
+        # refused before np.linspace, which would warn and spread NaN over the grid
+        out = tmp_path / "gww.csv"
+        assert run(["gww", "--dim", "3", *window, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-1"])
@@ -358,7 +376,10 @@ class TestMc:
         [(["--samples", "0"], "samples"), (["--samples", "-2"], "samples"),
          (["--method", "metropolis", "--samples", "100", "--thin", "0"], "thin"),
          (["--method", "metropolis", "--samples", "100", "--burnin", "-3"], "burnin"),
-         (["--check-eq", "--root", "e1", "--samples", "0"], "samples")],
+         (["--check-eq", "--root", "e1", "--samples", "0"], "samples"),
+         (["--seed", "-5"], "seed"),
+         (["--check-eq", "--root", "e1", "--seed", "-5"], "seed"),
+         (["--method", "metropolis", "--samples", "100", "--seed", "-5"], "seed")],
     )
     def test_bad_counts_exit_1(self, tmp_path, capsys, args, name):
         out = tmp_path / "mc.json"

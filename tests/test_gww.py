@@ -112,6 +112,14 @@ class TestPartitionFunction:
 
 
 class TestFirstMomentCurve:
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_coupling_must_be_finite(self, x):
+        # a NaN x raised "cannot convert float NaN to integer" from the Bessel series
+        with pytest.raises(ValueError, match="coupling x must be finite"):
+            first_moment_curve(3, np.array([0.5, x]))
+        with pytest.raises(ValueError, match="coupling x must be finite"):
+            partition_function(3, x)
+
     def test_vanishes_at_zero(self):
         for n in range(1, 7):
             curve = first_moment_curve(n, np.array([0.0]))

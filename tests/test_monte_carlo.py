@@ -275,6 +275,32 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
 
 
+def test_reweighting_draws_spans_of_trace_slices(monkeypatch):
+    # on the two-site job a span of draws holds several trace slices, so
+    # there are fewer sample_chunk calls than slices, and the arrays are
+    # those of one chunk and one slice for all draws
+    job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+    table = expand_action(job.quiver, job.action)
+    words = [job.loops[0].steps, ()]
+    samples, dim = 200, job.network.dim
+    calls, sample_chunk = [], KeyedSampler.sample_chunk
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return sample_chunk(self, start, stop)
+
+    monkeypatch.setattr(KeyedSampler, "sample_chunk", counting)
+    monkeypatch.setattr(forked, "workers", lambda parts: 1)  # every call made here
+    logs, traces = monte_carlo._reweighted_traces(job.network, table, words, samples, 3)
+    slices = -(-samples // (monte_carlo._CHUNK_ENTRIES // dim**2))
+    assert 0 < len(calls) < slices
+    calls.clear()
+    monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", samples * dim**2)
+    one = monte_carlo._reweighted_traces(job.network, table, words, samples, 3)
+    assert calls == [(0, samples)]
+    assert np.array_equal(logs, one[0]) and np.array_equal(traces, one[1])
+
+
 @pytest.mark.parametrize(
     "workers, kill, raised, message",
     [
