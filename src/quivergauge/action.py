@@ -12,14 +12,14 @@ one by one: they are counted per freely reduced word
 word is canonicalised once.  Those counts key every word at the first walk,
 in depth-first order, that reduces to it, so table entries come in the order
 in which a walk-by-walk expansion (lengths outer, base vertices inner)
-first meets their classes; float sums over the table (:func:`plan_sum`)
+first meets their classes; float sums over the table (:func:`weighted_sum`)
 and the loop equations built from it depend on that order.
 
 Every numeric trace goes through one kernel, :class:`TracePlan`: the
 schedule of a word list, built once and run on any number of configurations.
 It visits sorted words over a stack of prefix products, so a shared prefix
-is multiplied once; :func:`trace_words` builds and runs one.  Action weights
-trace each class once with its equal-coupling reverse (:func:`action_plan`).
+is multiplied once.  Action weights trace each class once with its
+equal-coupling reverse (:func:`action_plan`, summed by :func:`weighted_sum`).
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from .quiver import (
 
 
 def parse_rational(value) -> Fraction:
-    """Exact rational from an int or a 'p/q' string."""
+    """Exact rational from an int or a 'p/q' string; q = 0 is a ValueError."""
     if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
 
 
@@ -201,15 +204,9 @@ class TracePlan:
         return [out[k] for k in self.slots]
 
 
-def trace_words(assignment: Mapping[str, np.ndarray], words: Sequence[tuple], dim: int) -> list:
-    """Traces of closed words (one per sample for batched matrices): one
-    :class:`TracePlan` built and run."""
-    return TracePlan(words, dim).traces(assignment)
-
-
 def loop_trace(assignment: Mapping[str, np.ndarray], steps, dim: int) -> complex | np.ndarray:
-    """Trace of the holonomy of a closed word: :func:`trace_words` for one word."""
-    tr = trace_words(assignment, [tuple(steps)], dim)[0]
+    """Trace of the holonomy of a closed word: a one-word :class:`TracePlan`."""
+    tr = TracePlan([tuple(steps)], dim).traces(assignment)[0]
     return tr if tr.ndim else complex(tr)
 
 
@@ -233,9 +230,3 @@ def weighted_sum(weights: Sequence[float], traces: Sequence) -> float | np.ndarr
     for g, tr in zip(weights, traces):
         total += g * tr.real
     return total
-
-
-def plan_sum(plan: tuple[list, list[float]], assignment: Mapping[str, np.ndarray], dim: int):
-    """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`, unchecked:
-    a float, or one per sample for batched matrices."""
-    return weighted_sum(plan[1], TracePlan(plan[0], dim).traces(assignment))

@@ -17,7 +17,7 @@ of freedom are, per edge, one independent unitary block ``u_{e,j}`` of size
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .quiver import Quiver
 
@@ -49,12 +49,14 @@ class BratteliNetwork:
         return self.layout(self.quiver.target[eid])
 
 
-def _as_int_tuple(name: str, seq: Sequence) -> tuple[int, ...]:
-    try:
-        out = tuple(int(v) for v in seq)
-    except (TypeError, ValueError):
-        raise NetworkError(f"{name} must be a sequence of integers") from None
-    return out
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # a JSON integer
+
+
+def _as_int_tuple(name: str, seq) -> tuple[int, ...]:
+    if not (isinstance(seq, (list, tuple)) and all(_is_int(v) for v in seq)):
+        raise NetworkError(f"{name} must be a sequence of integers, got {seq!r}")
+    return tuple(seq)
 
 
 def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
@@ -64,15 +66,21 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
     so on the connected quiver ``dim`` is <n, r> of the first vertex.
     ``data`` uses the job-file layout: ``l``/``n``/``r`` keyed by vertex,
     ``C`` keyed by edge with row-major rows indexed by source summands.
+    Every entry must be a JSON integer; nothing is rounded or converted.
     """
     if not q.vertices:
         raise NetworkError("quiver has no vertices")
     if not q.connected:
         raise NetworkError("quiver is disconnected; block data requires a connected quiver")
+    if not isinstance(data, Mapping):
+        raise NetworkError(f"network data must be an object, got {data!r}")
     try:
         l_raw, n_raw, r_raw, c_raw = data["l"], data["n"], data["r"], data["C"]
     except KeyError as exc:
         raise NetworkError(f"network data missing section {exc}") from None
+    for name, section in zip("lnrC", (l_raw, n_raw, r_raw, c_raw)):
+        if not isinstance(section, Mapping):
+            raise NetworkError(f"network section {name!r} must be an object, got {section!r}")
 
     l: dict[str, int] = {}
     n: dict[str, tuple[int, ...]] = {}
@@ -81,7 +89,9 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
         for section, store in (("l", l_raw), ("n", n_raw), ("r", r_raw)):
             if v not in store:
                 raise NetworkError(f"network section {section!r} missing vertex {v!r}")
-        l[v] = int(l_raw[v])
+        if not _is_int(l_raw[v]):
+            raise NetworkError(f"l[{v!r}] must be an integer, got {l_raw[v]!r}")
+        l[v] = l_raw[v]
         if l[v] <= 0:
             raise NetworkError(f"l[{v!r}] must be positive")
         n[v] = _as_int_tuple(f"n[{v!r}]", n_raw[v])
@@ -98,6 +108,8 @@ def validate_network(q: Quiver, data: Mapping) -> BratteliNetwork:
         if eid not in c_raw:
             raise NetworkError(f"network section 'C' missing edge {eid!r}")
         src, tgt = q.source[eid], q.target[eid]
+        if not isinstance(c_raw[eid], (list, tuple)):
+            raise NetworkError(f"C[{eid!r}] must be a sequence of rows, got {c_raw[eid]!r}")
         rows = [_as_int_tuple(f"C[{eid!r}] row", row) for row in c_raw[eid]]
         if len(rows) != l[src] or any(len(row) != l[tgt] for row in rows):
             raise NetworkError(

@@ -18,7 +18,7 @@ from . import bootstrap as bs
 from . import gww
 from .action import expand_action
 from .bratteli import gauge_tree
-from .jobfile import JobError, load_job, override_dimension
+from .jobfile import JobError, load_job
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
 from .quiver import EdgeWord
@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--thin", type=int, default=10, help="metropolis sweeps between measurements")
     m.add_argument("--check-eq", action="store_true", help="check the loop equation instead")
     m.add_argument("--root", default=None, help="rooted edge for --check-eq")
-    m.add_argument("--dim-override", type=int, default=None, help="rescale a single-block network to U(N)")
     m.add_argument("--out", default=None, help="output path (default stdout)")
     return p
 
@@ -203,8 +202,6 @@ def _cmd_gww(args) -> int:
 
 def _cmd_mc(args) -> int:
     job = load_job(args.job)
-    if args.dim_override is not None:
-        job = override_dimension(job, args.dim_override)
     table = expand_action(job.quiver, job.action)
     word = EdgeWord.from_string(args.loop)
     job.quiver.word_vertices(word)

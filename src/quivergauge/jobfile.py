@@ -11,8 +11,9 @@ Layout::
       "loops":   ["e1+ e2+ e3+", ...]          # optional
     }
 
-Rationals are integers or "p/q" strings.  ``builtin:triangle`` resolves to
-the bundled three-vertex cycle with one full unitary block per vertex.
+Rationals are integers or "p/q" strings; block data are JSON integers.
+``builtin:triangle`` resolves to the bundled three-vertex cycle with one
+U(4) block per vertex, and ``builtin:triangle@N`` to the same at U(N).
 """
 
 from __future__ import annotations
@@ -49,16 +50,12 @@ def triangle_job(dim: int = 4, f3: Fraction | str | int = Fraction(1, 15)) -> Jo
         [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
     )
     action = ActionSpec.from_list([0, 0, 0, f3])
-    loops = [EdgeWord.from_string("e1+ e2+ e3+")]
-    return Job(quiver=q, network=_single_block_network(q, dim), action=action, loops=loops)
-
-
-def _single_block_network(q: Quiver, dim: int) -> BratteliNetwork:
-    """One multiplicity-one U(dim) block per vertex, identity transitions on every edge."""
-    return validate_network(q, {
+    network = validate_network(q, {
         "l": {v: 1 for v in q.vertices}, "n": {v: [dim] for v in q.vertices},
         "r": {v: [1] for v in q.vertices}, "C": {e: [[1]] for e in q.edge_ids},
     })
+    loops = [EdgeWord.from_string("e1+ e2+ e3+")]
+    return Job(quiver=q, network=network, action=action, loops=loops)
 
 
 def parse_job_dict(data: dict) -> Job:
@@ -107,13 +104,3 @@ def load_job(path: str) -> Job:
     except json.JSONDecodeError as exc:
         raise JobError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     return parse_job_dict(data)
-
-
-def override_dimension(job: Job, dim: int) -> Job:
-    """Rebuild a single-block-per-vertex network at a different block size."""
-    if dim < 1:
-        raise JobError(f"dimension override must be >= 1, got {dim}")
-    if any(r != (1,) for r in job.network.r.values()):
-        raise JobError("dimension override requires one multiplicity-one block per vertex")
-    new_net = _single_block_network(job.quiver, dim)
-    return Job(quiver=job.quiver, network=new_net, action=job.action, loops=job.loops)

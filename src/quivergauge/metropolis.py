@@ -1,9 +1,9 @@
 """Metropolis estimates of Wilson loops, in the maximal-tree gauge of
 :mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- exp(i eps H) U
 on the off-tree blocks, drawn from one generator.  Proposals are prepared a
-batch at a time; each trial action runs the one trace plan of the action's
-words that the chains build (:class:`~quivergauge.action.TracePlan`), and
-each block's copies are read from a table built with them.  The chains go
+batch at a time; each trial action and each measurement runs one of the two
+trace plans that the chains build (:class:`~quivergauge.action.TracePlan`),
+and each block's copies are read from a table built with them.  The chains go
 round-robin to the workers of :mod:`~quivergauge.forked`; every result is
 bit-identical for any batch size or worker count.  Each chain tunes its own
 steps in burn-in; the error comes from batch means inside each chain,
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import forked
-from .action import PlaquetteTable, TracePlan, loop_trace, weighted_sum
+from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _gauge_fixed
 
@@ -53,11 +53,12 @@ class _Chains:
     makes one proposal per block of the whole network: the tree blocks' turns
     go round the off-tree blocks, so burn-in and thinning keep their meaning
     (on the triangle, a proposal on e1 or e2 moved the holonomy by a step of
-    the same law as one on e3).  ``s`` is the batched ``plan_sum`` of the
+    the same law as one on e3).  ``s`` is the batched ``weighted_sum`` of the
     gauge-fixed table: the action without its constant part, which cancels
     in every difference, run through the prebuilt plan ``action``; each
     site's block size and copy slices are read from ``copies``.  ``words``
-    are the measured words as traced on ``assignment``.  The generator
+    are the measured words as traced on ``assignment``; ``measure`` is the
+    plan of the first.  The generator
     draws for all ``_CHAINS`` chains and each copy keeps the rows of its
     own, so a chain moves the same whichever chains share its copy.
     """
@@ -70,6 +71,7 @@ class _Chains:
         tree = gauge_tree(net)
         self.plan, self.words = _gauge_fixed(tree, table, words)
         self.action = TracePlan(self.plan[0], self.dim)
+        self.measure = TracePlan(self.words[:1], self.dim)
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
         edges = [eid for eid in q.edge_ids if eid not in tree]
@@ -114,13 +116,16 @@ class _Chains:
         in batches of about ``_CHUNK_ENTRIES`` complex entries of draws.
         Returns each site's accepted proposals per chain and the chains'
         normalised trace of the first word after every ``thin``-th sweep,
-        (count, sweeps // thin)."""
+        (count, sweeps // thin); with no site to propose on, every
+        measurement sees the state as it stands."""
         dim, todo = self.dim, self.sweep * sweeps
         entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)
         size = max(1, _CHUNK_ENTRIES * len(self.sweep) // max(entries, 1))  # proposals per batch
         every = thin * len(self.sweep)  # proposals between measurements
         accepted = dict.fromkeys(self.sites, 0)
         values = np.empty((self.count, sweeps // thin if thin else 0), dtype=complex)
+        if thin and not self.sweep:
+            values[:] = self.measure.traces(self.assignment)[0] / dim
         for start in range(0, len(todo), size):
             batch = todo[start : start + size]
             rots, uniforms = self._prepare(batch)
@@ -139,7 +144,7 @@ class _Chains:
                 accepted[eid, bi] += accept
                 done = start + k + 1
                 if thin and done % every == 0:
-                    trace = loop_trace(self.assignment, self.words[0], dim)
+                    trace = self.measure.traces(self.assignment)[0]
                     values[:, done // every - 1] = trace / dim
         return accepted, values
 
@@ -201,9 +206,10 @@ def estimate(
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin
     values, accepted, attempted = _run_chains(net, table, word, seed, burnin, sweeps, thin)
-    # no off-tree block: nothing moves, as when every proposal is accepted
+    # no off-tree block: nothing moves, as when every proposal is accepted,
+    # and no proposal made leaves no rate to bound
     rate = accepted / attempted if attempted else 1.0
-    if not 0.05 <= rate <= 0.95:
+    if attempted and not 0.05 <= rate <= 0.95:
         raise RuntimeError(
             f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
         )

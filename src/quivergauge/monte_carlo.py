@@ -225,7 +225,8 @@ def _reweighted_traces(
             for s in range(a, stop, size):
                 b = min(s + size, stop)
                 t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
-                logs[s:b] = -dim * weighted_sum(weights, t)
+                with np.errstate(over="ignore", invalid="ignore"):  # refused in the caller
+                    logs[s:b] = -dim * weighted_sum(weights, t)
                 for k, tr in enumerate(t[len(action) :]):
                     # parts apart: numpy divides a complex array by the reciprocal of dim
                     traces[k, s:b].real = tr.real / dim
@@ -245,9 +246,13 @@ def _weighted_mean(
     part of v - mean alone; the effective sample size (sum w)^2/sum w^2; and
     the largest weight's share max(w)/sum(w).  Sums run over real arrays,
     real and imaginary parts apart, so a constant observable gives its value
-    and zero errors exactly.
+    and zero errors exactly.  Log weights that overflowed are refused.
     """
-    w = np.exp(logs - logs.max())
+    top = logs.max()
+    if not (math.isfinite(top) and math.isfinite(logs.min())):  # any NaN or inf
+        raise OverflowError("log weights -N S overflow float arithmetic; weaken the coupling")
+    with np.errstate(over="ignore"):  # a spread beyond float range is a weight of 0
+        w = np.exp(logs - top)
     w_sum = w.sum()
     ess = float(w_sum * w_sum / (w * w).sum())
     if ess < _MIN_EFFECTIVE:

@@ -7,14 +7,15 @@ give the spectral action, the validated action value of one configuration,
 the maximal-tree gauge transform of a configuration and the distance of a
 unitary from its block group, the dense Toeplitz moment matrix, the
 one-pass positivity scan at full order, and the Metropolis chains run one
-proposal at a time.
+proposal at a time.  One helper is not independent: ``action_sum`` sums
+an action plan through the package's own trace kernel.
 """
 
 import math
 
 import numpy as np
 
-from quivergauge.action import PlaquetteTable, action_plan, loop_trace, plan_sum
+from quivergauge.action import PlaquetteTable, TracePlan, action_plan, loop_trace, weighted_sum
 from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.metropolis import _CHAINS
@@ -50,6 +51,13 @@ def cyclic_class(steps) -> tuple:
         stack = stack[1:-1]
     rotations = [tuple(stack[k:] + stack[:k]) for k in range(len(stack))]
     return min(rotations, key=lambda r: [_step_key(s) for s in r], default=())
+
+
+def action_sum(plan, assignment, dim: int):
+    """``sum weight * Re Tr hol(word)`` over an :func:`action_plan`, its words
+    traced by one :class:`TracePlan`: a float, or one per sample for batched
+    matrices."""
+    return weighted_sum(plan[1], TracePlan(plan[0], dim).traces(assignment))
 
 
 def assemble_dirac(net: BratteliNetwork, sample: DiracSample) -> np.ndarray:
@@ -90,7 +98,7 @@ def evaluate_action(
         dev = np.abs(u @ u.conj().T - np.eye(dim)).max()
         if dev > unitarity_tol:
             raise ValueError(f"edge {eid!r}: matrix is not unitary (deviation {dev:.2e})")
-    return plan_sum(action_plan(table), assignment, dim) + float(table.constant_coeff) * dim
+    return action_sum(action_plan(table), assignment, dim) + float(table.constant_coeff) * dim
 
 
 def tree_gauge(net: BratteliNetwork, tree, rng, root=None) -> tuple[dict, dict]:
@@ -177,7 +185,7 @@ class OneAtATimeChains:
         self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
         identity = np.eye(self.dim, dtype=complex)
         self.assignment = {eid: np.tile(identity, (_CHAINS, 1, 1)) for eid in self.layouts}
-        self.s = plan_sum(self.plan, self.assignment, self.dim)
+        self.s = action_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
         """Propose U <- exp(i eps H) U on one block of every chain, written
@@ -193,7 +201,7 @@ class OneAtATimeChains:
         if n < self.dim:
             for at in range(pos, pos + n * r, n):
                 trial[:, at : at + n, at : at + n] = new
-        s_new = plan_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
+        s_new = action_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
         accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
         self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
         self.s = np.where(accept, s_new, self.s)

@@ -12,9 +12,8 @@ from quivergauge.action import (
     action_plan,
     expand_action,
     gauge_fixed_table,
+    TracePlan,
     loop_trace,
-    plan_sum,
-    trace_words,
 )
 from quivergauge.bratteli import gauge_tree
 from quivergauge.quiver import CyclicWord, gauge_fixed_steps
@@ -29,7 +28,14 @@ from conftest import (
     triangle_network,
     two_vertex_data,
 )
-from oracles import assemble_dirac, block_deviation, evaluate_action, holonomy, tree_gauge
+from oracles import (
+    action_sum,
+    assemble_dirac,
+    block_deviation,
+    evaluate_action,
+    holonomy,
+    tree_gauge,
+)
 
 
 def cyc(q, text):
@@ -292,12 +298,13 @@ class TestBatchedTraces:
             got = loop_trace(stack, steps, n)
             assert got.shape == (m,)
             assert all(got[i] == loop_trace(r, steps, n) for i, r in enumerate(rows))
-        got = plan_sum(action_plan(quartic_table), stack, n)
-        assert all(got[i] == plan_sum(action_plan(quartic_table), r, n) for i, r in enumerate(rows))
-        # one call over every word: each stacked row is its 2-D call
-        got = trace_words(stack, words, n)
+        got = action_sum(action_plan(quartic_table), stack, n)
+        assert all(got[i] == action_sum(action_plan(quartic_table), r, n) for i, r in enumerate(rows))
+        # one plan over every word: each stacked row is its 2-D run
+        plan = TracePlan(words, n)
+        got = plan.traces(stack)
         for i, r in enumerate(rows):
-            assert all(t[i] == t2 for t, t2 in zip(got, trace_words(r, words, n)))
+            assert all(t[i] == t2 for t, t2 in zip(got, plan.traces(r)))
 
 
 @st.composite
@@ -322,12 +329,12 @@ class TestTraceWords:
         n = 3
         rng = np.random.default_rng(len(words))
         us = {e: random_unitary(rng, n) for e in q.edge_ids}
-        got = trace_words(us, words, n)
+        got = TracePlan(words, n).traces(us)
         assert len(got) == len(words)
         for w, t in zip(words, got):
             assert abs(t - np.trace(holonomy(us, w, n))) <= 1e-12 * n
-            # a word's trace never depends on the other words in the call
-            assert t == trace_words(us, [w], n)[0]
+            # a word's trace never depends on the other words in the plan
+            assert t == TracePlan([w], n).traces(us)[0]
 
 
 def entry_by_entry(table, us, n):
@@ -354,7 +361,7 @@ class TestReversePairing:
         n = 3
         us = {e: random_unitary(rng, n) for e in q.edge_ids}
         bound = 1e-12 * sum(abs(float(g)) for g in table.entries.values()) * n
-        assert abs(plan_sum(action_plan(table), us, n) - entry_by_entry(table, us, n)) <= bound
+        assert abs(action_sum(action_plan(table), us, n) - entry_by_entry(table, us, n)) <= bound
 
     def test_unpaired_classes_traced_alone(self, triangle_quiver, two_site_quiver, rng):
         # a class without its reverse, and a pair whose couplings differ
@@ -371,7 +378,7 @@ class TestReversePairing:
             assert weights == [float(g) for g in table.entries.values()]
             us = {e: random_unitary(rng, 4) for e in q.edge_ids}
             expected = entry_by_entry(table, us, 4)
-            assert plan_sum(action_plan(table), us, 4) == pytest.approx(expected, abs=1e-12)
+            assert action_sum(action_plan(table), us, 4) == pytest.approx(expected, abs=1e-12)
 
 
 def assert_gauge_invariant(net, table, words, rng):
@@ -399,8 +406,8 @@ def assert_gauge_invariant(net, table, words, rng):
         assert abs(full - np.trace(holonomy(fixed_us, rewritten, n))) <= 1e-12 * n
     fixed = gauge_fixed_table(table, tree)
     assert not {e for w in fixed.entries for e, _ in w.steps} & set(tree)
-    action = float(table.constant_coeff) * n + plan_sum(action_plan(table), us, n)
-    fixed_action = float(fixed.constant_coeff) * n + plan_sum(action_plan(fixed), fixed_us, n)
+    action = float(table.constant_coeff) * n + action_sum(action_plan(table), us, n)
+    fixed_action = float(fixed.constant_coeff) * n + action_sum(action_plan(fixed), fixed_us, n)
     bound = 1e-12 * (1 + sum(abs(float(g)) for g in table.entries.values())) * n
     assert abs(action - fixed_action) <= bound
 

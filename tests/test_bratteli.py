@@ -56,7 +56,18 @@ class TestValidateNetwork:
         (lambda d: d["l"].update(w=2), r"l\['w'\]=2 entries, got 1 and 1"),
         (lambda d: d["C"].pop("ow"), "section 'C' missing edge 'ow'"),
         (lambda d: d["n"].update(w=[9]), r"n\['w'\] = C\^T @ n\['v'\]: C\^T @ n gives \(8,\)"),
-    ], ids=["non-integer", "section", "vertex", "l", "length", "edge", "n-transition"])
+        # block data are JSON integers: nothing is rounded or converted
+        (lambda d: d["n"].update(w=[8.7]), r"n\['w'\] must be a sequence of integers, got \[8\.7\]"),
+        (lambda d: d["n"].update(w=["8"]), r"n\['w'\] must be a sequence of integers, got \['8'\]"),
+        (lambda d: d["r"].update(w=2), r"r\['w'\] must be a sequence of integers, got 2"),
+        (lambda d: d["l"].update(w=1.9), r"l\['w'\] must be an integer, got 1\.9"),
+        (lambda d: d["l"].update(w=None), r"l\['w'\] must be an integer, got None"),
+        (lambda d: d["C"].update(ow=[[True]]), r"C\['ow'\] row must be a sequence of integers"),
+        (lambda d: d["C"].update(ow=5), r"C\['ow'\] must be a sequence of rows, got 5"),
+        (lambda d: d.update(l=5), "network section 'l' must be an object, got 5"),
+    ], ids=["non-integer", "section", "vertex", "l", "length", "edge", "n-transition",
+            "float-n", "string-n", "scalar-r", "float-l", "null-l", "bool-C", "scalar-C",
+            "scalar-section"])
     def test_malformed_data_rejected(self, two_site_quiver, malform, message):
         data = copy.deepcopy(TWO_SITE_DATA)
         malform(data)
@@ -108,6 +119,10 @@ class TestValidateNetwork:
                         else:
                             with pytest.raises(NetworkError):
                                 qg.validate_network(two_site_quiver, data)
+
+    def test_network_that_is_not_an_object_rejected(self, two_site_quiver):
+        with pytest.raises(NetworkError, match="network data must be an object, got 5"):
+            qg.validate_network(two_site_quiver, 5)
 
     def test_no_vertices_rejected(self):
         with pytest.raises(NetworkError, match="quiver has no vertices"):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,16 @@ class TestExpand:
         assert entries["e+ ow+ e- ov+"] == "4"  # canonical rotation of ov+ e+ ow+ e-
         assert entries["ov+ ov+ ov+ ov+"] == "1"
         assert data["constant_coeff"] == "30"
+
+    def test_zero_denominator_is_domain_error(self, tmp_path, capsys):
+        data = json.loads(Path(TRIANGLE).read_text())
+        data["action"]["f"] = [0, 0, 0, "1/0"]
+        p = tmp_path / "job.json"
+        p.write_text(json.dumps(data))
+        assert run(["expand", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad action coefficient: zero denominator in '1/0'\n"
 
 
 class TestLoopeq:
@@ -389,6 +400,33 @@ class TestMc:
         assert f"{name} must be at least" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_metropolis_on_a_tree_measures_one(self, tmp_path, capsys):
+        # one edge between two vertices is all gauge tree: nothing is
+        # proposed, no acceptance bound applies and every measurement is 1
+        p = tmp_path / "tree.json"
+        p.write_text(json.dumps({**single_block_job(["v", "w"], [("e", "v", "w")]),
+                                 "action": {"f": [0, 0, 1]}}))
+        out = tmp_path / "mc.json"
+        code = run(["mc", str(p), "--loop", "e+ e-", "--method", "metropolis", "--burnin", "100",
+                    "--thin", "2", "--samples", "200", "--seed", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        data = json.loads(out.read_text())
+        assert (data["mean_re"], data["mean_im"], data["stderr"]) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("check", [[], ["--check-eq", "--root", "e1"]], ids=["mean", "check"])
+    def test_overflowing_log_weights_exit_1(self, tmp_path, capsys, check):
+        data = json.loads(Path(TRIANGLE).read_text())
+        data["action"]["f"] = [0, 0, 0, str(10**307)]
+        p, out = tmp_path / "job.json", tmp_path / "mc.json"
+        p.write_text(json.dumps(data))
+        code = run(["mc", str(p), "--loop", "e1+ e2+ e3+", "--samples", "2000", "--seed", "1",
+                    "--out", str(out)] + check)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: log weights -N S overflow float arithmetic; weaken the coupling\n"
+        )
+        assert not out.exists()
+
     def test_metropolis_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--method", "metropolis",
@@ -435,25 +473,6 @@ class TestMc:
         captured = capsys.readouterr()
         json.loads(captured.out)
         assert captured.err.startswith("effective samples ")
-
-    def test_dim_override(self, tmp_path):
-        out = tmp_path / "mc.json"
-        code = run(
-            ["mc", TRIANGLE, "--loop", "e1+ e2+ e3+", "--dim-override", "2",
-             "--samples", "500", "--seed", "2", "--out", str(out)]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["dim"] == 2
-
-    def test_zero_dim_override_is_domain_error(self, tmp_path, capsys):
-        out = tmp_path / "mc.json"
-        code = run(
-            ["mc", TRIANGLE, "--loop", "e1+ e2+ e3+", "--dim-override", "0",
-             "--samples", "500", "--seed", "2", "--out", str(out)]
-        )
-        assert code == 1
-        assert "dimension override must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

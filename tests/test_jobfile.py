@@ -6,9 +6,7 @@ import quivergauge as qg
 from quivergauge.jobfile import (
     JobError,
     load_job,
-    override_dimension,
     parse_job_dict,
-    triangle_job,
 )
 
 from conftest import REPO
@@ -101,19 +99,3 @@ class TestLoadJob:
         p.write_text(json.dumps(data))
         with pytest.raises(JobError, match="coefficient"):
             load_job(str(p))
-
-
-class TestOverrideDimension:
-    def test_rescales_triangle(self):
-        job = override_dimension(triangle_job(dim=4), 9)
-        assert job.network.dim == 9
-
-    def test_rejects_multi_block(self):
-        job = load_job(str(REPO / "jobs" / "two_site.json"))
-        with pytest.raises(JobError, match="one multiplicity-one block"):
-            override_dimension(job, 5)
-
-    @pytest.mark.parametrize("dim", [0, -3])
-    def test_rejects_nonpositive_dim(self, dim):
-        with pytest.raises(JobError, match="must be >= 1"):
-            override_dimension(triangle_job(dim=4), dim)

@@ -12,7 +12,6 @@ from quivergauge.action import (
     expand_action,
     gauge_fixed_table,
     loop_trace,
-    plan_sum,
 )
 from quivergauge.bratteli import gauge_tree
 from quivergauge.monte_carlo import (
@@ -23,7 +22,13 @@ from quivergauge.monte_carlo import (
 from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
 from conftest import REPO, torus_quiver, triangle_network
-from oracles import assemble_dirac, block_deviation, evaluate_action, metropolis_chains
+from oracles import (
+    action_sum,
+    assemble_dirac,
+    block_deviation,
+    evaluate_action,
+    metropolis_chains,
+)
 
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
@@ -269,7 +274,7 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     logs, traces = runs[0]
     for i in range(samples):
         u = sampler.sample(i).unitaries
-        assert logs[i] == -dim * plan_sum(action_plan(fixed), u, dim)
+        assert logs[i] == -dim * action_sum(action_plan(fixed), u, dim)
         for k, w in enumerate(words):
             t = loop_trace(u, gauge_fixed_steps(w, sampler.tree), dim)
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
@@ -465,13 +470,38 @@ class TestEstimateWilson:
 
 
 def test_metropolis_without_off_tree_blocks():
-    # a quiver with no cycle is all tree: no block moves, and every closed
-    # word traces N, as when every proposal is accepted
+    # a quiver with no cycle is all tree: no block moves, no proposal is made
+    # and every closed word traces N, so every measurement is 1
     q = qg.Quiver(["a", "b"], [("u", "a", "b")])
     table = expand_action(q, ActionSpec.from_list([0, 0, 1]))
-    with pytest.raises(RuntimeError, match=r"acceptance rate 100\.0%"):
-        estimate_wilson(triangle_network(q, 2), table, EdgeWord.from_string("u+ u-"),
-                        samples=20, seed=1, method="metropolis", burnin=0, thin=1)
+    est = estimate_wilson(triangle_network(q, 2), table, EdgeWord.from_string("u+ u-"),
+                          samples=20, seed=1, method="metropolis", burnin=0, thin=1)
+    assert (est.mean, est.stderr, est.effective_samples) == (1, 0, 20)
+    assert est.acceptance == 1.0 and est.rhat is None
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["estimate", "check_eq"])
+def test_overflowing_log_weights_are_refused(tri3, check):
+    # f3 = 10^307 makes -N S overflow to +-inf on some draws; their weights
+    # would turn the mean, the errors and the effective size into NaN
+    job, _ = tri3
+    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 10**307]))
+    with pytest.raises(OverflowError, match="log weights -N S overflow"):
+        if check:
+            eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
+            check_loop_equation(job.network, table, eq, samples=2000, seed=1)
+        else:
+            estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
+
+
+def test_log_weights_wider_than_float_range():
+    # at N = 4, -N S = -4.32e307 Re Tr U stays finite, but its spread over
+    # 2000 draws overflows: the lightest weigh 0, so the one heaviest draw is
+    # all the effective size there is
+    job = qg.triangle_job(dim=4)
+    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 18 * 10**305]))
+    with pytest.raises(RuntimeError, match="effective sample size 1.0 below"):
+        estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -580,7 +610,7 @@ class TestChains:
         accepted = sum(int(a.sum()) for a in chains.run(10)[0].values())
         assert 0 < accepted < 10 * len(chains.sweep) * metropolis._CHAINS
         assert chains.plan == action_plan(gauge_fixed_table(table, ("e",)))
-        assert (chains.s == plan_sum(chains.plan, chains.assignment, job.network.dim)).all()
+        assert (chains.s == action_sum(chains.plan, chains.assignment, job.network.dim)).all()
 
     def test_proposals_keep_every_chain_in_its_block_group(self):
         # a proposal writes its rotated block into each copy on the edge, so
