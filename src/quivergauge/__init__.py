@@ -22,14 +22,8 @@ from .loop_equations import (
     factorize_large_N,
     generate_loop_equation,
 )
-from .monte_carlo import (
-    DiracSample,
-    EstimatorResult,
-    KeyedSampler,
-    ResidualResult,
-    check_loop_equation,
-    estimate_wilson,
-)
+from .haar import DiracSample, KeyedSampler
+from .monte_carlo import EstimatorResult, ResidualResult, check_loop_equation, estimate_wilson
 from .quiver import (
     CyclicWord,
     EdgeWord,

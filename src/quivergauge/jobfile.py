@@ -58,11 +58,26 @@ def triangle_job(dim: int = 4, f3: Fraction | str | int = Fraction(1, 15)) -> Jo
     return Job(quiver=q, network=network, action=action, loops=loops)
 
 
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise JobError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _strings(value, name: str) -> list[str]:
+    if not isinstance(value, list):
+        raise JobError(f"{name} must be a list of strings, got {type(value).__name__}")
+    return [_string(v, f"{name}[{k}]") for k, v in enumerate(value)]
+
+
 def parse_job_dict(data: dict) -> Job:
     try:
         qsec = data["quiver"]
-        vertices = qsec["vertices"]
-        edges = [(e["id"], e["src"], e["dst"]) for e in qsec["edges"]]
+        vertices = _strings(qsec["vertices"], "quiver.vertices")
+        edges = [
+            tuple(_string(e[f], f"quiver.edges[{k}].{f}") for f in ("id", "src", "dst"))
+            for k, e in enumerate(qsec["edges"])
+        ]
     except (KeyError, TypeError) as exc:
         raise JobError(f"bad or missing 'quiver' section: {exc}") from None
     quiver = Quiver(vertices, edges)
@@ -76,7 +91,7 @@ def parse_job_dict(data: dict) -> Job:
     except ValueError as exc:
         raise JobError(f"bad action coefficient: {exc}") from None
     loops = []
-    for k, text in enumerate(data.get("loops", [])):
+    for k, text in enumerate(_strings(data.get("loops", []), "loops")):
         w = EdgeWord.from_string(text)
         if not quiver.is_closed(w):
             raise JobError(f"loops[{k}] = {text!r} is not closed")

@@ -19,7 +19,7 @@ import numpy as np
 from . import forked
 from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
-from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _gauge_fixed
+from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _gauge_fixed
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
@@ -202,6 +202,11 @@ def estimate(
     n_batches = max(10, min(50, samples // 20))
     if samples < n_batches:
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
+    # |Re Tr U| <= N, so no proposal moves N S by more than 2 N^2 sum |weight|:
+    # where that is finite, no difference of actions is inf or NaN
+    (_, weights), _ = _gauge_fixed(gauge_tree(net), table, ())
+    if not math.isfinite(2 * net.dim**2 * sum(abs(g) for g in weights)):
+        raise OverflowError(_OVERFLOW)
     # chain c keeps the first counts[c] of its measurements, samples in all
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin

@@ -1,4 +1,4 @@
-"""Haar sampling of block unitaries and Wilson-loop estimators.
+"""Wilson-loop estimators on keyed Haar draws.
 
 Every configuration is in the maximal-tree gauge: the edges of
 :func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
@@ -8,23 +8,21 @@ action and the observables are traced as rewritten words in those edges
 :func:`~quivergauge.quiver.gauge_fixed_steps`).  On the triangle this leaves
 one unitary, e3, and the plaquettes e3+ and e3-.
 
-Sampling is counter-based and reproducible: :class:`KeyedSampler` keys
-every Haar block by (master seed, edge index, block index), and draw i owns
-a fixed span of that Philox stream, so estimates do not depend on the
-chunking or worker partition.  It is the only source of configurations.
+Every configuration comes from :class:`~quivergauge.haar.KeyedSampler`,
+whose draw i does not depend on which other draws are made.
 Reweighting builds one :class:`~quivergauge.action.TracePlan` per estimate,
 the action's words first, then the observable's, and runs it on trace
 slices of max(1, 4096 // N**2) draws.  Draws come in spans of whole slices
-whose off-tree blocks hold about 4096 entries (48 draws on the two-site
-job, one slice on the triangle): per span and off-tree block one ``random``
-call and one stacked QR, whose slices are traced as views.  The spans go
-round-robin to the workers of :mod:`~quivergauge.forked`, one ``os.fork()``
-child per CPU in the process's affinity mask, each pinned to its CPU, which
-write their rows into arrays on anonymous shared maps.  The weighted
-reduction runs in the caller over whole arrays in sample order, so every
-result is bit-identical for any chunking or worker count; ``taskset -c 0``
-runs it serially in the caller, as does a platform without
-``os.sched_getaffinity``.
+whose off-tree blocks hold about 4 x 4096 entries (208 draws on the
+two-site job, four slices on the triangle): per span and off-tree block one
+``random`` call and one batched Gram-Schmidt, whose slices are traced as
+views.  The spans go round-robin to the workers of
+:mod:`~quivergauge.forked`, one ``os.fork()`` child per CPU in the process's
+affinity mask, each pinned to its CPU, which write their rows into arrays on
+anonymous shared maps.  The weighted reduction runs in the caller over whole
+arrays in sample order, so every result is bit-identical for any chunking or
+worker count; ``taskset -c 0`` runs it serially in the caller, as does a
+platform without ``os.sched_getaffinity``.
 
 Two estimators are provided for Boltzmann-weighted expectations:
 
@@ -49,7 +47,8 @@ import numpy as np
 
 from . import forked
 from .action import PlaquetteTable, TracePlan, action_plan, gauge_fixed_table, weighted_sum
-from .bratteli import BratteliNetwork, gauge_tree
+from .bratteli import BratteliNetwork
+from .haar import KeyedSampler
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord, gauge_fixed_steps
 
@@ -58,92 +57,8 @@ from .quiver import EdgeWord, gauge_fixed_steps
 _CHUNK_ENTRIES = 4096
 # fewest effective samples a reweighted estimate may rest on
 _MIN_EFFECTIVE = 100.0
-
-
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a complex Ginibre stack (..., n, n): QR with the
-    phase fix that makes the factors unique."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-@dataclass
-class DiracSample:
-    """One gauge configuration: a block-diagonal unitary per edge."""
-
-    unitaries: dict[str, np.ndarray]
-
-
-def _embed_blocks(blocks: Sequence[np.ndarray], layout: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Block-diagonal matrix of r copies of each n x n block, per leading batch
-    index, for the (n, r) pairs of ``layout`` (:meth:`BratteliNetwork.blocks`)."""
-    if len(layout) == 1 and layout[0][1] == 1:
-        return blocks[0]  # a lone block is its own embedding, uncopied
-    dim = sum(n * r for n, r in layout)
-    out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
-    pos = 0
-    for u, (n, r) in zip(blocks, layout):
-        for _ in range(r):
-            out[..., pos : pos + n, pos : pos + n] = u
-            pos += n
-    return out
-
-
-class KeyedSampler:
-    """Reproducible per-sample gauge configurations from a master seed, in the
-    maximal-tree gauge: the edges of ``tree`` (:func:`gauge_tree`) are 1.
-
-    Each off-tree (edge, block) owns a Philox stream keyed by (seed, edge
-    index, block), the edge's index among all edges; draw i of an n x n block
-    spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
-    (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one ``random``
-    call per block.  Uniform pairs (u0, u1) give polar Box-Muller Ginibre
-    entries sqrt(-log1p(-u0)) exp(2 pi i u1), E|z|^2 = 1.
-    """
-
-    def __init__(self, net: BratteliNetwork, seed: int):
-        self.net = net
-        self.tree = gauge_tree(net)
-        self._streams: dict[tuple[str, int], tuple] = {}
-        for ei, eid in enumerate(net.quiver.edge_ids):
-            if eid in self.tree:
-                continue
-            for bi in range(len(net.blocks(eid))):
-                key = np.random.SeedSequence([int(seed), ei, bi]).generate_state(2, np.uint64)
-                bitgen = np.random.Philox(key=key)
-                # the fresh state at counter 0; a chunk rewrites only counter[0]
-                self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
-
-    def sample_chunk(self, start: int, stop: int) -> dict[str, np.ndarray]:
-        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge,
-        a read-only identity stack on tree edges; row k equals
-        ``sample(start + k)`` bit for bit."""
-        if not 0 <= start <= stop:
-            raise ValueError(f"sample range [{start}, {stop}) needs 0 <= start <= stop")
-        dim = self.net.dim
-        identity = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
-        unitaries = {}
-        for eid in self.net.quiver.edge_ids:
-            if eid in self.tree:
-                unitaries[eid] = identity
-                continue
-            layout = self.net.blocks(eid)
-            blocks = []
-            for bi, (n, _) in enumerate(layout):
-                bitgen, gen, state = self._streams[(eid, bi)]
-                span = (n * n + 1) // 2
-                state["state"]["counter"][0] = start * span
-                bitgen.state = state
-                u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
-                z = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
-                blocks.append(_haar_from_ginibre(z))
-            unitaries[eid] = _embed_blocks(blocks, layout)
-        return unitaries
-
-    def sample(self, index: int) -> DiracSample:
-        chunk = self.sample_chunk(index, index + 1)
-        return DiracSample(unitaries={e: u[0] for e, u in chunk.items()})
+# the refusal of an action that float arithmetic cannot weigh, by either estimator
+_OVERFLOW = "log weights -N S overflow float arithmetic; weaken the coupling"
 
 
 @dataclass
@@ -181,7 +96,8 @@ class ResidualResult:
 
 def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
     """The action plan of ``table`` and the ``words``, both rewritten for
-    configurations whose ``tree`` edges (:func:`gauge_tree`) carry 1."""
+    configurations whose ``tree`` edges carry 1
+    (:func:`~quivergauge.bratteli.gauge_tree`)."""
     plan = action_plan(gauge_fixed_table(table, tree))
     return plan, [gauge_fixed_steps(w, tree) for w in words]
 
@@ -192,12 +108,15 @@ def _reweighted_traces(
     words: Sequence[tuple],
     samples: int,
     seed: int,
+    combine=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log weights -N S and normalised traces on keyed draws 0..samples-1.
 
     Returns ``logs`` of shape (samples,) and ``traces`` of shape
-    (len(words), samples); the constant part of S shifts every log weight
-    equally and is left out.  The action and the words are traced as
+    (len(words), samples), or with ``combine`` (1, samples): the row that it
+    makes of each slice's traces, so that only that row is shared and read
+    by the caller.  The constant part of S shifts every log weight equally
+    and is left out.  The action and the words are traced as
     rewritten in the sampler's off-tree edges, by one :class:`TracePlan`
     whose action words come first.  Worker p of :func:`forked.workers` fills
     spans p, p + workers, ... in place, a trace slice at a time.
@@ -207,16 +126,16 @@ def _reweighted_traces(
     dim = net.dim
     plan = TracePlan(action + words, dim)
     # traced in slices of dim x dim draws holding about _CHUNK_ENTRIES entries,
-    # drawn in spans of whole slices whose off-tree blocks hold about as many
+    # drawn in spans of whole slices whose off-tree blocks hold about four
+    # times as many, since the Haar kernel's numpy calls are per column
     size = max(1, _CHUNK_ENTRIES // dim**2)
     off_tree = (e for e in net.quiver.edge_ids if e not in sampler.tree)
     drawn = sum(n * n for e in off_tree for n, _ in net.blocks(e))
-    span = size * max(1, _CHUNK_ENTRIES // (drawn * size)) if drawn else size
+    span = size * max(1, 4 * _CHUNK_ENTRIES // (drawn * size)) if drawn else size
     starts = range(0, samples, span)
     workers = forked.workers(len(starts))
-    # two maps, so that the caller can free the traces before the logs
     logs = forked.shared_array((samples,), float)
-    traces = forked.shared_array((len(words), samples), complex)
+    traces = forked.shared_array((1 if combine else len(words), samples), complex)
 
     def fill(part: int) -> None:
         for a in starts[part::workers]:
@@ -227,10 +146,13 @@ def _reweighted_traces(
                 t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
                 with np.errstate(over="ignore", invalid="ignore"):  # refused in the caller
                     logs[s:b] = -dim * weighted_sum(weights, t)
+                rows = np.empty((len(words), b - s), complex) if combine else traces[:, s:b]
                 for k, tr in enumerate(t[len(action) :]):
                     # parts apart: numpy divides a complex array by the reciprocal of dim
-                    traces[k, s:b].real = tr.real / dim
-                    traces[k, s:b].imag = tr.imag / dim
+                    rows[k].real = tr.real / dim
+                    rows[k].imag = tr.imag / dim
+                if combine:
+                    traces[0, s:b] = combine(rows)
 
     forked.run(fill, workers)
     return logs, traces
@@ -250,7 +172,7 @@ def _weighted_mean(
     """
     top = logs.max()
     if not (math.isfinite(top) and math.isfinite(logs.min())):  # any NaN or inf
-        raise OverflowError("log weights -N S overflow float arithmetic; weaken the coupling")
+        raise OverflowError(_OVERFLOW)
     with np.errstate(over="ignore"):  # a spread beyond float range is a weight of 0
         w = np.exp(logs - top)
     w_sum = w.sum()
@@ -333,12 +255,19 @@ def check_loop_equation(
     steps = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
     words = list(dict.fromkeys(steps))
     row = {w: k for k, w in enumerate(words)}
-    logs, traces = _reweighted_traces(net, table, words, samples, seed)
-    residuals = np.zeros(samples, dtype=complex)
-    for t in eq.lhs:
-        residuals += t.coeff * traces[row[t.words[0].steps]] * traces[row[t.words[1].steps]]
-    for t in eq.rhs:
-        residuals -= float(eq.rhs_coefficient(table, t)) * traces[row[t.word.steps]]
-    del traces  # freed before the weighted reduction allocates, which lowers peak memory
-    mean, (stderr, _, _), ess, share = _weighted_mean(logs, residuals)
+    lhs = [(t.coeff, row[t.words[0].steps], row[t.words[1].steps]) for t in eq.lhs]
+    rhs = [(float(eq.rhs_coefficient(table, t)), row[t.word.steps]) for t in eq.rhs]
+
+    def residual(traces: np.ndarray) -> np.ndarray:
+        out = np.zeros(traces.shape[1], dtype=complex)
+        for c, a, b in lhs:
+            out += c * traces[a] * traces[b]
+        for c, a in rhs:
+            out -= c * traces[a]
+        return out
+
+    # each slice's residuals are formed where it is traced: only they are
+    # shared, and the caller never holds the traces
+    logs, residuals = _reweighted_traces(net, table, words, samples, seed, residual)
+    mean, (stderr, _, _), ess, share = _weighted_mean(logs, residuals[0])
     return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)

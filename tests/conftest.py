@@ -116,8 +116,18 @@ def rng():
     return np.random.default_rng(20240901)
 
 
-def random_unitary(rng, n):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def ginibre(rng, shape):
+    """Complex Ginibre entries, E|z|^2 = 1."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def lapack_haar(z):
+    """The Haar unitaries of a Ginibre stack (..., n, n) by LAPACK: its QR,
+    with the phases that make R's diagonal positive moved into Q."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(rng, n):
+    return lapack_haar(ginibre(rng, (n, n)))

@@ -19,7 +19,8 @@ from quivergauge.action import PlaquetteTable, TracePlan, action_plan, loop_trac
 from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.metropolis import _CHAINS
-from quivergauge.monte_carlo import DiracSample, _embed_blocks, _gauge_fixed
+from quivergauge.haar import DiracSample, _embed_blocks
+from quivergauge.monte_carlo import _gauge_fixed
 from quivergauge.quiver import _step_key
 from quivergauge.toeplitz import _toeplitz, leading_minors
 

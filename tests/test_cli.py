@@ -58,6 +58,14 @@ class TestValidate:
         assert run(["validate", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_loops_of_wrong_type_is_domain_error(self, tmp_path, capsys):
+        data = json.loads(Path(TRIANGLE).read_text())
+        data["loops"] = [5]
+        p = tmp_path / "job.json"
+        p.write_text(json.dumps(data))
+        assert run(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == "error: loops[0] must be a string, got int\n"
+
     def test_quiver_without_vertices_is_domain_error(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text(json.dumps({
@@ -413,7 +421,11 @@ class TestMc:
         data = json.loads(out.read_text())
         assert (data["mean_re"], data["mean_im"], data["stderr"]) == (1.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("check", [[], ["--check-eq", "--root", "e1"]], ids=["mean", "check"])
+    @pytest.mark.parametrize(
+        "check",
+        [[], ["--check-eq", "--root", "e1"], ["--method", "metropolis"]],
+        ids=["mean", "check", "metropolis"],
+    )
     def test_overflowing_log_weights_exit_1(self, tmp_path, capsys, check):
         data = json.loads(Path(TRIANGLE).read_text())
         data["action"]["f"] = [0, 0, 0, str(10**307)]

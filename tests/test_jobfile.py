@@ -86,6 +86,27 @@ class TestLoadJob:
         with pytest.raises(JobError, match=message):
             parse_job_dict(data)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d.update(loops=[5]), r"loops\[0\] must be a string, got int"),
+         (lambda d: d.update(loops="e1+ e2+ e3+"), "loops must be a list of strings, got str"),
+         (lambda d: d["quiver"].update(vertices=5),
+          "quiver.vertices must be a list of strings, got int"),
+         (lambda d: d["quiver"].update(vertices=["v1", 2, "v3"]),
+          r"quiver.vertices\[1\] must be a string, got int"),
+         (lambda d: d["quiver"]["edges"][1].update(src=["v2"]),
+          r"quiver.edges\[1\].src must be a string, got list")],
+        ids=["loop_not_string", "loops_not_list", "vertices_not_list", "vertex_not_string",
+             "edge_field_not_string"],
+    )
+    def test_field_of_wrong_type(self, edit, message):
+        # each is a JobError naming the field, never an AttributeError or
+        # TypeError from deeper in, nor a string read as its characters
+        data = json.loads((REPO / "jobs" / "triangle.json").read_text())
+        edit(data)
+        with pytest.raises(JobError, match=f"^{message}$"):
+            parse_job_dict(data)
+
     def test_loop_not_composable(self):
         data = json.loads((REPO / "jobs" / "triangle.json").read_text())
         data["loops"] = ["e1+ e3+"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quivergauge as qg
-from quivergauge import forked, metropolis, monte_carlo
+from quivergauge import forked, haar, metropolis, monte_carlo
 from quivergauge.action import (
     ActionSpec,
     action_plan,
@@ -21,7 +21,7 @@ from quivergauge.monte_carlo import (
 )
 from quivergauge.quiver import EdgeWord, gauge_fixed_steps
 
-from conftest import REPO, torus_quiver, triangle_network
+from conftest import REPO, ginibre, lapack_haar, torus_quiver, triangle_network
 from oracles import (
     action_sum,
     assemble_dirac,
@@ -40,6 +40,20 @@ def one_block_sampler(n, seed):
     return KeyedSampler(triangle_network(q, n), seed)
 
 
+def box_muller(pairs):
+    """The Ginibre entries of uniform pairs (..., 2) as the sampler forms them:
+    radius sqrt(-log1p(-u0)) times exp(2 pi i u1), the phase from w = tan(pi u1)
+    as ((1 - w^2) + 2iw) / (1 + w^2)."""
+    w = np.tan(np.pi * pairs[..., 1])
+    r = np.sqrt(-np.log1p(-pairs[..., 0])) / (1 + w * w)
+    z = np.empty(r.shape, complex)
+    z.real, z.imag = r * (1 - w * w), r * (2 * w)
+    # the polar form to rounding
+    polar = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
+    assert np.abs(z - polar).max() <= 1e-15 * np.abs(polar).max()
+    return z
+
+
 def haar_traces(sampler, draws, left=None):
     """Tr U, or Tr(left U), over keyed draws 0..draws-1, in stacks of 10^4."""
     out = []
@@ -47,6 +61,38 @@ def haar_traces(sampler, draws, left=None):
         u = sampler.sample_chunk(a, min(a + 10_000, draws))["u"]
         out.append(np.trace(u if left is None else left @ u, axis1=-2, axis2=-1))
     return np.concatenate(out)
+
+
+class TestHaarKernel:
+    """The batched Gram-Schmidt Q against LAPACK's QR with the phase fix."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_lapack_and_is_unitary(self, n):
+        z = ginibre(np.random.default_rng(n), (10_000, n, n))
+        q = haar._haar_from_ginibre(z)
+        assert np.abs(q - lapack_haar(z)).max() < 1e-12
+        assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(n)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_matrix_bits_ignore_the_stack(self, n):
+        # each matrix's Q is the same alone as in a stack of any size, so a
+        # draw's bits cannot depend on the span that holds it
+        rng = np.random.default_rng(100 + n)
+        for size in (1, 7, 48, 1024):
+            z = ginibre(rng, (size, n, n))
+            alone = np.stack([haar._haar_from_ginibre(z[k : k + 1])[0] for k in range(size)])
+            assert np.array_equal(haar._haar_from_ginibre(z), alone)
+
+    @pytest.mark.parametrize(
+        "column", [lambda z: z[..., 0] + 2j * z[..., 1], lambda z: 0 * z[..., 0]],
+        ids=["dependent", "zero"],
+    )
+    def test_rank_deficient_matrix_is_refused(self, column):
+        # one matrix of the stack has a column in the span of those before it
+        z = ginibre(np.random.default_rng(5), (6, 4, 4))
+        z[3, :, 2] = column(z[3])
+        with pytest.raises(np.linalg.LinAlgError, match="column 2 depends on the columns before"):
+            haar._haar_from_ginibre(z)
 
 
 class TestSampleHaar:
@@ -208,9 +254,8 @@ class TestKeyedSampler:
                     bitgen = np.random.Philox(key=key, counter=[i * span, 0, 0, 0])
                     pairs = np.random.Generator(bitgen).random(4 * span)[: 2 * n * n]
                     pairs = pairs.reshape(n, n, 2)
-                    z = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
-                    blocks.append(monte_carlo._haar_from_ginibre(z))
-                expected = monte_carlo._embed_blocks(blocks, net.blocks(e))
+                    blocks.append(haar._haar_from_ginibre(box_muller(pairs)))
+                expected = haar._embed_blocks(blocks, net.blocks(e))
                 assert np.array_equal(sampler.sample(i).unitaries[e], expected)
 
     def test_triangle_draws_only_off_tree_streams(self, triangle_quiver):
@@ -226,8 +271,7 @@ class TestKeyedSampler:
         key = np.random.SeedSequence([seed, 2, 0]).generate_state(2, np.uint64)
         bitgen = np.random.Philox(key=key, counter=[3 * 8, 0, 0, 0])
         pairs = np.random.Generator(bitgen).random((6, 32)).reshape(6, 4, 4, 2)
-        z = np.sqrt(-np.log1p(-pairs[..., 0])) * np.exp(2j * np.pi * pairs[..., 1])
-        assert np.array_equal(chunk["e3"], monte_carlo._haar_from_ginibre(z))
+        assert np.array_equal(chunk["e3"], haar._haar_from_ginibre(box_muller(pairs)))
 
     @pytest.mark.parametrize("start, stop", [(5, 3), (-1, 0)])
     def test_chunk_range_checked(self, two_site_network, start, stop):
@@ -266,6 +310,15 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
+    # a row combined slice by slice in the workers is that row of the whole
+    logs, traces = runs[0]
+    for budget in (1, 7 * dim**2):
+        monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
+        combined = monte_carlo._reweighted_traces(
+            job.network, table, words, samples, 3, lambda t: t[0] * t[-1] - t[1]
+        )
+        assert np.array_equal(combined[0], logs)
+        assert np.array_equal(combined[1], [traces[0] * traces[-1] - traces[1]])
     # and each draw on its own, through the 2-D action sum and loop_trace of
     # the gauge-fixed table and words
     sampler = KeyedSampler(job.network, 3)
@@ -318,12 +371,15 @@ def test_reweighting_draws_spans_of_trace_slices(monkeypatch):
 def test_failing_worker_raises_and_leaves_no_process(
     monkeypatch, capfd, workers, kill, raised, message
 ):
-    # chunk 1 fails: with 2 workers in the second forked child, whose error or
+    # span 1 fails: with 2 workers in the second forked child, whose error or
     # signal fails the call as its exit code or minus the signal, and every
-    # child is reaped; with 1 worker in the caller, whose error propagates
+    # child is reaped; with 1 worker in the caller, whose error propagates.
+    # At N = 3 a trace slice is 4096 // 9 draws, and a span the most whole
+    # slices whose one 3x3 off-tree block holds at most 4 * 4096 entries
     job = qg.triangle_job(dim=3)
     table = expand_action(job.quiver, job.action)
-    chunk = monte_carlo._CHUNK_ENTRIES // 9
+    size = monte_carlo._CHUNK_ENTRIES // 9
+    chunk = size * (4 * monte_carlo._CHUNK_ENTRIES // (9 * size))
     caller, sample_chunk = os.getpid(), KeyedSampler.sample_chunk
 
     def failing(self, start, stop):
@@ -492,6 +548,17 @@ def test_overflowing_log_weights_are_refused(tri3, check):
             check_loop_equation(job.network, table, eq, samples=2000, seed=1)
         else:
             estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
+
+
+def test_metropolis_refuses_an_overflowing_action(tri3, monkeypatch):
+    # f3 = 10^307 puts 2 N^2 sum |weight| beyond float range: refused before
+    # any chain runs, where a proposal's action difference would overflow
+    job, _ = tri3
+    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 10**307]))
+    monkeypatch.setattr(metropolis, "_run_chains", None)  # never reached
+    with pytest.raises(OverflowError, match="log weights -N S overflow float arithmetic"):
+        estimate_wilson(job.network, table, ZETA, samples=200, seed=1, method="metropolis",
+                        burnin=200, thin=1)
 
 
 def test_log_weights_wider_than_float_range():
