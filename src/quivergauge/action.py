@@ -17,9 +17,10 @@ and the loop equations built from it depend on that order.
 
 Every numeric trace goes through one kernel, :class:`TracePlan`: the
 schedule of a word list, built once and run on any number of configurations.
-It visits sorted words over a stack of prefix products, so a shared prefix
-is multiplied once.  Action weights trace each class once with its
-equal-coupling reverse (:func:`action_plan`, summed by :func:`weighted_sum`).
+It traces each word from its two halves, whose partial products are shared
+across the plan, multiplied once and released after their last use.  Action
+weights trace each class once with its equal-coupling reverse
+(:func:`action_plan`, summed by :func:`weighted_sum`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     Step,
+    _min_rotation,
     gauge_fixed_steps,
     reduced_closed_walk_counts,
 )
@@ -158,46 +160,56 @@ class TracePlan:
     """The traces of a fixed list of closed words, scheduled once and run on
     any assignment of edge matrices, 2-D or stacked on leading sample axes.
 
-    The distinct nonempty words are visited in sorted order over a stack of
-    prefix products, so a prefix shared with the word before is multiplied
-    once: each word keeps ``keep`` products of that stack, folds its further
-    steps but the last onto it (``prefix[-1] @ step``), and enters its last
-    factor U as sum_ij M_ij U_ji.  A run forms each step's matrix once, each
-    adjoint once.  A word's trace is the same bits whatever other words share
-    the plan; the empty word gives N.
+    Each distinct nonempty word is traced at its least rotation as
+    sum_ij L_ij R_ji of its two halves, its first ceil(len / 2) steps and
+    the rest, each half the left fold of its steps.  Every partial fold is
+    memoised by its step tuple across the plan, so a run multiplies it once,
+    and is released after its last use.  A word's trace is the same bits
+    whatever other words share the plan; the empty word gives N.
     """
 
     def __init__(self, words: Sequence[tuple], dim: int):
-        distinct = sorted(set(words) - {()})
+        rotated = [_min_rotation(tuple(w)) for w in words]
+        distinct = sorted(set(rotated) - {()})
         self.dim = dim
         self.steps = {s for w in distinct for s in w}
-        self.schedule = []  # (keep, steps to fold, last step) per distinct word
-        last = ()
+        # (fold formed, or None for a trace; its two operands) in run order
+        ops, formed = [], set()
         for w in distinct:
-            differ = (i for i, (a, b) in enumerate(zip(w, last)) if a != b)
-            keep = min(next(differ, len(last)), max(len(last) - 1, 0))
-            self.schedule.append((keep, w[keep:-1], w[-1]))
-            last = w
+            h = (len(w) + 1) // 2
+            for half in (w[:h], w[h:]):
+                for k in range(2, len(half) + 1):
+                    if half[:k] not in formed:
+                        formed.add(half[:k])
+                        ops.append((half[:k], half[: k - 1], half[k - 1 : k]))
+            ops.append((None, w[:h], w[h:]))
+        last = {key: i for i, (_, a, b) in enumerate(ops) for key in (a, b)}
+        # each op with the folds and steps it is the last to read
+        self.schedule = [
+            (key, a, b, {x for x in (a, b) if x and last[x] == i})
+            for i, (key, a, b) in enumerate(ops)
+        ]
         # position of each word's trace in a run's list; the empty word's comes last
         slot = {w: k for k, w in enumerate(distinct)}
-        self.slots = [slot.get(w, len(distinct)) for w in words]
-        self.empty = () in words
+        self.slots = [slot.get(w, len(distinct)) for w in rotated]
+        self.empty = () in rotated
 
     def traces(self, assignment: Mapping[str, np.ndarray]) -> list:
         """The words' traces on ``assignment``, in the order they were given."""
-        mats = {
-            (e, o): assignment[e] if o > 0 else assignment[e].conj().swapaxes(-1, -2)
+        memo = {
+            ((e, o),): assignment[e] if o > 0 else assignment[e].conj().swapaxes(-1, -2)
             for e, o in self.steps
         }
-        out, prefix = [], []
-        for keep, fold, last in self.schedule:
-            del prefix[keep:]
-            for step in fold:
-                prefix.append(prefix[-1] @ mats[step] if prefix else mats[step])
-            if prefix:
-                out.append(np.einsum("...ij,...ji->...", prefix[-1], mats[last]))
+        out = []
+        for key, a, b, done in self.schedule:
+            if key:
+                memo[key] = memo[a] @ memo[b]
+            elif b:
+                out.append(np.einsum("...ij,...ji->...", memo[a], memo[b]))
             else:
-                out.append(mats[last].trace(axis1=-2, axis2=-1))
+                out.append(memo[a].trace(axis1=-2, axis2=-1))
+            for x in done:
+                del memo[x]
         if self.empty:
             batch = next(iter(assignment.values())).shape[:-2] if assignment else ()
             out.append(np.full(batch, complex(self.dim)))

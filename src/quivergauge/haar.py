@@ -48,6 +48,21 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q.reshape(shape)
 
 
+def _ginibre(u: np.ndarray) -> np.ndarray:
+    """Complex Ginibre entries, E|z|^2 = 1, from uniform pairs u[..., :2] by
+    polar Box-Muller: sqrt(-log1p(-u0)) exp(2 pi i u1), elementwise, so each
+    entry has the same bits in an array of any shape."""
+    # exp(2 pi i u1) = ((1 - w^2) + 2iw) / (1 + w^2) from w = tan(pi u1): one
+    # tan, which numpy vectorises, where cos and sin are two scalar libm calls
+    w = np.tan(np.pi * u[..., 1])
+    w2 = w * w
+    r = np.sqrt(-np.log1p(-u[..., 0])) / (1 + w2)
+    z = np.empty(r.shape, complex)
+    z.real = r * (1 - w2)
+    z.imag = r * (2 * w)
+    return z
+
+
 @dataclass
 class DiracSample:
     """One gauge configuration: a block-diagonal unitary per edge."""
@@ -78,9 +93,8 @@ class KeyedSampler:
     index, block), the edge's index among all edges; draw i of an n x n block
     spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
     (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one ``random``
-    call per block.  Uniform pairs (u0, u1) give polar Box-Muller Ginibre
-    entries sqrt(-log1p(-u0)) exp(2 pi i u1), E|z|^2 = 1, whose phase is
-    ((1 - w^2) + 2iw) / (1 + w^2) with w = tan(pi u1).
+    call per block.  Uniform pairs give polar Box-Muller Ginibre entries
+    (:func:`_ginibre`).
     """
 
     def __init__(self, net: BratteliNetwork, seed: int):
@@ -117,15 +131,7 @@ class KeyedSampler:
                 state["state"]["counter"][0] = start * span
                 bitgen.state = state
                 u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
-                # exp(2 pi i u1) from w = tan(pi u1): one tan, which numpy
-                # vectorises, where cos and sin are two scalar libm calls
-                w = np.tan(np.pi * u[..., 1])
-                w2 = w * w
-                r = np.sqrt(-np.log1p(-u[..., 0])) / (1 + w2)
-                z = np.empty(r.shape, complex)
-                z.real = r * (1 - w2)
-                z.imag = r * (2 * w)
-                blocks.append(_haar_from_ginibre(z))
+                blocks.append(_haar_from_ginibre(_ginibre(u)))
             unitaries[eid] = _embed_blocks(blocks, layout)
         return unitaries
 

@@ -1,13 +1,14 @@
 """Metropolis estimates of Wilson loops, in the maximal-tree gauge of
-:mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- exp(i eps H) U
-on the off-tree blocks, drawn from one generator.  Proposals are prepared a
-batch at a time; each trial action and each measurement runs one of the two
-trace plans that the chains build (:class:`~quivergauge.action.TracePlan`),
-and each block's copies are read from a table built with them.  The chains go
-round-robin to the workers of :mod:`~quivergauge.forked`; every result is
-bit-identical for any batch size or worker count.  Each chain tunes its own
-steps in burn-in; the error comes from batch means inside each chain,
-reported with the R-hat across them.
+:mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- R U on the
+off-tree blocks, R = V diag(exp(i eps theta)) V^-1 with V Haar and theta
+normal.  Each (chain, site) draws from its own keyed stream.  Proposals are
+prepared a batch at a time; each trial action and each measurement runs one
+of the two trace plans that the chains build
+(:class:`~quivergauge.action.TracePlan`), and each block's copies are read
+from a table built with them.  The chains go round-robin to the workers of
+:mod:`~quivergauge.forked`; every result is bit-identical for any batch size
+or worker count.  Each chain tunes its own steps in burn-in; the error comes
+from batch means inside each chain, reported with the R-hat across them.
 """
 
 from __future__ import annotations
@@ -19,10 +20,21 @@ import numpy as np
 from . import forked
 from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
+from .haar import _ginibre, _haar_from_ginibre
 from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _gauge_fixed
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
+
+
+def _stream(seed: int, chain: int, edge: int, block: int) -> np.random.Generator:
+    """The Philox stream of one chain's proposals on one site, keyed by
+    (seed, chain, edge index, block) as
+    :class:`~quivergauge.haar.KeyedSampler` keys its blocks; the tag 0x4D43
+    sets the chains' keys apart from the sampler's."""
+    entropy = [int(seed), 0x4D43, chain, edge, block]
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _rhat(chains: np.ndarray) -> float | None:
@@ -43,6 +55,11 @@ def _rhat(chains: np.ndarray) -> float | None:
     return math.sqrt(((n - 1) / n * within + between_n) / within)
 
 
+def _rotation(v: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """V diag(exp(i angles)) V^-1 for a unitary stack V (..., n, n)."""
+    return (v * np.exp(1j * angles)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 class _Chains:
     """The ``rows`` slice of the ``_CHAINS`` Metropolis chains, ``count`` of
     them, stacked on a leading axis.
@@ -58,9 +75,17 @@ class _Chains:
     in every difference, run through the prebuilt plan ``action``; each
     site's block size and copy slices are read from ``copies``.  ``words``
     are the measured words as traced on ``assignment``; ``measure`` is the
-    plan of the first.  The generator
-    draws for all ``_CHAINS`` chains and each copy keeps the rows of its
-    own, so a chain moves the same whichever chains share its copy.
+    plan of the first.
+
+    A proposal on an n x n site is R = V diag(exp(i eps theta)) V^-1: V is
+    Haar, and theta_k are independent normals of variance n, the mean
+    squared eigenvalue of the Hermitian (A + A^dagger) / 2 for a Ginibre A
+    with E|a|^2 = 2, so eps has the scale of a step exp(i eps H).  The same
+    V with -theta gives R^-1, so the proposal is symmetric.  Each proposal
+    reads 2n^2 + 2n + 1 uniforms in turn from the stream of its (chain,
+    site) in ``streams`` (:func:`_stream`): n^2 Box-Muller pairs for V's
+    Ginibre matrix, n pairs whose real parts give theta, then the accept
+    uniform.  A chain moves the same whichever chains share its copy.
     """
 
     def __init__(
@@ -72,7 +97,6 @@ class _Chains:
         self.plan, self.words = _gauge_fixed(tree, table, words)
         self.action = TracePlan(self.plan[0], self.dim)
         self.measure = TracePlan(self.words[:1], self.dim)
-        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
         edges = [eid for eid in q.edge_ids if eid not in tree]
         # each off-tree site's block size and the slices of its copies on the diagonal
@@ -83,6 +107,10 @@ class _Chains:
                 self.copies[eid, bi] = n, [slice(at, at + n) for at in range(pos, pos + n * r, n)]
                 pos += n * r
         self.sites = list(self.copies)
+        self.streams = {
+            (eid, bi): [_stream(seed, c, q.edge_ids.index(eid), bi) for c in range(_CHAINS)[rows]]
+            for eid, bi in self.sites
+        }
         n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(self.count, 0.5) for b in self.sites}
@@ -90,26 +118,23 @@ class _Chains:
         self.assignment = {eid: np.tile(identity, (self.count, 1, 1)) for eid in edges}
         self.s = weighted_sum(self.plan[1], self.action.traces(self.assignment))
 
-    def _prepare(self, batch: list) -> tuple[dict, list]:
-        """The rotations exp(i eps H) of proposals on the sites of ``batch``,
-        by position, and their accept uniforms, for this copy's chains.  Each
-        proposal draws for all ``_CHAINS`` chains in the order of one proposal
-        at a time: H's Ginibre real parts, its imaginary parts, the uniforms;
-        then each site takes one ``eigh`` and one product."""
-        draws = [
-            (self.rng.standard_normal((2, _CHAINS) + (self.copies[b][0],) * 2)[:, self.rows],
-             self.rng.random(_CHAINS)[self.rows])
-            for b in batch
-        ]
-        rots = {}
-        for b in set(batch):
+    def _prepare(self, batch: list) -> tuple[list, list]:
+        """The rotations of proposals on the sites of ``batch`` and their
+        accept uniforms, by position, for this copy's chains: per site, one
+        ``random`` call per chain, one Gram-Schmidt and one product."""
+        rots, uniforms = [None] * len(batch), [None] * len(batch)
+        for b in dict.fromkeys(batch):
             at = [k for k, site in enumerate(batch) if site == b]
-            z = np.stack([draws[k][0] for k in at])
-            a = z[:, 0] + 1j * z[:, 1]
-            evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
-            phases = np.exp(1j * self.eps[b][:, None] * evals)[..., None, :]
-            rots.update(zip(at, (vecs * phases) @ vecs.conj().swapaxes(-1, -2)))
-        return rots, [u for _, u in draws]
+            n = self.copies[b][0]
+            m = len(at)
+            u = np.stack([gen.random((m, 2 * n * n + 2 * n + 1)) for gen in self.streams[b]])
+            z = _ginibre(u[..., :-1].reshape(self.count, m, n * n + n, 2))
+            v = _haar_from_ginibre(z[..., : n * n].reshape(self.count, m, n, n))
+            theta = math.sqrt(2 * n) * z[..., n * n :].real
+            r = _rotation(v, self.eps[b][:, None, None] * theta)
+            for j, k in enumerate(at):
+                rots[k], uniforms[k] = r[:, j], u[:, j, -1]
+        return rots, uniforms
 
     def run(self, sweeps: int, thin: int = 0) -> tuple[dict, np.ndarray]:
         """Make ``sweeps`` sweeps at the current step sizes, preparing proposals

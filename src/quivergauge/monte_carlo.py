@@ -31,8 +31,9 @@ Two estimators are provided for Boltzmann-weighted expectations:
   Wilson loops and loop-equation residuals share one sampling loop and one
   weighted reduction, which also reports the effective sample size and the
   largest weight's share of the total.
-* ``metropolis`` - a multiplicative random walk U <- exp(i eps H) U per
-  off-tree block, run as 10 independent chains on the same workers, with
+* ``metropolis`` - a multiplicative random walk U <- R U per off-tree
+  block, R = V diag(exp(i eps theta)) V^-1 with V Haar and theta normal,
+  run as 10 independent chains on the same workers, with
   batch-means errors and R-hat across the chains; it lives in
   :mod:`~quivergauge.metropolis`, which is imported on first use.
 """

@@ -18,8 +18,8 @@ import numpy as np
 from quivergauge.action import PlaquetteTable, TracePlan, action_plan, loop_trace, weighted_sum
 from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
-from quivergauge.metropolis import _CHAINS
-from quivergauge.haar import DiracSample, _embed_blocks
+from quivergauge.haar import DiracSample, _embed_blocks, _ginibre, _haar_from_ginibre
+from quivergauge.metropolis import _CHAINS, _stream
 from quivergauge.monte_carlo import _gauge_fixed
 from quivergauge.quiver import _step_key
 from quivergauge.toeplitz import _toeplitz, leading_minors
@@ -169,9 +169,9 @@ def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.n
 
 
 class OneAtATimeChains:
-    """All ``_CHAINS`` Metropolis chains making one proposal at a time, each
-    with its own draws from the shared generator: two Ginibre stacks (real,
-    then imaginary parts), then the accept uniforms."""
+    """All ``_CHAINS`` Metropolis chains making one proposal at a time: each
+    chain reads the uniforms of one proposal, 2n^2 + 2n + 1 of them, from the
+    keyed stream of its (chain, site), then the chains are stacked."""
 
     def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
         q = net.quiver
@@ -179,8 +179,11 @@ class OneAtATimeChains:
         tree = gauge_tree(net)
         self.plan, self.words = _gauge_fixed(tree, table, words)
         self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
-        self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4D43]))
         self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
+        self.streams = {
+            (e, bi): [_stream(seed, c, q.edge_ids.index(e), bi) for c in range(_CHAINS)]
+            for e, bi in self.sites
+        }
         n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(_CHAINS, 0.5) for b in self.sites}
@@ -189,21 +192,24 @@ class OneAtATimeChains:
         self.s = action_sum(self.plan, self.assignment, self.dim)
 
     def propose(self, eid: str, bi: int) -> np.ndarray:
-        """Propose U <- exp(i eps H) U on one block of every chain, written
-        into each of the block's copies; returns which chains accepted."""
+        """Propose U <- V diag(exp(i eps theta)) V^-1 U on one block of every
+        chain, written into each of the block's copies; returns which chains
+        accepted."""
         edge, layout = self.assignment[eid], self.layouts[eid]
         (n, r), pos = layout[bi], sum(m * k for m, k in layout[:bi])
         old = edge[:, pos : pos + n, pos : pos + n]
-        a = self.rng.standard_normal(old.shape) + 1j * self.rng.standard_normal(old.shape)
-        evals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
-        phases = np.exp(1j * self.eps[(eid, bi)][:, None] * evals)[:, None, :]
-        new = (vecs * phases) @ vecs.conj().swapaxes(-1, -2) @ old
+        u = np.stack([gen.random(2 * n * n + 2 * n + 1) for gen in self.streams[eid, bi]])
+        z = _ginibre(u[:, :-1].reshape(_CHAINS, n * n + n, 2))
+        v = _haar_from_ginibre(z[:, : n * n].reshape(_CHAINS, n, n))
+        theta = math.sqrt(2 * n) * z[:, n * n :].real
+        phases = np.exp(1j * (self.eps[(eid, bi)][:, None] * theta))[:, None, :]
+        new = (v * phases) @ v.conj().swapaxes(-1, -2) @ old
         trial = new if n == self.dim else edge.copy()
         if n < self.dim:
             for at in range(pos, pos + n * r, n):
                 trial[:, at : at + n, at : at + n] = new
         s_new = action_sum(self.plan, {**self.assignment, eid: trial}, self.dim)
-        accept = self.rng.random(_CHAINS) < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
+        accept = u[:, -1] < np.exp(np.minimum(0.0, -self.dim * (s_new - self.s)))
         self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
         self.s = np.where(accept, s_new, self.s)
         return accept

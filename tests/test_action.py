@@ -337,6 +337,24 @@ class TestTraceWords:
             assert t == TracePlan([w], n).traces(us)[0]
 
 
+def test_words_share_their_half_products(rng):
+    # ov ov and ow ow are formed once, for the words that are their squares
+    # and for the two rotations of ov ov ow ow, which are traced once; each
+    # matrix a run holds is dropped by the op that reads it last
+    a, b = ("ov", 1), ("ow", 1)
+    words = [(a, a, a, a), (a, a), (a, a, b, b), (b, b, a, a), (b, b, b, b), (b, a)]
+    plan = TracePlan(words, 3)
+    assert [key for key, *_ in plan.schedule if key] == [(a, a), (b, b)]
+    assert sum(1 for key, *_ in plan.schedule if not key) == 5
+    released = [x for *_, done in plan.schedule for x in done]
+    assert sorted(released) == sorted([(a,), (b,), (a, a), (b, b)])
+    us = {"ov": random_unitary(rng, 3), "ow": random_unitary(rng, 3)}
+    got = plan.traces(us)
+    assert got[2] == got[3]
+    for w, t in zip(words, got):
+        assert abs(t - np.trace(holonomy(us, w, 3))) <= 1e-12
+
+
 def entry_by_entry(table, us, n):
     return sum(float(g) * np.trace(holonomy(us, w.steps, n)).real for w, g in table.entries.items())
 

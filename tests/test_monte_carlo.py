@@ -693,6 +693,23 @@ class TestChains:
                 assert block_deviation(job.network.blocks(e), u) == 0.0, e
                 np.testing.assert_allclose(u @ u.conj().T, eye, atol=1e-12)
 
+    def test_proposals_are_unitary_and_negated_angles_invert_them(self, rng):
+        # R = V diag(exp(i eps theta)) V^-1 is unitary, and the same V with
+        # -theta gives R^-1, so the walk proposes R and R^-1 alike
+        job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
+        chains = metropolis._Chains(job.network, expand_action(job.quiver, job.action), seed=3)
+        rots, uniforms = chains._prepare(chains.sweep * 2)
+        for r, u in zip(rots, uniforms):
+            eye = np.eye(r.shape[-1])
+            assert np.abs(r @ r.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
+            assert u.shape == (metropolis._CHAINS,) and np.all((0 <= u) & (u < 1))
+        for n in (3, 8):
+            v = haar._haar_from_ginibre(haar._ginibre(rng.random((10, n, n, 2))))
+            angles = 0.5 * np.sqrt(n) * rng.standard_normal((10, n))
+            r = metropolis._rotation(v, angles)
+            assert np.abs(r @ r.conj().swapaxes(-1, -2) - np.eye(n)).max() <= 1e-13
+            assert np.abs(r @ metropolis._rotation(v, -angles) - np.eye(n)).max() <= 1e-13
+
 
 class TestCheckLoopEquation:
     @pytest.mark.parametrize("dim", [3, 4, 5])
