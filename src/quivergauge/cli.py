@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--method", choices=["reweight", "metropolis"], default="reweight", help="estimator")
     m.add_argument("--burnin", type=int, default=1000, help="metropolis warm-up sweeps")
     m.add_argument("--thin", type=int, default=10, help="metropolis sweeps between measurements")
-    m.add_argument("--check-eq", action="store_true", help="check the loop equation instead")
+    m.add_argument("--check-eq", action="store_true",
+                   help="estimate the loop equation's lhs - rhs instead, by either method")
     m.add_argument("--root", default=None, help="rooted edge for --check-eq")
     m.add_argument("--out", default=None, help="output path (default stdout)")
     return p
@@ -205,64 +206,46 @@ def _cmd_mc(args) -> int:
     table = expand_action(job.quiver, job.action)
     word = EdgeWord.from_string(args.loop)
     job.quiver.word_vertices(word)
+    estimator, target = estimate_wilson, word
     if args.check_eq:
         if not args.root:
             raise JobError("--check-eq requires --root")
-        if args.method != "reweight":
-            raise JobError("--check-eq supports only --method reweight")
         eq = generate_loop_equation(job.quiver, table, word, args.root, mode="finite")
-        res = check_loop_equation(job.network, table, eq, args.samples, args.seed)
-        payload = {
-            "equation": eq.to_json_dict(table),
-            "residual_re": res.residual.real,
-            "residual_im": res.residual.imag,
-            "stderr": res.stderr,
-            "samples": res.samples,
-            "effective_samples": res.effective_samples,
-            "seed": args.seed,
-        }
-        ess = res.effective_samples
-        detail = f"largest weight share {res.max_weight_share:.3g}" if res.samples else "no draws"
+        estimator, target = check_loop_equation, eq
+    est = estimator(job.network, table, target, samples=args.samples, seed=args.seed,
+                    method=args.method, burnin=args.burnin, thin=args.thin)
+    if args.check_eq:
+        payload = {"equation": eq.to_json_dict(table), "residual_re": est.residual.real,
+                   "residual_im": est.residual.imag}
     else:
-        est = estimate_wilson(
-            job.network,
-            table,
-            word,
-            samples=args.samples,
-            seed=args.seed,
-            method=args.method,
-            burnin=args.burnin,
-            thin=args.thin,
-        )
         payload = {
             "loop": str(word),
             "mean_re": est.mean.real,
             "mean_im": est.mean.imag,
-            "stderr": est.stderr,
             "stderr_re": est.stderr_re,
             "stderr_im": est.stderr_im,
-            "samples": est.samples,
-            "effective_samples": est.effective_samples,
             "acceptance": est.acceptance,
             "method": est.method,
-            "seed": args.seed,
             "dim": job.network.dim,
         }
-        ess = est.effective_samples
-        if est.method == "metropolis":
-            payload["rhat"] = est.rhat
-            detail = f"acceptance {est.acceptance:.1%}"
-            if est.rhat is not None and est.rhat > RHAT_LIMIT:
-                detail += f", R-hat {est.rhat:.3g} above {RHAT_LIMIT}: chains disagree"
-        else:
-            detail = f"largest weight share {est.max_weight_share:.3g}"
+    payload.update(stderr=est.stderr, samples=est.samples,
+                   effective_samples=est.effective_samples, seed=args.seed)
+    if not est.samples:
+        detail = "no draws"
+    elif args.method == "metropolis":
+        payload.update(acceptance=est.acceptance, rhat=est.rhat)
+        detail = f"acceptance {est.acceptance:.1%}"
+        if est.rhat is not None and est.rhat > RHAT_LIMIT:
+            detail += f", R-hat {est.rhat:.3g} above {RHAT_LIMIT}: chains disagree"
+    else:
+        detail = f"largest weight share {est.max_weight_share:.3g}"
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     # with the JSON on stdout, the health line (an R-hat warning among
     # others) goes to stderr, so stdout stays the JSON alone
     if args.out is None:
-        print(f"effective samples {ess:.1f}, {detail}", file=sys.stderr)
+        print(f"effective samples {est.effective_samples:.1f}, {detail}", file=sys.stderr)
     else:
-        print(f"wrote {args.out}: effective samples {ess:.1f}, {detail}")
+        print(f"wrote {args.out}: effective samples {est.effective_samples:.1f}, {detail}")
     return 0
 
 

@@ -65,6 +65,13 @@ class LoopEquation:
     def rhs_coefficient(self, table: PlaquetteTable, term: SingleTraceTerm) -> Fraction:
         return term.multiplicity * table.coupling(term.plaquette)
 
+    def polynomial(self, table: PlaquetteTable) -> tuple:
+        """lhs - rhs as terms (c, w1, w2 or None), c (1/N)Tr w1 (1/N)Tr w2 of
+        the words' steps, lhs first; rhs coefficients enter negated."""
+        return tuple((t.coeff, t.words[0].steps, t.words[1].steps) for t in self.lhs) + tuple(
+            (-float(self.rhs_coefficient(table, t)), t.word.steps, None) for t in self.rhs
+        )
+
     def to_json_dict(self, table: PlaquetteTable) -> dict:
         return {
             "mode": self.mode,

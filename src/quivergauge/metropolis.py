@@ -1,14 +1,14 @@
-"""Metropolis estimates of Wilson loops, in the maximal-tree gauge of
+"""Metropolis estimates of trace polynomials, a Wilson loop's or a loop
+equation's lhs - rhs alike, in the maximal-tree gauge of
 :mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- R U on the
 off-tree blocks, R = V diag(exp(i eps theta)) V^-1 with V Haar and theta
 normal.  Each (chain, site) draws from its own keyed stream.  Proposals are
-prepared a batch at a time; each trial action and each measurement runs one
-of the two trace plans that the chains build
-(:class:`~quivergauge.action.TracePlan`), and each block's copies are read
-from a table built with them.  The chains go round-robin to the workers of
-:mod:`~quivergauge.forked`; every result is bit-identical for any batch size
-or worker count.  Each chain tunes its own steps in burn-in; the error comes
-from batch means inside each chain, reported with the R-hat across them.
+prepared a batch at a time; each trial action runs the action's trace plan
+and each measurement the one plan of the measured polynomials' words
+(:class:`~quivergauge.action.TracePlan`).  The chains go round-robin to the
+workers of :mod:`~quivergauge.forked`; every result is bit-identical for any
+batch size or worker count.  Each chain tunes its own steps in burn-in; the
+error comes from batch means inside each chain, with the R-hat across them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import forked
 from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .haar import _ginibre, _haar_from_ginibre
-from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _gauge_fixed
+from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _evaluate, _gauge_fixed, _indexed
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
@@ -74,8 +74,8 @@ class _Chains:
     gauge-fixed table: the action without its constant part, which cancels
     in every difference, run through the prebuilt plan ``action``; each
     site's block size and copy slices are read from ``copies``.  ``words``
-    are the measured words as traced on ``assignment``; ``measure`` is the
-    plan of the first.
+    are the distinct words of the measured polynomials ``polys``, traced on
+    ``assignment`` by the one plan ``measure``; ``terms`` index them.
 
     A proposal on an n x n site is R = V diag(exp(i eps theta)) V^-1: V is
     Haar, and theta_k are independent normals of variance n, the mean
@@ -89,14 +89,15 @@ class _Chains:
     """
 
     def __init__(
-        self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=(), rows=slice(None)
+        self, net: BratteliNetwork, table: PlaquetteTable, seed: int, polys=(), rows=slice(None)
     ):
         q = net.quiver
         self.dim = net.dim
         tree = gauge_tree(net)
+        words, self.terms = _indexed(polys)
         self.plan, self.words = _gauge_fixed(tree, table, words)
         self.action = TracePlan(self.plan[0], self.dim)
-        self.measure = TracePlan(self.words[:1], self.dim)
+        self.measure = TracePlan(self.words, self.dim)
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
         edges = [eid for eid in q.edge_ids if eid not in tree]
         # each off-tree site's block size and the slices of its copies on the diagonal
@@ -136,21 +137,40 @@ class _Chains:
                 rots[k], uniforms[k] = r[:, j], u[:, j, -1]
         return rots, uniforms
 
+    def _measure(self) -> np.ndarray:
+        """Each polynomial on the chains' state, (len(terms), count)."""
+        traces = np.empty((len(self.words), self.count), complex)
+        for k, tr in enumerate(self.measure.traces(self.assignment)):
+            traces[k] = tr / self.dim
+        return np.array([_evaluate(p, traces) for p in self.terms])
+
+    def burn_in(self, sweeps: int) -> None:
+        """Make ``sweeps`` sweeps, tuning eps per chain and block toward 30-50%
+        acceptance after each 100-sweep window; a low rate shrinks eps in
+        proportion, so a strong coupling tunes in a few windows."""
+        for _ in range(sweeps // 100):
+            window = self.run(100)[0]
+            for b in self.sites:
+                rate, eps = window[b] / (100 * self.sweep.count(b)), self.eps[b]
+                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
+                self.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
+        self.run(sweeps % 100)
+
     def run(self, sweeps: int, thin: int = 0) -> tuple[dict, np.ndarray]:
         """Make ``sweeps`` sweeps at the current step sizes, preparing proposals
         in batches of about ``_CHUNK_ENTRIES`` complex entries of draws.
-        Returns each site's accepted proposals per chain and the chains'
-        normalised trace of the first word after every ``thin``-th sweep,
-        (count, sweeps // thin); with no site to propose on, every
-        measurement sees the state as it stands."""
+        Returns each site's accepted proposals per chain and each
+        polynomial on the chains after every ``thin``-th sweep,
+        (len(terms), count, sweeps // thin); with no site to propose on,
+        every measurement sees the state as it stands."""
         dim, todo = self.dim, self.sweep * sweeps
         entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)
         size = max(1, _CHUNK_ENTRIES * len(self.sweep) // max(entries, 1))  # proposals per batch
         every = thin * len(self.sweep)  # proposals between measurements
         accepted = dict.fromkeys(self.sites, 0)
-        values = np.empty((self.count, sweeps // thin if thin else 0), dtype=complex)
+        values = np.empty((len(self.terms), self.count, sweeps // thin if thin else 0), complex)
         if thin and not self.sweep:
-            values[:] = self.measure.traces(self.assignment)[0] / dim
+            values[:] = self._measure()[..., None]
         for start in range(0, len(todo), size):
             batch = todo[start : start + size]
             rots, uniforms = self._prepare(batch)
@@ -169,21 +189,15 @@ class _Chains:
                 accepted[eid, bi] += accept
                 done = start + k + 1
                 if thin and done % every == 0:
-                    trace = self.measure.traces(self.assignment)[0]
-                    values[:, done // every - 1] = trace / dim
+                    values[..., done // every - 1] = self._measure()
         return accepted, values
 
 
 def _run_chains(
-    net: BratteliNetwork,
-    table: PlaquetteTable,
-    word: tuple,
-    seed: int,
-    burnin: int,
-    sweeps: int,
+    net: BratteliNetwork, table: PlaquetteTable, poly: tuple, seed: int, burnin: int, sweeps: int,
     thin: int,
 ) -> tuple[np.ndarray, int, int]:
-    """Burn in, then measure ``word`` every ``thin`` of ``sweeps`` sweeps.
+    """Burn in, then measure the polynomial ``poly`` every ``thin`` of ``sweeps`` sweeps.
     Returns the measurements, (_CHAINS, sweeps // thin), and the proposals
     accepted and made after burn-in.  Worker p of :func:`forked.workers`
     runs chains p, p + workers, ... and writes their rows in place."""
@@ -193,18 +207,9 @@ def _run_chains(
 
     def work(part: int) -> None:
         rows = slice(part, _CHAINS, workers)
-        chains = _Chains(net, table, seed, [word], rows)
-        # burn-in tunes eps per chain and block toward 30-50% acceptance over
-        # 100-sweep windows; a low rate shrinks eps in proportion, so a strong
-        # coupling tunes in a few windows
-        for _ in range(burnin // 100):
-            window = chains.run(100)[0]
-            for b in chains.sites:
-                rate, eps = window[b] / (100 * chains.sweep.count(b)), chains.eps[b]
-                shrunk = np.where(rate < 0.3, eps * np.maximum(rate / 0.4, 0.1), eps)
-                chains.eps[b] = np.where(rate > 0.5, np.minimum(eps * 1.3, math.pi), shrunk)
-        chains.run(burnin % 100)  # the rest of burn-in tunes nothing
-        accepted, values[rows] = chains.run(sweeps, thin)
+        chains = _Chains(net, table, seed, [poly], rows)
+        chains.burn_in(burnin)
+        accepted, (values[rows],) = chains.run(sweeps, thin)  # the one polynomial's series
         tally[0, rows] = sum(accepted.values())
         tally[1, rows] = sweeps * len(chains.sweep)
 
@@ -213,16 +218,12 @@ def _run_chains(
 
 
 def estimate(
-    net: BratteliNetwork,
-    table: PlaquetteTable,
-    word: tuple,
-    samples: int,
-    seed: int,
-    burnin: int,
+    net: BratteliNetwork, table: PlaquetteTable, poly: tuple, samples: int, seed: int, burnin: int,
     thin: int,
 ) -> EstimatorResult:
-    """The Metropolis estimate behind ``estimate_wilson(method="metropolis")``
-    of the normalised trace of ``word``, steps as in the job's quiver."""
+    """The Metropolis estimate of the polynomial ``poly`` in normalised
+    traces (:func:`~quivergauge.monte_carlo._indexed`), words' steps as in
+    the job's quiver: the body of either estimator's ``method="metropolis"``."""
     # batch means absorb residual autocorrelation; no batch spans two chains
     n_batches = max(10, min(50, samples // 20))
     if samples < n_batches:
@@ -235,14 +236,12 @@ def estimate(
     # chain c keeps the first counts[c] of its measurements, samples in all
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin
-    values, accepted, attempted = _run_chains(net, table, word, seed, burnin, sweeps, thin)
+    values, accepted, attempted = _run_chains(net, table, poly, seed, burnin, sweeps, thin)
     # no off-tree block: nothing moves, as when every proposal is accepted,
     # and no proposal made leaves no rate to bound
     rate = accepted / attempted if attempted else 1.0
     if attempted and not 0.05 <= rate <= 0.95:
-        raise RuntimeError(
-            f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning"
-        )
+        raise RuntimeError(f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning")
     runs = [values[c, :m] for c, m in enumerate(counts)]
     per_run = [len(c) for c in np.array_split(range(n_batches), _CHAINS)]
     means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])
@@ -255,13 +254,7 @@ def estimate(
     # the sample count whose independent draws would give the same stderr
     spread = float((np.abs(flat - mean) ** 2).mean())
     return EstimatorResult(
-        mean=mean,
-        stderr=stderr,
-        stderr_re=stderr_re,
-        stderr_im=stderr_im,
-        samples=samples,
+        mean=mean, stderr=stderr, stderr_re=stderr_re, stderr_im=stderr_im, samples=samples,
         effective_samples=spread / stderr**2 if stderr > 0 else float(samples),
-        method="metropolis",
-        acceptance=rate,
-        rhat=_rhat(values[:, : counts[-1]]),
+        method="metropolis", acceptance=rate, rhat=_rhat(values[:, : counts[-1]]),
     )

@@ -1,41 +1,38 @@
-"""Wilson-loop estimators on keyed Haar draws.
+"""Boltzmann-weighted expectations of trace polynomials on keyed Haar draws.
+
+A Wilson loop and a loop equation's lhs - rhs are both polynomials in
+normalised traces, terms (c, w1, w2 or None) meaning the sum of
+c (1/N)Tr w1 (1/N)Tr w2 (:func:`_indexed`).  ``estimate_wilson`` and
+``check_loop_equation`` are thin callers of one estimator body, by either
+method:
+
+* ``reweight`` - plain Haar draws reweighted by exp(-N S); exact in
+  expectation at any sample size, efficient while N|S| stays moderate; one
+  weighted reduction also reports the effective sample size and the
+  largest weight's share of the total.
+* ``metropolis`` - 10 chains of random walks U <- R U per off-tree block,
+  with batch-means errors and R-hat across the chains, in
+  :mod:`~quivergauge.metropolis`, which is imported on first use.
 
 Every configuration is in the maximal-tree gauge: the edges of
 :func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
 word's trace by Haar invariance, so only the other edges are drawn and the
-action and the observables are traced as rewritten words in those edges
+action and the words are traced rewritten in those edges
 (:func:`~quivergauge.action.gauge_fixed_table`,
-:func:`~quivergauge.quiver.gauge_fixed_steps`).  On the triangle this leaves
-one unitary, e3, and the plaquettes e3+ and e3-.
+:func:`~quivergauge.quiver.gauge_fixed_steps`).
 
-Every configuration comes from :class:`~quivergauge.haar.KeyedSampler`,
-whose draw i does not depend on which other draws are made.
-Reweighting builds one :class:`~quivergauge.action.TracePlan` per estimate,
-the action's words first, then the observable's, and runs it on trace
-slices of max(1, 4096 // N**2) draws.  Draws come in spans of whole slices
-whose off-tree blocks hold about 4 x 4096 entries (208 draws on the
-two-site job, four slices on the triangle): per span and off-tree block one
-``random`` call and one batched Gram-Schmidt, whose slices are traced as
-views.  The spans go round-robin to the workers of
-:mod:`~quivergauge.forked`, one ``os.fork()`` child per CPU in the process's
-affinity mask, each pinned to its CPU, which write their rows into arrays on
-anonymous shared maps.  The weighted reduction runs in the caller over whole
-arrays in sample order, so every result is bit-identical for any chunking or
-worker count; ``taskset -c 0`` runs it serially in the caller, as does a
-platform without ``os.sched_getaffinity``.
-
-Two estimators are provided for Boltzmann-weighted expectations:
-
-* ``reweight`` - plain Haar draws reweighted by exp(-N S); exact in
-  expectation at any sample size, efficient while N|S| stays moderate.
-  Wilson loops and loop-equation residuals share one sampling loop and one
-  weighted reduction, which also reports the effective sample size and the
-  largest weight's share of the total.
-* ``metropolis`` - a multiplicative random walk U <- R U per off-tree
-  block, R = V diag(exp(i eps theta)) V^-1 with V Haar and theta normal,
-  run as 10 independent chains on the same workers, with
-  batch-means errors and R-hat across the chains; it lives in
-  :mod:`~quivergauge.metropolis`, which is imported on first use.
+Reweighting draws from :class:`~quivergauge.haar.KeyedSampler`, whose draw i
+does not depend on which other draws are made, and runs one
+:class:`~quivergauge.action.TracePlan` (the action's words, then the
+polynomials') on trace slices of max(1, 4096 // N**2) draws, evaluating the
+polynomials where each slice is traced.  Draws come in spans of whole slices
+whose off-tree blocks hold about 4 x 4096 entries: per span and block one
+``random`` call and one batched Gram-Schmidt.  The spans go round-robin to
+the workers of :mod:`~quivergauge.forked`, one ``os.fork()`` child per CPU in
+the affinity mask, which write their rows into shared arrays; the weighted
+reduction runs in the caller in sample order, so every result is
+bit-identical for any chunking or worker count, and ``taskset -c 0`` runs
+it serially in the caller.
 """
 
 from __future__ import annotations
@@ -86,13 +83,16 @@ class EstimatorResult:
 @dataclass
 class ResidualResult:
     """Loop-equation residual lhs - rhs with its statistical error, which
-    is that of the complex residual, as in :class:`EstimatorResult`."""
+    is that of the complex residual, and the health fields of its method,
+    as in :class:`EstimatorResult`."""
 
     residual: complex
     stderr: float
     samples: int
     effective_samples: float
     max_weight_share: float | None = None
+    acceptance: float | None = None
+    rhat: float | None = None
 
 
 def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
@@ -103,26 +103,43 @@ def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tup
     return plan, [gauge_fixed_steps(w, tree) for w in words]
 
 
-def _reweighted_traces(
-    net: BratteliNetwork,
-    table: PlaquetteTable,
-    words: Sequence[tuple],
-    samples: int,
-    seed: int,
-    combine=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log weights -N S and normalised traces on keyed draws 0..samples-1.
+def _indexed(polys: Sequence[tuple]) -> tuple[list, list]:
+    """The distinct words of the polynomials ``polys`` in order of
+    appearance, and each polynomial's terms (c, w1, w2 or None) with its
+    words replaced by their rows in that list.  A bare word, whose steps are
+    pairs where terms are triples, stands for its normalised trace."""
+    terms = [p if p and len(p[0]) == 3 else ((1, p, None),) for p in polys]
+    words = list(dict.fromkeys(w for p in terms for _, a, b in p for w in (a, b) if w is not None))
+    row = {w: k for k, w in enumerate(words)} | {None: None}
+    return words, [[(c, row[a], row[b]) for c, a, b in p] for p in terms]
 
-    Returns ``logs`` of shape (samples,) and ``traces`` of shape
-    (len(words), samples), or with ``combine`` (1, samples): the row that it
-    makes of each slice's traces, so that only that row is shared and read
-    by the caller.  The constant part of S shifts every log weight equally
-    and is left out.  The action and the words are traced as
-    rewritten in the sampler's off-tree edges, by one :class:`TracePlan`
-    whose action words come first.  Worker p of :func:`forked.workers` fills
-    spans p, p + workers, ... in place, a trace slice at a time.
+
+def _evaluate(terms: list, traces: np.ndarray) -> np.ndarray:
+    """A polynomial's indexed ``terms`` on rows of normalised ``traces``,
+    summed from zero in term order."""
+    out = np.zeros(traces.shape[1:], dtype=complex)
+    for c, a, b in terms:
+        out += c * traces[a] if b is None else c * traces[a] * traces[b]
+    return out
+
+
+def _reweighted_traces(
+    net: BratteliNetwork, table: PlaquetteTable, polys: Sequence[tuple], samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log weights -N S and the polynomials ``polys`` (:func:`_indexed`) on
+    keyed draws 0..samples-1.
+
+    Returns ``logs`` of shape (samples,) and ``values`` of shape
+    (len(polys), samples).  Each slice's values are formed where it is
+    traced, so only they are shared and read by the caller.  The constant
+    part of S shifts every log weight equally and is left out.  The action
+    and the distinct words are traced as rewritten in the sampler's
+    off-tree edges, by one :class:`TracePlan` whose action words come first.
+    Worker p of :func:`forked.workers` fills spans p, p + workers, ... in
+    place, a trace slice at a time.
     """
     sampler = KeyedSampler(net, seed)
+    words, terms = _indexed(polys)
     (action, weights), words = _gauge_fixed(sampler.tree, table, words)
     dim = net.dim
     plan = TracePlan(action + words, dim)
@@ -136,7 +153,7 @@ def _reweighted_traces(
     starts = range(0, samples, span)
     workers = forked.workers(len(starts))
     logs = forked.shared_array((samples,), float)
-    traces = forked.shared_array((1 if combine else len(words), samples), complex)
+    values = forked.shared_array((len(polys), samples), complex)
 
     def fill(part: int) -> None:
         for a in starts[part::workers]:
@@ -147,16 +164,16 @@ def _reweighted_traces(
                 t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
                 with np.errstate(over="ignore", invalid="ignore"):  # refused in the caller
                     logs[s:b] = -dim * weighted_sum(weights, t)
-                rows = np.empty((len(words), b - s), complex) if combine else traces[:, s:b]
+                traces = np.empty((len(words), b - s), complex)
                 for k, tr in enumerate(t[len(action) :]):
                     # parts apart: numpy divides a complex array by the reciprocal of dim
-                    rows[k].real = tr.real / dim
-                    rows[k].imag = tr.imag / dim
-                if combine:
-                    traces[0, s:b] = combine(rows)
+                    traces[k].real = tr.real / dim
+                    traces[k].imag = tr.imag / dim
+                for k, p in enumerate(terms):
+                    values[k, s:b] = _evaluate(p, traces)
 
     forked.run(fill, workers)
-    return logs, traces
+    return logs, values
 
 
 def _weighted_mean(
@@ -198,9 +215,34 @@ def _weighted_mean(
     return complex(re, im), errors, ess, float(w.max() / w_sum)
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+def _check_args(samples: int, seed: int, burnin: int, thin: int, method: str) -> None:
+    for name, value, least in (
+        ("samples", samples, 1), ("seed", seed, 0), ("burnin", burnin, 0), ("thin", thin, 1)
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if method not in ("reweight", "metropolis"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _estimate(
+    net: BratteliNetwork, table: PlaquetteTable, poly: tuple, samples: int, seed: int,
+    method: str, burnin: int, thin: int,
+) -> EstimatorResult:
+    """The one estimator body: the Boltzmann-weighted expectation of the
+    polynomial ``poly`` in normalised traces (:func:`_indexed`)."""
+    if method == "metropolis":
+        # imported on first use, since it imports this module; runs that
+        # only reweight never compile it
+        from . import metropolis
+
+        return metropolis.estimate(net, table, poly, samples, seed, burnin, thin)
+    logs, values = _reweighted_traces(net, table, [poly], samples, seed)
+    mean, (stderr, stderr_re, stderr_im), ess, share = _weighted_mean(logs, values[0])
+    return EstimatorResult(
+        mean=mean, stderr=stderr, stderr_re=stderr_re, stderr_im=stderr_im, samples=samples,
+        effective_samples=ess, method="reweight", max_weight_share=share,
+    )
 
 
 def estimate_wilson(
@@ -216,24 +258,8 @@ def estimate_wilson(
     """Boltzmann-weighted expectation of the normalised traced holonomy."""
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
-    _check_count("burnin", burnin, 0)
-    _check_count("thin", thin, 1)
-    if method == "reweight":
-        logs, traces = _reweighted_traces(net, table, [beta.steps], samples, seed)
-        mean, (stderr, stderr_re, stderr_im), ess, share = _weighted_mean(logs, traces[0])
-        return EstimatorResult(
-            mean=mean, stderr=stderr, stderr_re=stderr_re, stderr_im=stderr_im, samples=samples,
-            effective_samples=ess, method="reweight", max_weight_share=share,
-        )
-    if method == "metropolis":
-        # imported on first use, since it imports this module; runs that
-        # only reweight never compile it
-        from . import metropolis
-
-        return metropolis.estimate(net, table, beta.steps, samples, seed, burnin, thin)
-    raise ValueError(f"unknown method {method!r}")
+    _check_args(samples, seed, burnin, thin, method)
+    return _estimate(net, table, beta.steps, samples, seed, method, burnin, thin)
 
 
 def check_loop_equation(
@@ -242,33 +268,19 @@ def check_loop_equation(
     eq: LoopEquation,
     samples: int,
     seed: int,
+    method: str = "reweight",
+    burnin: int = 1000,
+    thin: int = 10,
 ) -> ResidualResult:
-    """Estimate lhs - rhs of a finite-N loop equation on one shared sample
-    stream; correlated terms cancel most of the variance."""
+    """Estimate lhs - rhs of a finite-N loop equation, one polynomial in
+    the traces of one sample stream; correlated terms cancel most of the
+    variance."""
     if eq.mode != "finite":
         raise ValueError("finite-N mode equation required")
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    _check_args(samples, seed, burnin, thin, method)
     if not eq.lhs and not eq.rhs:
         # both sides structurally empty; nothing to estimate
         return ResidualResult(residual=0.0, stderr=0.0, samples=0, effective_samples=0.0)
-    # distinct words appearing anywhere in the equation, traced once per draw
-    steps = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
-    words = list(dict.fromkeys(steps))
-    row = {w: k for k, w in enumerate(words)}
-    lhs = [(t.coeff, row[t.words[0].steps], row[t.words[1].steps]) for t in eq.lhs]
-    rhs = [(float(eq.rhs_coefficient(table, t)), row[t.word.steps]) for t in eq.rhs]
-
-    def residual(traces: np.ndarray) -> np.ndarray:
-        out = np.zeros(traces.shape[1], dtype=complex)
-        for c, a, b in lhs:
-            out += c * traces[a] * traces[b]
-        for c, a in rhs:
-            out -= c * traces[a]
-        return out
-
-    # each slice's residuals are formed where it is traced: only they are
-    # shared, and the caller never holds the traces
-    logs, residuals = _reweighted_traces(net, table, words, samples, seed, residual)
-    mean, (stderr, _, _), ess, share = _weighted_mean(logs, residuals[0])
-    return ResidualResult(mean, stderr, samples, ess, max_weight_share=share)
+    est = _estimate(net, table, eq.polynomial(table), samples, seed, method, burnin, thin)
+    return ResidualResult(est.mean, est.stderr, samples, est.effective_samples,
+                          est.max_weight_share, est.acceptance, est.rhat)

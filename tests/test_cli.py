@@ -345,16 +345,24 @@ class TestMc:
         assert capsys.readouterr().err == "error: unknown edge 'nope'\n"
         assert not out.exists()
 
-    def test_check_eq_rejects_metropolis(self, tmp_path, capsys):
+    def test_check_eq_by_metropolis(self, tmp_path, capsys):
+        # the same equation checked on the chains: a residual within 5 sigma
+        # from chains that agree, with the chains' health in the JSON
         out = tmp_path / "eqcheck.json"
         code = run(
             ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--check-eq",
-             "--root", "e1", "--method", "metropolis", "--samples", "10", "--seed", "1",
-             "--out", str(out)]
+             "--root", "e1", "--method", "metropolis", "--samples", "1000", "--burnin", "400",
+             "--thin", "5", "--seed", "5", "--out", str(out)]
         )
-        assert code == 1
-        assert "--method reweight" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert abs(complex(data["residual_re"], data["residual_im"])) <= 5 * data["stderr"]
+        assert data["rhat"] <= RHAT_LIMIT and 0.05 <= data["acceptance"] <= 0.95
+        assert 0 < data["effective_samples"] and data["samples"] == 1000
+        assert capsys.readouterr().out == (
+            f"wrote {out}: effective samples {data['effective_samples']:.1f}, "
+            f"acceptance {data['acceptance']:.1%}\n"
+        )
 
     def test_metropolis_needs_a_sample_per_batch(self, tmp_path, capsys):
         out = tmp_path / "mc.json"

@@ -310,13 +310,12 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
     assert np.all(runs[0][1][words.index(())] == 1.0)
-    # a row combined slice by slice in the workers is that row of the whole
+    # a polynomial evaluated slice by slice in the workers is that row of the whole
     logs, traces = runs[0]
+    poly = ((1, words[0], words[-1]), (-1, words[1], None))
     for budget in (1, 7 * dim**2):
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
-        combined = monte_carlo._reweighted_traces(
-            job.network, table, words, samples, 3, lambda t: t[0] * t[-1] - t[1]
-        )
+        combined = monte_carlo._reweighted_traces(job.network, table, [poly], samples, 3)
         assert np.array_equal(combined[0], logs)
         assert np.array_equal(combined[1], [traces[0] * traces[-1] - traces[1]])
     # and each draw on its own, through the 2-D action sum and loop_trace of
@@ -612,6 +611,38 @@ def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
             assert os.sched_getaffinity(0) == mask  # only the children are pinned
         # estimate() is _run_chains and a deterministic reduction: once per budget
         assert estimate() == expected
+
+
+@pytest.mark.parametrize(
+    "job_path, root",
+    [("builtin:triangle@3", "e1"), (str(REPO / "jobs" / "two_site.json"), "e")],
+    ids=["triangle3", "two_site"],
+)
+def test_chains_do_not_depend_on_what_they_measure(monkeypatch, job_path, root):
+    # a worker's chains measuring the loop beside its equation's polynomial
+    # move and measure the loop as _run_chains' chains measuring it alone,
+    # bit for bit, whatever the batch budget and the number of workers
+    job = qg.load_job(job_path)
+    table = expand_action(job.quiver, job.action)
+    eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], root, mode="finite")
+    polys = [((1, job.loops[0].steps, None),), eq.polynomial(table)]
+    seed, burnin, sweeps, thin = 11, 150, 12, 3
+    for budget in (1, metropolis._CHUNK_ENTRIES, 10**9):
+        monkeypatch.setattr(metropolis, "_CHUNK_ENTRIES", budget)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forked, "workers", lambda parts: workers)
+            alone, accepted, _ = metropolis._run_chains(
+                job.network, table, polys[0], seed, burnin, sweeps, thin
+            )
+            beside, total = np.empty_like(alone), 0
+            for part in range(workers):
+                rows = slice(part, metropolis._CHAINS, workers)
+                chains = metropolis._Chains(job.network, table, seed, polys, rows)
+                chains.burn_in(burnin)
+                moved, (beside[rows], residuals) = chains.run(sweeps, thin)
+                total += sum(int(a.sum()) for a in moved.values())
+                assert residuals.shape == beside[rows].shape
+            assert alone.tobytes() == beside.tobytes() and accepted == total
 
 
 @pytest.mark.parametrize(
