@@ -11,13 +11,14 @@ every edge forces
 which in turn makes ``<n_v, r_v>`` a single integer ``N`` on a connected
 quiver: the dimension every vertex Hilbert space shares.  The gauge degrees
 of freedom are, per edge, one independent unitary block ``u_{e,j}`` of size
-``n_{t(e),j}`` repeated ``r_{t(e),j}`` times along the diagonal.
+``n_{t(e),j}`` repeated ``r_{t(e),j}`` times along the diagonal; off a gauge
+tree's edges those blocks are the Haar sites of :meth:`BratteliNetwork.sites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .quiver import Quiver
 
@@ -47,6 +48,19 @@ class BratteliNetwork:
         """The (block size, multiplicity) pairs of edge ``eid``'s unitary: the
         layout of its target's block group."""
         return self.layout(self.quiver.target[eid])
+
+    def sites(self, tree: Sequence[str]) -> list[tuple]:
+        """The Haar factors of configurations whose ``tree`` edges carry 1:
+        every block of every other edge, in edge order, then summand order,
+        as (edge, its index among all edges, block index, block size n, the
+        diagonal slices of the block's r copies)."""
+        out = []
+        for ei, eid in enumerate(self.quiver.edge_ids):
+            at = 0
+            for bi, (n, r) in enumerate(() if eid in tree else self.blocks(eid)):
+                out.append((eid, ei, bi, n, [slice(a, a + n) for a in range(at, at + n * r, n)]))
+                at += n * r
+        return out
 
 
 def _is_int(value) -> bool:

@@ -206,10 +206,10 @@ def _cmd_mc(args) -> int:
     table = expand_action(job.quiver, job.action)
     word = EdgeWord.from_string(args.loop)
     job.quiver.word_vertices(word)
+    if bool(args.root) != args.check_eq:
+        raise JobError("--check-eq needs --root" if args.check_eq else "--root needs --check-eq")
     estimator, target = estimate_wilson, word
     if args.check_eq:
-        if not args.root:
-            raise JobError("--check-eq requires --root")
         eq = generate_loop_equation(job.quiver, table, word, args.root, mode="finite")
         estimator, target = check_loop_equation, eq
     est = estimator(job.network, table, target, samples=args.samples, seed=args.seed,

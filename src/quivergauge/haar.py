@@ -1,17 +1,16 @@
 """Keyed Haar sampling of block unitaries: the configurations of reweighted
 Monte Carlo.
 
-:class:`KeyedSampler` keys every Haar block by (master seed, edge index,
-block index), and draw i owns a fixed span of that Philox stream, so
-estimates do not depend on the chunking or worker partition.  A block is
-the Q of a Ginibre QR with a positive diagonal on R (Mezzadri 2007), formed
-for a whole stack by :func:`_haar_from_ginibre` without LAPACK.
+:class:`KeyedSampler` keys every Haar site of :meth:`BratteliNetwork.sites`
+by (master seed, edge index, block index), and draw i owns a fixed span of
+that Philox stream, so estimates do not depend on the chunking or worker
+partition.  A block is the Q of a Ginibre QR with a positive diagonal on R
+(Mezzadri 2007), formed for a whole stack without LAPACK by :func:`_haar_from_ginibre`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -70,69 +69,52 @@ class DiracSample:
     unitaries: dict[str, np.ndarray]
 
 
-def _embed_blocks(blocks: Sequence[np.ndarray], layout: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Block-diagonal matrix of r copies of each n x n block, per leading batch
-    index, for the (n, r) pairs of ``layout`` (:meth:`BratteliNetwork.blocks`)."""
-    if len(layout) == 1 and layout[0][1] == 1:
-        return blocks[0]  # a lone block is its own embedding, uncopied
-    dim = sum(n * r for n, r in layout)
-    out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
-    pos = 0
-    for u, (n, r) in zip(blocks, layout):
-        for _ in range(r):
-            out[..., pos : pos + n, pos : pos + n] = u
-            pos += n
-    return out
-
-
 class KeyedSampler:
     """Reproducible per-sample gauge configurations from a master seed, in the
     maximal-tree gauge: the edges of ``tree`` (:func:`gauge_tree`) are 1.
 
-    Each off-tree (edge, block) owns a Philox stream keyed by (seed, edge
-    index, block), the edge's index among all edges; draw i of an n x n block
-    spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
+    Each off-tree (edge, block) of ``sites`` (:meth:`BratteliNetwork.sites`)
+    owns a Philox stream keyed by (seed, edge index, block); draw i of an n x n
+    block spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
     (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one ``random``
     call per block.  Uniform pairs give polar Box-Muller Ginibre entries
-    (:func:`_ginibre`).
+    (:func:`_ginibre`); each block is written into its copies' slices.
     """
 
     def __init__(self, net: BratteliNetwork, seed: int):
         self.net = net
         self.tree = gauge_tree(net)
+        self.sites = net.sites(self.tree)
         self._streams: dict[tuple[str, int], tuple] = {}
-        for ei, eid in enumerate(net.quiver.edge_ids):
-            if eid in self.tree:
-                continue
-            for bi in range(len(net.blocks(eid))):
-                key = np.random.SeedSequence([int(seed), ei, bi]).generate_state(2, np.uint64)
-                bitgen = np.random.Philox(key=key)
-                # the fresh state at counter 0; a chunk rewrites only counter[0]
-                self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
+        for eid, ei, bi, _, _ in self.sites:
+            key = np.random.SeedSequence([int(seed), ei, bi]).generate_state(2, np.uint64)
+            bitgen = np.random.Philox(key=key)
+            # the fresh state at counter 0; a chunk rewrites only counter[0]
+            self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
 
     def sample_chunk(self, start: int, stop: int) -> dict[str, np.ndarray]:
-        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge,
-        a read-only identity stack on tree edges; row k equals
-        ``sample(start + k)`` bit for bit."""
+        """Draws start..stop-1 as one (stop - start, dim, dim) stack per edge, in
+        edge order, read-only identities on tree edges and a lone N x N block's
+        own stack elsewhere; row k equals ``sample(start + k)`` bit for bit."""
         if not 0 <= start <= stop:
             raise ValueError(f"sample range [{start}, {stop}) needs 0 <= start <= stop")
         dim = self.net.dim
         identity = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
-        unitaries = {}
-        for eid in self.net.quiver.edge_ids:
-            if eid in self.tree:
-                unitaries[eid] = identity
+        unitaries = dict.fromkeys(self.net.quiver.edge_ids, identity)
+        for eid, _, bi, n, copies in self.sites:
+            bitgen, gen, state = self._streams[(eid, bi)]
+            span = (n * n + 1) // 2
+            state["state"]["counter"][0] = start * span
+            bitgen.state = state
+            u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
+            block = _haar_from_ginibre(_ginibre(u))
+            if n == dim:
+                unitaries[eid] = block
                 continue
-            layout = self.net.blocks(eid)
-            blocks = []
-            for bi, (n, _) in enumerate(layout):
-                bitgen, gen, state = self._streams[(eid, bi)]
-                span = (n * n + 1) // 2
-                state["state"]["counter"][0] = start * span
-                bitgen.state = state
-                u = gen.random((stop - start, 4 * span))[:, : 2 * n * n].reshape(-1, n, n, 2)
-                blocks.append(_haar_from_ginibre(_ginibre(u)))
-            unitaries[eid] = _embed_blocks(blocks, layout)
+            if unitaries[eid] is identity:
+                unitaries[eid] = np.zeros((stop - start, dim, dim), dtype=complex)
+            for at in copies:
+                unitaries[eid][:, at, at] = block
         return unitaries
 
     def sample(self, index: int) -> DiracSample:

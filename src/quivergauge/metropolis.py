@@ -1,14 +1,14 @@
 """Metropolis estimates of trace polynomials, a Wilson loop's or a loop
 equation's lhs - rhs alike, in the maximal-tree gauge of
 :mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- R U on the
-off-tree blocks, R = V diag(exp(i eps theta)) V^-1 with V Haar and theta
-normal.  Each (chain, site) draws from its own keyed stream.  Proposals are
-prepared a batch at a time; each trial action runs the action's trace plan
-and each measurement the one plan of the measured polynomials' words
-(:class:`~quivergauge.action.TracePlan`).  The chains go round-robin to the
-workers of :mod:`~quivergauge.forked`; every result is bit-identical for any
-batch size or worker count.  Each chain tunes its own steps in burn-in; the
-error comes from batch means inside each chain, with the R-hat across them.
+sites of :meth:`~quivergauge.bratteli.BratteliNetwork.sites`, R = V diag(exp(i
+eps theta)) V^-1 with V Haar and theta normal, each (chain, site) drawing
+from its own keyed stream.  Proposals are prepared a batch at a time; trial
+actions and measurements run prebuilt :class:`~quivergauge.action.TracePlan`s.
+The chains go round-robin to the workers of :mod:`~quivergauge.forked`;
+every result is bit-identical for any batch size or worker count.  Each
+chain tunes its own steps in burn-in, up to pi; the error comes from batch
+means inside each chain, with the R-hat across them.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ class _Chains:
     (on the triangle, a proposal on e1 or e2 moved the holonomy by a step of
     the same law as one on e3).  ``s`` is the batched ``weighted_sum`` of the
     gauge-fixed table: the action without its constant part, which cancels
-    in every difference, run through the prebuilt plan ``action``; each
-    site's block size and copy slices are read from ``copies``.  ``words``
-    are the distinct words of the measured polynomials ``polys``, traced on
+    in every difference, run through the prebuilt plan ``action``.  The
+    sites are those of :meth:`BratteliNetwork.sites`, whose block sizes and
+    copy slices ``copies`` holds by (edge, block).  ``words`` are the
+    distinct words of the measured polynomials ``polys``, traced on
     ``assignment`` by the one plan ``measure``; ``terms`` index them.
 
     A proposal on an n x n site is R = V diag(exp(i eps theta)) V^-1: V is
@@ -91,7 +92,6 @@ class _Chains:
     def __init__(
         self, net: BratteliNetwork, table: PlaquetteTable, seed: int, polys=(), rows=slice(None)
     ):
-        q = net.quiver
         self.dim = net.dim
         tree = gauge_tree(net)
         words, self.terms = _indexed(polys)
@@ -99,24 +99,18 @@ class _Chains:
         self.action = TracePlan(self.plan[0], self.dim)
         self.measure = TracePlan(self.words, self.dim)
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
-        edges = [eid for eid in q.edge_ids if eid not in tree]
-        # each off-tree site's block size and the slices of its copies on the diagonal
-        self.copies = {}
-        for eid in edges:
-            pos = 0
-            for bi, (n, r) in enumerate(net.blocks(eid)):
-                self.copies[eid, bi] = n, [slice(at, at + n) for at in range(pos, pos + n * r, n)]
-                pos += n * r
+        sites = net.sites(tree)
+        self.copies = {(eid, bi): (n, copies) for eid, _, bi, n, copies in sites}
         self.sites = list(self.copies)
         self.streams = {
-            (eid, bi): [_stream(seed, c, q.edge_ids.index(eid), bi) for c in range(_CHAINS)[rows]]
-            for eid, bi in self.sites
+            (eid, bi): [_stream(seed, c, ei, bi) for c in range(_CHAINS)[rows]]
+            for eid, ei, bi, _, _ in sites
         }
-        n_blocks = sum(len(net.blocks(eid)) for eid in q.edge_ids)
+        n_blocks = sum(len(net.blocks(eid)) for eid in net.quiver.edge_ids)
         self.sweep = [self.sites[k % len(self.sites)] for k in range(n_blocks)] if self.sites else []
         self.eps = {b: np.full(self.count, 0.5) for b in self.sites}
-        identity = np.eye(self.dim, dtype=complex)
-        self.assignment = {eid: np.tile(identity, (self.count, 1, 1)) for eid in edges}
+        identity = np.tile(np.eye(self.dim, dtype=complex), (self.count, 1, 1))
+        self.assignment = {eid: identity.copy() for eid, bi in self.sites if bi == 0}
         self.s = weighted_sum(self.plan[1], self.action.traces(self.assignment))
 
     def _prepare(self, batch: list) -> tuple[list, list]:
@@ -199,22 +193,31 @@ def _run_chains(
 ) -> tuple[np.ndarray, int, int]:
     """Burn in, then measure the polynomial ``poly`` every ``thin`` of ``sweeps`` sweeps.
     Returns the measurements, (_CHAINS, sweeps // thin), and the proposals
-    accepted and made after burn-in.  Worker p of :func:`forked.workers`
-    runs chains p, p + workers, ... and writes their rows in place."""
+    accepted and made after burn-in, whose rate tuning must leave in [5%, 95%].
+    Worker p of :func:`forked.workers` runs chains p, p + workers, ... and
+    writes their rows in place."""
     workers = forked.workers(_CHAINS)
     values = forked.shared_array((_CHAINS, sweeps // thin), complex)
-    tally = forked.shared_array((2, _CHAINS), np.int64)  # proposals accepted, made
+    tally = forked.shared_array((3, _CHAINS), np.int64)  # accepted, made, some step below pi
 
     def work(part: int) -> None:
         rows = slice(part, _CHAINS, workers)
         chains = _Chains(net, table, seed, [poly], rows)
         chains.burn_in(burnin)
+        tally[2, rows] = np.any([eps < math.pi for eps in chains.eps.values()], axis=0)
         accepted, (values[rows],) = chains.run(sweeps, thin)  # the one polynomial's series
         tally[0, rows] = sum(accepted.values())
         tally[1, rows] = sweeps * len(chains.sweep)
 
     forked.run(work, workers)
-    return values, int(tally[0].sum()), int(tally[1].sum())
+    accepted, made = int(tally[0].sum()), int(tally[1].sum())
+    # no proposal made (no off-tree block) leaves no rate to bound; once every
+    # step is tuned up to its cap pi, a rate above 95% is a weak coupling's
+    if made and not 0.05 <= accepted / made <= (0.95 if tally[2].any() else 1.0):
+        raise RuntimeError(
+            f"metropolis acceptance rate {accepted / made:.1%} outside [5%, 95%] after tuning"
+        )
+    return values, accepted, made
 
 
 def estimate(
@@ -237,11 +240,8 @@ def estimate(
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin
     values, accepted, attempted = _run_chains(net, table, poly, seed, burnin, sweeps, thin)
-    # no off-tree block: nothing moves, as when every proposal is accepted,
-    # and no proposal made leaves no rate to bound
+    # no off-tree block: nothing moves, as when every proposal is accepted
     rate = accepted / attempted if attempted else 1.0
-    if attempted and not 0.05 <= rate <= 0.95:
-        raise RuntimeError(f"metropolis acceptance rate {rate:.1%} outside [5%, 95%] after tuning")
     runs = [values[c, :m] for c, m in enumerate(counts)]
     per_run = [len(c) for c in np.array_split(range(n_batches), _CHAINS)]
     means = np.array([b.mean() for run, nb in zip(runs, per_run) for b in np.array_split(run, nb)])

@@ -147,8 +147,7 @@ def _reweighted_traces(
     # drawn in spans of whole slices whose off-tree blocks hold about four
     # times as many, since the Haar kernel's numpy calls are per column
     size = max(1, _CHUNK_ENTRIES // dim**2)
-    off_tree = (e for e in net.quiver.edge_ids if e not in sampler.tree)
-    drawn = sum(n * n for e in off_tree for n, _ in net.blocks(e))
+    drawn = sum(n * n for _, _, _, n, _ in sampler.sites)
     span = size * max(1, 4 * _CHUNK_ENTRIES // (drawn * size)) if drawn else size
     starts = range(0, samples, span)
     workers = forked.workers(len(starts))

@@ -6,19 +6,20 @@ definition, the Dirac operator whose eigenvalues
 give the spectral action, the validated action value of one configuration,
 the maximal-tree gauge transform of a configuration and the distance of a
 unitary from its block group, the dense Toeplitz moment matrix, the
-one-pass positivity scan at full order, and the Metropolis chains run one
-proposal at a time.  One helper is not independent: ``action_sum`` sums
+one-pass positivity scan at full order, the Metropolis chains run one
+proposal at a time, and the large-N one-plaquette moment in closed form.  One helper is not independent: ``action_sum`` sums
 an action plan through the package's own trace kernel.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from quivergauge.action import PlaquetteTable, TracePlan, action_plan, loop_trace, weighted_sum
 from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
-from quivergauge.haar import DiracSample, _embed_blocks, _ginibre, _haar_from_ginibre
+from quivergauge.haar import DiracSample, _ginibre, _haar_from_ginibre
 from quivergauge.metropolis import _CHAINS, _stream
 from quivergauge.monte_carlo import _gauge_fixed
 from quivergauge.quiver import _step_key
@@ -110,8 +111,8 @@ def tree_gauge(net: BratteliNetwork, tree, rng, root=None) -> tuple[dict, dict]:
     q = net.quiver
     us = {}
     for e in q.edge_ids:
-        layout = net.blocks(e)
-        us[e] = _embed_blocks([random_unitary(rng, n) for n, _ in layout], layout)
+        blocks = [(random_unitary(rng, n), r) for n, r in net.blocks(e)]
+        us[e] = block_diag(*(u for u, r in blocks for _ in range(r)))
     p = {q.vertices[0] if root is None else root: np.eye(net.dim)}
     for _ in tree:  # each pass reaches at least one more vertex of the root's tree
         for e in tree:
@@ -140,6 +141,13 @@ def block_deviation(layout, u: np.ndarray) -> float:
             inside[pos : pos + n, pos : pos + n] = True
             pos += n
     return max(dev, float(np.abs(u[~inside]).max(initial=0.0)))
+
+
+def gww_large_n(x: float) -> float:
+    """The large-N first moment y(x) of the weight exp(-N x Tr(U + U^dagger))
+    in closed form (Gross-Witten 1980; Wadia 1980): -x for |x| <= 1/2, and
+    -sign(x) (1 - 1/(4|x|)) beyond."""
+    return -x if abs(x) <= 0.5 else -math.copysign(1 - 1 / (4 * abs(x)), x)
 
 
 def moment_matrix(order: int, x: float, y: float) -> np.ndarray:

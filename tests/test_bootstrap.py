@@ -22,7 +22,7 @@ from quivergauge.jobfile import triangle_job
 from quivergauge.laurent import YXPoly
 from quivergauge.quiver import EdgeWord
 
-from oracles import moment_matrix, scan_first_failing
+from oracles import gww_large_n, moment_matrix, scan_first_failing
 
 
 def poly(terms: dict) -> YXPoly:
@@ -208,6 +208,23 @@ class TestFeasibility:
         for k in range(1, order + 1):
             oracle = cofactor_det(mat[:k, :k])
             assert minors[k - 1] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+class TestLargeNSolution:
+    """Verdicts on the exact large-N first moment, which every order must admit."""
+
+    @pytest.mark.parametrize("x", [0.05, -0.05, 0.2, -0.2, 0.4, -0.4, 1.0, -1.0, 2.0, -2.0])
+    def test_feasible_through_order_15(self, x):
+        assert feasible(x, gww_large_n(x), 15) == (True, None)
+
+    # float64 moments lose digits and an absolute tol meets minors that
+    # shrink geometrically: the exact answer is ruled out, first at orders
+    # 16, 24 and 29, without a flag
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the scan rules the large-N solution out past order 15")
+    @pytest.mark.parametrize("x", [0.05, 0.2, 0.4])
+    def test_feasible_through_order_30(self, x):
+        assert feasible(x, gww_large_n(x), 30) == (True, None)
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,65 @@ class TestEnsemble:
             assert sum(n * r for n, r in two_site_network.blocks(e)) == two_site_network.dim
 
 
+def diagonal_walk(net, tree):
+    """The off-tree sites walked one copy at a time along each edge's target
+    diagonal: (edge, edge index, block index, n, copies' slices)."""
+    sites = []
+    for ei, e in enumerate(net.quiver.edge_ids):
+        if e in tree:
+            continue
+        v, pos = net.quiver.target[e], 0
+        for bi in range(len(net.n[v])):
+            n, copies = net.n[v][bi], []
+            for _ in range(net.r[v][bi]):
+                copies.append(slice(pos, pos + n))
+                pos += n
+            sites.append((e, ei, bi, n, copies))
+    return sites
+
+
+class TestSites:
+    def test_two_site(self, two_site_network):
+        spans = [
+            (e, ei, bi, n, [(c.start, c.stop) for c in copies])
+            for e, ei, bi, n, copies in two_site_network.sites(("e",))
+        ]
+        assert spans == [
+            ("ov", 0, 0, 3, [(0, 3), (3, 6), (6, 9), (9, 12)]),
+            ("ov", 0, 1, 2, [(12, 14), (14, 16)]),
+            ("ow", 2, 0, 8, [(0, 8), (8, 16)]),
+        ]
+
+    def test_triangle(self, triangle_quiver):
+        net = triangle_network(triangle_quiver, 4)
+        assert net.sites(gauge_tree(net)) == [("e3", 2, 0, 4, [slice(0, 4)])]
+
+    def test_torus(self):
+        net = triangle_network(torus_quiver(3), 2)
+        tree = gauge_tree(net)
+        off_tree = [e for e in net.quiver.edge_ids if e not in tree]
+        assert len(off_tree) == 10
+        assert [site[0] for site in net.sites(tree)] == off_tree
+
+    @pytest.mark.parametrize("case", ["two_site", "two_site_no_tree", "triangle", "torus", "fork"])
+    def test_matches_a_diagonal_walk(self, case, two_site_network, triangle_quiver):
+        net = {
+            "two_site": two_site_network, "two_site_no_tree": two_site_network,
+            "triangle": triangle_network(triangle_quiver, 5),
+            "torus": triangle_network(torus_quiver(3), 2), "fork": fork_network(),
+        }[case]
+        tree = () if case == "two_site_no_tree" else gauge_tree(net)
+        sites = net.sites(tree)
+        assert sites == diagonal_walk(net, tree)
+        assert not {e for e, *_ in sites} & set(tree)
+        # each off-tree edge's copies tile [0, N) exactly once
+        for e in net.quiver.edge_ids:
+            if e not in tree:
+                slices = [c for f, *_, copies in sites if f == e for c in copies]
+                cells = [i for c in slices for i in range(c.start, c.stop)]
+                assert sorted(cells) == list(range(net.dim)), e
+
+
 class TestGaugeTree:
     @pytest.mark.parametrize("inner, outer, contained", [
         (None, ((3, 4), (2, 2)), True),  # P = 1

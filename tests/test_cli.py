@@ -335,6 +335,15 @@ class TestMc:
         assert code == 1
         assert "--root" in capsys.readouterr().err
 
+    def test_root_requires_check_eq(self, capsys):
+        # a Wilson-loop estimate has no root: --root alone is refused, not ignored
+        code = run(
+            ["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", "--root", "e1",
+             "--samples", "10", "--seed", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --root needs --check-eq\n"
+
     def test_check_eq_unknown_root_is_domain_error(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         code = run(

@@ -3,6 +3,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import quivergauge as qg
 from quivergauge import forked, haar, metropolis, monte_carlo
@@ -235,8 +236,8 @@ class TestKeyedSampler:
     def test_stream_layout(self, two_site_network):
         # draw i of an n x n block is Philox keyed by (seed, edge, block) from
         # counter (i*B, 0, 0, 0), B = ceil(n^2 / 2): its first 2n^2 uniforms,
-        # in pairs (u0, u1), are the polar Box-Muller Ginibre entries; the
-        # tree edge e is 1
+        # in pairs (u0, u1), are the polar Box-Muller Ginibre entries, and
+        # each block sits r times on the diagonal; the tree edge e is 1
         net, seed = two_site_network, 11
         sampler = KeyedSampler(net, seed)
         assert sampler.tree == ("e",)
@@ -247,15 +248,15 @@ class TestKeyedSampler:
                 if e in sampler.tree:
                     assert np.array_equal(sampler.sample(i).unitaries[e], np.eye(16))
                     continue
-                blocks = []
-                for bi, n in enumerate(net.n[tgt]):
+                copies = []
+                for bi, (n, r) in enumerate(zip(net.n[tgt], net.r[tgt])):
                     span = -(-n * n // 2)
                     key = np.random.SeedSequence([seed, ei, bi]).generate_state(2, np.uint64)
                     bitgen = np.random.Philox(key=key, counter=[i * span, 0, 0, 0])
                     pairs = np.random.Generator(bitgen).random(4 * span)[: 2 * n * n]
                     pairs = pairs.reshape(n, n, 2)
-                    blocks.append(haar._haar_from_ginibre(box_muller(pairs)))
-                expected = haar._embed_blocks(blocks, net.blocks(e))
+                    copies += [haar._haar_from_ginibre(box_muller(pairs))] * r
+                expected = block_diag(*copies)
                 assert np.array_equal(sampler.sample(i).unitaries[e], expected)
 
     def test_triangle_draws_only_off_tree_streams(self, triangle_quiver):
@@ -533,6 +534,32 @@ def test_metropolis_without_off_tree_blocks():
                           samples=20, seed=1, method="metropolis", burnin=0, thin=1)
     assert (est.mean, est.stderr, est.effective_samples) == (1, 0, 20)
     assert est.acceptance == 1.0 and est.rhat is None
+
+
+def test_metropolis_steps_tuned_to_their_cap_may_accept_every_proposal(monkeypatch):
+    # at f3 = 10^-6 burn-in tunes every step up to its cap pi, where nearly
+    # every proposal is accepted: the rate is the coupling's, not a tuning
+    # fault, so the estimate stands, the same on any number of workers
+    job = qg.triangle_job(dim=3, f3="1/1000000")
+    table = expand_action(job.quiver, job.action)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(forked, "workers", lambda parts: workers)
+        runs.append(estimate_wilson(job.network, table, ZETA, samples=1000, seed=1,
+                                    method="metropolis", burnin=2000, thin=5))
+    est = runs[0]
+    assert runs[1] == est and est.acceptance > 0.95 and est.rhat < 1.1
+    y3 = qg.first_moment_curve(3, np.array([3e-6])).y[0]
+    assert abs(est.mean.real - y3) <= 5 * est.stderr_re
+
+
+def test_metropolis_refuses_a_high_rate_while_a_step_can_grow():
+    # 500 burn-in sweeps leave steps below pi, so a rate above 95% is refused
+    job = qg.triangle_job(dim=3, f3="1/1000000")
+    table = expand_action(job.quiver, job.action)
+    with pytest.raises(RuntimeError, match=r"acceptance rate 100.0% outside \[5%, 95%\]"):
+        estimate_wilson(job.network, table, ZETA, samples=1000, seed=1, method="metropolis",
+                        burnin=500, thin=5)
 
 
 @pytest.mark.parametrize("check", [False, True], ids=["estimate", "check_eq"])
