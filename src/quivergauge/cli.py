@@ -76,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--samples", type=int, default=100000, help="measurement count")
     m.add_argument("--seed", type=int, default=1, help="master seed for the keyed streams")
     m.add_argument("--method", choices=["reweight", "metropolis"], default="reweight", help="estimator")
-    m.add_argument("--burnin", type=int, default=1000, help="metropolis warm-up sweeps")
-    m.add_argument("--thin", type=int, default=10, help="metropolis sweeps between measurements")
+    m.add_argument("--burnin", type=int, default=argparse.SUPPRESS, help="metropolis warm-up sweeps (default: 1000)")
+    m.add_argument("--thin", type=int, default=argparse.SUPPRESS,
+                   help="metropolis sweeps between measurements (default: 10)")
     m.add_argument("--check-eq", action="store_true",
                    help="estimate the loop equation's lhs - rhs instead, by either method")
     m.add_argument("--root", default=None, help="rooted edge for --check-eq")
@@ -208,12 +209,15 @@ def _cmd_mc(args) -> int:
     job.quiver.word_vertices(word)
     if bool(args.root) != args.check_eq:
         raise JobError("--check-eq needs --root" if args.check_eq else "--root needs --check-eq")
+    chain = {k: getattr(args, k) for k in ("burnin", "thin") if hasattr(args, k)}
+    if chain and args.method != "metropolis":
+        raise JobError(f"--{next(iter(chain))} needs --method metropolis")
     estimator, target = estimate_wilson, word
     if args.check_eq:
         eq = generate_loop_equation(job.quiver, table, word, args.root, mode="finite")
         estimator, target = check_loop_equation, eq
     est = estimator(job.network, table, target, samples=args.samples, seed=args.seed,
-                    method=args.method, burnin=args.burnin, thin=args.thin)
+                    method=args.method, **chain)
     if args.check_eq:
         payload = {"equation": eq.to_json_dict(table), "residual_re": est.residual.real,
                    "residual_im": est.residual.imag}

@@ -3,12 +3,13 @@ equation's lhs - rhs alike, in the maximal-tree gauge of
 :mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- R U on the
 sites of :meth:`~quivergauge.bratteli.BratteliNetwork.sites`, R = V diag(exp(i
 eps theta)) V^-1 with V Haar and theta normal, each (chain, site) drawing
-from its own keyed stream.  Proposals are prepared a batch at a time; trial
-actions and measurements run prebuilt :class:`~quivergauge.action.TracePlan`s.
-The chains go round-robin to the workers of :mod:`~quivergauge.forked`;
-every result is bit-identical for any batch size or worker count.  Each
-chain tunes its own steps in burn-in, up to pi; the error comes from batch
-means inside each chain, with the R-hat across them.
+from its own keyed stream.  Proposals are prepared whole sweeps at a time.
+Trial actions and end-of-sweep measurements run prebuilt
+:class:`~quivergauge.action.TracePlan`s, and the polynomials share
+reweighting's evaluator.  The chains go round-robin to the workers of
+:mod:`~quivergauge.forked`; every result is bit-identical for any batch size
+or worker count.  Each chain tunes its own steps in burn-in, up to pi; the
+error comes from batch means inside each chain, with the R-hat across them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import forked
 from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .haar import _ginibre, _haar_from_ginibre
-from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _evaluate, _gauge_fixed, _indexed
+from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _evaluate, _gauge_fixed
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
@@ -94,8 +95,7 @@ class _Chains:
     ):
         self.dim = net.dim
         tree = gauge_tree(net)
-        words, self.terms = _indexed(polys)
-        self.plan, self.words = _gauge_fixed(tree, table, words)
+        self.plan, self.words, self.terms = _gauge_fixed(tree, table, polys)
         self.action = TracePlan(self.plan[0], self.dim)
         self.measure = TracePlan(self.words, self.dim)
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
@@ -113,30 +113,20 @@ class _Chains:
         self.assignment = {eid: identity.copy() for eid, bi in self.sites if bi == 0}
         self.s = weighted_sum(self.plan[1], self.action.traces(self.assignment))
 
-    def _prepare(self, batch: list) -> tuple[list, list]:
-        """The rotations of proposals on the sites of ``batch`` and their
-        accept uniforms, by position, for this copy's chains: per site, one
+    def _prepare(self, sweeps: int) -> dict:
+        """Per site, an iterator over its proposals' rotations and accept
+        uniforms in ``sweeps`` sweeps, for this copy's chains: per site, one
         ``random`` call per chain, one Gram-Schmidt and one product."""
-        rots, uniforms = [None] * len(batch), [None] * len(batch)
-        for b in dict.fromkeys(batch):
-            at = [k for k, site in enumerate(batch) if site == b]
-            n = self.copies[b][0]
-            m = len(at)
+        prepared = {}
+        for b in self.sites:
+            n, m = self.copies[b][0], sweeps * self.sweep.count(b)
             u = np.stack([gen.random((m, 2 * n * n + 2 * n + 1)) for gen in self.streams[b]])
             z = _ginibre(u[..., :-1].reshape(self.count, m, n * n + n, 2))
             v = _haar_from_ginibre(z[..., : n * n].reshape(self.count, m, n, n))
             theta = math.sqrt(2 * n) * z[..., n * n :].real
             r = _rotation(v, self.eps[b][:, None, None] * theta)
-            for j, k in enumerate(at):
-                rots[k], uniforms[k] = r[:, j], u[:, j, -1]
-        return rots, uniforms
-
-    def _measure(self) -> np.ndarray:
-        """Each polynomial on the chains' state, (len(terms), count)."""
-        traces = np.empty((len(self.words), self.count), complex)
-        for k, tr in enumerate(self.measure.traces(self.assignment)):
-            traces[k] = tr / self.dim
-        return np.array([_evaluate(p, traces) for p in self.terms])
+            prepared[b] = zip(r.swapaxes(0, 1), u[..., -1].T)
+        return prepared
 
     def burn_in(self, sweeps: int) -> None:
         """Make ``sweeps`` sweeps, tuning eps per chain and block toward 30-50%
@@ -152,38 +142,34 @@ class _Chains:
 
     def run(self, sweeps: int, thin: int = 0) -> tuple[dict, np.ndarray]:
         """Make ``sweeps`` sweeps at the current step sizes, preparing proposals
-        in batches of about ``_CHUNK_ENTRIES`` complex entries of draws.
-        Returns each site's accepted proposals per chain and each
-        polynomial on the chains after every ``thin``-th sweep,
-        (len(terms), count, sweeps // thin); with no site to propose on,
-        every measurement sees the state as it stands."""
-        dim, todo = self.dim, self.sweep * sweeps
-        entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)
-        size = max(1, _CHUNK_ENTRIES * len(self.sweep) // max(entries, 1))  # proposals per batch
-        every = thin * len(self.sweep)  # proposals between measurements
+        for as many whole sweeps at a time as about ``_CHUNK_ENTRIES``
+        complex entries of draws hold, at least one.  Returns each site's
+        accepted proposals per chain and each polynomial on the chains at
+        the end of every ``thin``-th sweep, (len(terms), count, sweeps // thin)."""
+        entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)  # per sweep
+        dim, batch = self.dim, max(1, _CHUNK_ENTRIES // max(entries, 1))  # sweeps per batch
         accepted = dict.fromkeys(self.sites, 0)
         values = np.empty((len(self.terms), self.count, sweeps // thin if thin else 0), complex)
-        if thin and not self.sweep:
-            values[:] = self._measure()[..., None]
-        for start in range(0, len(todo), size):
-            batch = todo[start : start + size]
-            rots, uniforms = self._prepare(batch)
-            for k, (eid, bi) in enumerate(batch):
-                edge, (n, copies) = self.assignment[eid], self.copies[eid, bi]
-                new = rots[k] @ edge[:, copies[0], copies[0]]
-                trial = new if n == dim else edge.copy()
-                if n < dim:
-                    for at in copies:
-                        trial[:, at, at] = new
-                trial_state = {**self.assignment, eid: trial}
-                s_new = weighted_sum(self.plan[1], self.action.traces(trial_state))
-                accept = uniforms[k] < np.exp(np.minimum(0.0, -dim * (s_new - self.s)))
-                self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
-                self.s = np.where(accept, s_new, self.s)
-                accepted[eid, bi] += accept
-                done = start + k + 1
-                if thin and done % every == 0:
-                    values[..., done // every - 1] = self._measure()
+        for start in range(0, sweeps, batch):
+            prepared = self._prepare(min(batch, sweeps - start))
+            for done in range(start + 1, min(start + batch, sweeps) + 1):
+                for eid, bi in self.sweep:
+                    rot, uniform = next(prepared[eid, bi])
+                    edge, (n, copies) = self.assignment[eid], self.copies[eid, bi]
+                    new = rot @ edge[:, copies[0], copies[0]]
+                    trial = new if n == dim else edge.copy()
+                    if n < dim:
+                        for at in copies:
+                            trial[:, at, at] = new
+                    trial_state = {**self.assignment, eid: trial}
+                    s_new = weighted_sum(self.plan[1], self.action.traces(trial_state))
+                    accept = uniform < np.exp(np.minimum(0.0, -dim * (s_new - self.s)))
+                    self.assignment[eid] = np.where(accept[:, None, None], trial, edge)
+                    self.s = np.where(accept, s_new, self.s)
+                    accepted[eid, bi] += accept
+                if thin and done % thin == 0:
+                    traces = self.measure.traces(self.assignment)
+                    _evaluate(self.terms, traces, dim, values[..., done // thin - 1])
         return accepted, values
 
 
@@ -225,7 +211,7 @@ def estimate(
     thin: int,
 ) -> EstimatorResult:
     """The Metropolis estimate of the polynomial ``poly`` in normalised
-    traces (:func:`~quivergauge.monte_carlo._indexed`), words' steps as in
+    traces (:func:`~quivergauge.monte_carlo._gauge_fixed`), words' steps as in
     the job's quiver: the body of either estimator's ``method="metropolis"``."""
     # batch means absorb residual autocorrelation; no batch spans two chains
     n_batches = max(10, min(50, samples // 20))
@@ -233,7 +219,7 @@ def estimate(
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
     # |Re Tr U| <= N, so no proposal moves N S by more than 2 N^2 sum |weight|:
     # where that is finite, no difference of actions is inf or NaN
-    (_, weights), _ = _gauge_fixed(gauge_tree(net), table, ())
+    (_, weights), _, _ = _gauge_fixed(gauge_tree(net), table, ())
     if not math.isfinite(2 * net.dim**2 * sum(abs(g) for g in weights)):
         raise OverflowError(_OVERFLOW)
     # chain c keeps the first counts[c] of its measurements, samples in all

@@ -2,9 +2,9 @@
 
 A Wilson loop and a loop equation's lhs - rhs are both polynomials in
 normalised traces, terms (c, w1, w2 or None) meaning the sum of
-c (1/N)Tr w1 (1/N)Tr w2 (:func:`_indexed`).  ``estimate_wilson`` and
-``check_loop_equation`` are thin callers of one estimator body, by either
-method:
+c (1/N)Tr w1 (1/N)Tr w2; either method sets them up by :func:`_gauge_fixed`
+and evaluates them by :func:`_evaluate`.  ``estimate_wilson`` and
+``check_loop_equation`` call one estimator body, by either method:
 
 * ``reweight`` - plain Haar draws reweighted by exp(-N S); exact in
   expectation at any sample size, efficient while N|S| stays moderate; one
@@ -95,38 +95,39 @@ class ResidualResult:
     rhat: float | None = None
 
 
-def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, words: Sequence[tuple]) -> tuple:
-    """The action plan of ``table`` and the ``words``, both rewritten for
-    configurations whose ``tree`` edges carry 1
-    (:func:`~quivergauge.bratteli.gauge_tree`)."""
-    plan = action_plan(gauge_fixed_table(table, tree))
-    return plan, [gauge_fixed_steps(w, tree) for w in words]
-
-
-def _indexed(polys: Sequence[tuple]) -> tuple[list, list]:
-    """The distinct words of the polynomials ``polys`` in order of
-    appearance, and each polynomial's terms (c, w1, w2 or None) with its
-    words replaced by their rows in that list.  A bare word, whose steps are
-    pairs where terms are triples, stands for its normalised trace."""
+def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, polys: Sequence[tuple]) -> tuple:
+    """Either estimator's set-up where the ``tree`` edges carry 1
+    (:func:`~quivergauge.bratteli.gauge_tree`): the action plan of ``table``
+    and the distinct words of ``polys`` in order of appearance, rewritten
+    for that tree, and each polynomial's terms (c, w1, w2 or None) with its
+    words replaced by their rows in that list.  A bare word, whose steps
+    are pairs where terms are triples, stands for its normalised trace."""
     terms = [p if p and len(p[0]) == 3 else ((1, p, None),) for p in polys]
     words = list(dict.fromkeys(w for p in terms for _, a, b in p for w in (a, b) if w is not None))
     row = {w: k for k, w in enumerate(words)} | {None: None}
-    return words, [[(c, row[a], row[b]) for c, a, b in p] for p in terms]
+    plan = action_plan(gauge_fixed_table(table, tree))
+    terms = [[(c, row[a], row[b]) for c, a, b in p] for p in terms]
+    return plan, [gauge_fixed_steps(w, tree) for w in words], terms
 
 
-def _evaluate(terms: list, traces: np.ndarray) -> np.ndarray:
-    """A polynomial's indexed ``terms`` on rows of normalised ``traces``,
-    summed from zero in term order."""
-    out = np.zeros(traces.shape[1:], dtype=complex)
-    for c, a, b in terms:
-        out += c * traces[a] if b is None else c * traces[a] * traces[b]
-    return out
+def _evaluate(terms: list, raw: Sequence[np.ndarray], dim: int, out: np.ndarray) -> None:
+    """Write each polynomial's indexed ``terms`` into its row of ``out``,
+    summed from zero in term order, on its words' raw traces ``raw`` divided
+    by N part by part (numpy would multiply a complex array by 1 / N); a 0-d
+    trace, as an all-tree network gives, fills its row."""
+    raw = np.array(raw)
+    traces = np.empty(raw.shape, complex)
+    traces.real, traces.imag = raw.real / dim, raw.imag / dim
+    for row, p in zip(out, terms):
+        row[...] = 0
+        for c, a, b in p:
+            row += c * traces[a] if b is None else c * traces[a] * traces[b]
 
 
 def _reweighted_traces(
     net: BratteliNetwork, table: PlaquetteTable, polys: Sequence[tuple], samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log weights -N S and the polynomials ``polys`` (:func:`_indexed`) on
+    """Log weights -N S and the polynomials ``polys`` (:func:`_gauge_fixed`) on
     keyed draws 0..samples-1.
 
     Returns ``logs`` of shape (samples,) and ``values`` of shape
@@ -139,8 +140,7 @@ def _reweighted_traces(
     place, a trace slice at a time.
     """
     sampler = KeyedSampler(net, seed)
-    words, terms = _indexed(polys)
-    (action, weights), words = _gauge_fixed(sampler.tree, table, words)
+    (action, weights), words, terms = _gauge_fixed(sampler.tree, table, polys)
     dim = net.dim
     plan = TracePlan(action + words, dim)
     # traced in slices of dim x dim draws holding about _CHUNK_ENTRIES entries,
@@ -163,13 +163,7 @@ def _reweighted_traces(
                 t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
                 with np.errstate(over="ignore", invalid="ignore"):  # refused in the caller
                     logs[s:b] = -dim * weighted_sum(weights, t)
-                traces = np.empty((len(words), b - s), complex)
-                for k, tr in enumerate(t[len(action) :]):
-                    # parts apart: numpy divides a complex array by the reciprocal of dim
-                    traces[k].real = tr.real / dim
-                    traces[k].imag = tr.imag / dim
-                for k, p in enumerate(terms):
-                    values[k, s:b] = _evaluate(p, traces)
+                _evaluate(terms, t[len(action) :], dim, values[:, s:b])
 
     forked.run(fill, workers)
     return logs, values
@@ -229,7 +223,7 @@ def _estimate(
     method: str, burnin: int, thin: int,
 ) -> EstimatorResult:
     """The one estimator body: the Boltzmann-weighted expectation of the
-    polynomial ``poly`` in normalised traces (:func:`_indexed`)."""
+    polynomial ``poly`` in normalised traces (:func:`_gauge_fixed`)."""
     if method == "metropolis":
         # imported on first use, since it imports this module; runs that
         # only reweight never compile it

@@ -185,7 +185,7 @@ class OneAtATimeChains:
         q = net.quiver
         self.dim = net.dim
         tree = gauge_tree(net)
-        self.plan, self.words = _gauge_fixed(tree, table, words)
+        self.plan, self.words, _ = _gauge_fixed(tree, table, words)
         self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
         self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
         self.streams = {
@@ -247,5 +247,6 @@ def metropolis_chains(net, table, word, seed, burnin, sweeps, thin):
         for _ in range(thin):
             for b in chains.sweep:
                 accepted += int(chains.propose(*b).sum())
-        values[:, k] = loop_trace(chains.assignment, word, chains.dim) / chains.dim
+        values[:, k] = [complex(t.real / chains.dim, t.imag / chains.dim)
+                        for t in loop_trace(chains.assignment, word, chains.dim)]
     return values, accepted, sweeps * len(chains.sweep) * _CHAINS

@@ -344,6 +344,14 @@ class TestMc:
         assert code == 1
         assert capsys.readouterr().err == "error: --root needs --check-eq\n"
 
+    @pytest.mark.parametrize("flag", ["--burnin", "--thin"])
+    def test_chain_settings_require_metropolis(self, capsys, flag):
+        # reweighting runs no chains: --burnin and --thin alone are refused, not ignored
+        code = run(["mc", "builtin:triangle@3", "--loop", "e1+ e2+ e3+", flag, "5",
+                    "--samples", "10", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} needs --method metropolis\n"
+
     def test_check_eq_unknown_root_is_domain_error(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         code = run(

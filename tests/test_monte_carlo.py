@@ -333,6 +333,22 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
 
 
+def test_evaluate_divides_by_n_part_by_part(rng):
+    # each trace is divided by N = 3 real and imaginary parts apart, which
+    # trace / 3 is not for about half of these; a two-trace term is the
+    # product of those quotients, and a 0-d trace fills every column
+    raw = 3 * rng.standard_normal((2, 50)) + 3j * rng.standard_normal((2, 50))
+    out = np.empty((3, 50), complex)
+    monte_carlo._evaluate([[(1, 0, None)], [(1, 1, None)], [(1, 0, 1)]], raw, 3, out)
+    parts = [[complex(t.real / 3, t.imag / 3) for t in tr] for tr in raw]
+    assert out[:2].tolist() == parts
+    assert out[2].tolist() == (np.array(parts[0]) * np.array(parts[1])).tolist()
+    assert np.any(out[:2] != raw / 3)
+    out = np.empty((2, 10), complex)
+    monte_carlo._evaluate([[(1, 0, None)], [(2, 0, 0)]], [np.array(6 + 3j)], 3, out)
+    assert np.all(out == [[2 + 1j], [2 * (2 + 1j) ** 2]])
+
+
 def test_reweighting_draws_spans_of_trace_slices(monkeypatch):
     # on the two-site job a span of draws holds several trace slices, so
     # there are fewer sample_chunk calls than slices, and the arrays are
@@ -534,6 +550,13 @@ def test_metropolis_without_off_tree_blocks():
                           samples=20, seed=1, method="metropolis", burnin=0, thin=1)
     assert (est.mean, est.stderr, est.effective_samples) == (1, 0, 20)
     assert est.acceptance == 1.0 and est.rhat is None
+    # the 0-d traces of the all-tree words fill every chain's measurement of
+    # every polynomial, not of one alone
+    steps = EdgeWord.from_string("u+ u-").steps
+    chains = metropolis._Chains(triangle_network(q, 2), table, 1, [steps, ((2, steps, steps),)])
+    accepted, values = chains.run(4, 2)
+    assert accepted == {} and values.shape == (2, metropolis._CHAINS, 2)
+    assert np.all(values == [[[1]], [[2]]])
 
 
 def test_metropolis_steps_tuned_to_their_cap_may_accept_every_proposal(monkeypatch):
@@ -756,11 +779,15 @@ class TestChains:
         # -theta gives R^-1, so the walk proposes R and R^-1 alike
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         chains = metropolis._Chains(job.network, expand_action(job.quiver, job.action), seed=3)
-        rots, uniforms = chains._prepare(chains.sweep * 2)
-        for r, u in zip(rots, uniforms):
-            eye = np.eye(r.shape[-1])
-            assert np.abs(r @ r.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
-            assert u.shape == (metropolis._CHAINS,) and np.all((0 <= u) & (u < 1))
+        prepared = chains._prepare(2)
+        assert list(prepared) == chains.sites
+        for b, proposals in prepared.items():
+            proposals = list(proposals)
+            assert len(proposals) == 2 * chains.sweep.count(b)  # one per turn in two sweeps
+            for r, u in proposals:
+                eye = np.eye(r.shape[-1])
+                assert np.abs(r @ r.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
+                assert u.shape == (metropolis._CHAINS,) and np.all((0 <= u) & (u < 1))
         for n in (3, 8):
             v = haar._haar_from_ginibre(haar._ginibre(rng.random((10, n, n, 2))))
             angles = 0.5 * np.sqrt(n) * rng.standard_normal((10, n))
