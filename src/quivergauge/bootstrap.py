@@ -4,6 +4,7 @@ The factorised large-N loop equation for the n-th power of a job's loop,
 every plaquette coupling set to x, fixes ``m_{n+1}`` from the lower moments
 ``m_j = lim <(1/N) Tr hol beta^j>``, with ``m_0 = 1`` and ``m_1 = y`` free.
 For the triangle it reads m_{n+1} = m_{n-1} + (1/x) sum_{l<n} m_l m_{n-l}.
+One fold solves these equations, exactly or in float64 at the scan's cells.
 
 Reality (``m_{-j} = m_j``) arranges the moments into a symmetric Toeplitz
 matrix whose positive semidefiniteness carves out the admissible (x, y)
@@ -13,24 +14,24 @@ region; scanning leading principal minors over a grid reproduces it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count, groupby
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .action import expand_action
 from .jobfile import Job, triangle_job
 from .laurent import YXPoly
-from .loop_equations import factorize_large_N, generate_loop_equation
+from .loop_equations import MomentEquation, factorize_large_N, generate_loop_equation
 from .quiver import EdgeWord, _cyclic_reduce
 from .toeplitz import leading_minors
 
 
-def derive_moments(job: Job) -> Iterator[YXPoly]:
-    """Yield m_0, m_1, ... of the job's first loop, cyclically reduced to ``beta`` and
-    rooted at its first non-self-loop edge, solving the equation for ``beta**n`` for m_{n+1}.
-
-    Raises ValueError, naming the word, n and the reason, where that fails.
+def _equations(job: Job) -> Callable[[int], tuple[int, MomentEquation, int]]:
+    """n -> ``(n + 1, equation, sign)``: the large-N loop equation for ``beta**n``, with
+    ``beta`` the job's first loop cyclically reduced and rooted at its first non-self-loop
+    edge, and the sign of its m_{n+1} term.  Raises ValueError naming the word, n and why.
     """
     if not job.loops:
         raise ValueError("bootstrap needs a job with a loop to derive the moments from")
@@ -39,9 +40,8 @@ def derive_moments(job: Job) -> Iterator[YXPoly]:
     if root is None:
         raise ValueError(f"loop {beta} has no non-self-loop edge to root at")
     table = expand_action(job.quiver, job.action)
-    m = [YXPoly.one(), YXPoly.y()]
-    yield from m
-    for n in count(1):
+
+    def solvable(n: int) -> tuple[int, MomentEquation, int]:
         where = f"the large-N loop equation for ({beta})^{n} at root {root}"
         eq = generate_loop_equation(job.quiver, table, beta**n, root, mode="large")
         try:
@@ -54,25 +54,38 @@ def derive_moments(job: Job) -> Iterator[YXPoly]:
             raise ValueError(f"{where} has highest moment m_{highest} where m_{n + 1} is expected")
         if n + 1 in paired:
             raise ValueError(f"{where} has m_{n + 1} on its double-trace side")
-        # m_{n+1} comes only from beta spliced at its one root step, so coeff
+        # m_{n+1} comes only from beta spliced at its one root step, so the sign
         # is +1 or -1, its own inverse: a matching splice keeps its plaquette
         # whole, so the checks above leave only beta and its reverse at the root
-        coeff = sum(mult for mult, _, k in meq.rhs if abs(k) == n + 1)
-        # with m_{n+1} = 0, lhs - rhs is the rest that coeff * x * m_{n+1} must equal
-        m.append(YXPoly.zero())
-        rest = meq.residual_polynomial(lambda k: m[abs(k)], lambda p: YXPoly.x()) * YXPoly.inv_x()
-        m[-1] = rest * coeff
-        yield m[-1]
+        return n + 1, meq, sum(mult for mult, _, k in meq.rhs if abs(k) == n + 1)
+
+    return solvable
 
 
-_TRIANGLE, _MOMENTS = derive_moments(triangle_job()), []
+def _fold(m, x, equations: Iterable[tuple[int, MomentEquation, int]]) -> None:
+    """Solve each ``(k, meq, sign)`` for ``m[k]``, in the arithmetic of ``m`` and ``x``."""
+    for k, meq, sign in equations:
+        # with m_k = 0, lhs - rhs is the rest that sign * x * m_k must equal
+        rest = meq.residual_polynomial(lambda j: m[abs(j)] if abs(j) < k else 0, lambda p: x)
+        rest /= x
+        m[k] = rest if sign > 0 else -rest
+
+
+def derive_moments(job: Job) -> Iterator[YXPoly]:
+    """Yield m_0, m_1, ... of the job's first loop: its :func:`_equations` solved exactly."""
+    m, solvable = {0: YXPoly.one(), 1: YXPoly.y()}, _equations(job)
+    for n in count():
+        _fold(m, YXPoly.x(), map(solvable, range(len(m) - 1, n)))
+        yield m[n]
+
+
+_TRIANGLE, _MOMENTS = cache(_equations(triangle_job())), {0: YXPoly.one(), 1: YXPoly.y()}
 
 
 def moment(n: int) -> YXPoly:
     """Exact m_n(x, y) of the triangle job (loop e1+ e2+ e3+ at e1); memoized.  m_{-n} = m_n."""
     n = abs(int(n))
-    while len(_MOMENTS) <= n:
-        _MOMENTS.append(next(_TRIANGLE))
+    _fold(_MOMENTS, YXPoly.x(), map(_TRIANGLE, range(len(_MOMENTS) - 1, n)))
     return _MOMENTS[n]
 
 
@@ -214,10 +227,10 @@ def _verdicts(X: np.ndarray, Y: np.ndarray, order: int, tol: float) -> tuple[np.
     """First order whose minor drops below -tol or is not finite (0 if none),
     and whether that minor is not finite, at couplings ``X``, ``Y``: the
     cells of two equal-length vectors, or one point as two scalars."""
-    mvals = np.empty(np.shape(X) + (order,))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x^b = 0 divides to inf
-        for k in range(order):
-            mvals[..., k] = moment(k).evaluate_grid(X, Y)
+    mvals = np.empty(np.shape(X) + (max(order, 2),))
+    mvals.T[0], mvals.T[1] = 1.0, Y  # .T[k] is a view of m_k at every cell
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a tiny x overflows
+        _fold(mvals.T, X, map(_TRIANGLE, range(1, order - 1)))
     minors = leading_minors(mvals, order)
     lost = ~np.isfinite(minors)
     bad = (minors < -tol) | lost

@@ -164,6 +164,9 @@ def _cmd_loopeq(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     _check_grid(args, ("xres", "yres"), (("xmin", "xmax"), ("ymin", "ymax")))
+    xs = np.linspace(args.xmin, args.xmax, args.xres)
+    ys = np.linspace(args.ymin, args.ymax, args.yres)
+    bs._check_scan_args(xs, ys, args.max_order, args.tol)  # so a bad order is not blamed on the job
     job = load_job(args.job)
     try:
         derived = list(islice(bs.derive_moments(job), args.max_order))
@@ -174,8 +177,6 @@ def _cmd_bootstrap(args) -> int:
         raise JobError(
             f"the job's moments are not the triangle moment recursion the scan uses: {reason}"
         )
-    xs = np.linspace(args.xmin, args.xmax, args.xres)
-    ys = np.linspace(args.ymin, args.ymax, args.yres)
     fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol)
     fmap.to_csv(args.out)
     if args.svg:

@@ -37,10 +37,6 @@ class YXPoly:
         """The coupling itself: y^0 * x^(+1)."""
         return cls(((0, -1, 1),))
 
-    @classmethod
-    def inv_x(cls) -> "YXPoly":
-        return cls(((0, 1, 1),))
-
     def _dict(self) -> dict[tuple[int, int], int]:
         return {(a, b): c for a, b, c in self.terms}
 
@@ -70,12 +66,17 @@ class YXPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "YXPoly") -> "YXPoly":
+        if other != YXPoly.x():  # the one divisor the moment recursion takes
+            raise ValueError(f"a YXPoly divides only by x, not by {other}")
+        return YXPoly(tuple((a, b + 1, c) for a, b, c in self.terms))
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def evaluate(self, x: float | np.ndarray, y: float | np.ndarray) -> float | np.ndarray:
-        """At floats or arrays, in one order of float operations: points and grid cells agree."""
+        """At floats or arrays, in one order of float operations; a reference, not the scan."""
         out = 0.0 if np.isscalar(x) and np.isscalar(y) else np.zeros(np.broadcast(x, y).shape)
         ys, xs = [1.0], [1.0]
         for a, b, c in self.terms:

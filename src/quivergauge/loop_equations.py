@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from .action import PlaquetteTable
-from .laurent import YXPoly
 from .quiver import (
     CyclicWord,
     EdgeWord,
@@ -122,11 +121,11 @@ class MomentEquation:
 
     def residual_polynomial(
         self,
-        moment_fn: Callable[[int], YXPoly],
-        coupling_fn: Callable[[CyclicWord], YXPoly],
-    ) -> YXPoly:
-        """lhs - rhs after substituting symbolic moments and couplings."""
-        acc = YXPoly.zero()
+        moment_fn: Callable[[int], Any],
+        coupling_fn: Callable[[CyclicWord], Any],
+    ) -> Any:
+        """lhs - rhs in the arithmetic, exact or float, of the moments and couplings."""
+        acc = moment_fn(0) * 0
         for c, i, j in self.lhs:
             acc = acc + moment_fn(i) * moment_fn(j) * c
         for mult, plaq, k in self.rhs:

@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -75,17 +76,48 @@ class TestMoments:
             s = YXPoly.zero()
             for l in range(n):
                 s = s + moment(l) * moment(n - l)
-            assert moment(n + 1) - moment(n - 1) == s * YXPoly.inv_x()
+            assert moment(n + 1) - moment(n - 1) == s / YXPoly.x()
 
     def test_reversed_loop_derives_the_same_moments(self):
         # the reversed 3-cycle indexes the generator negatively; reality folds it back
         job = replace(triangle_job(), loops=[EdgeWord.from_string("e3- e2- e1-")])
         assert list(islice(derive_moments(job), 10)) == [moment(k) for k in range(10)]
 
+    @pytest.mark.parametrize(
+        "x, y", [(1.0, -0.75), (2.0, -0.875), (-0.3, 0.3), (0.3, -0.3)],
+        ids=["gapped_1", "gapped_2", "ungapped_neg", "ungapped_pos"],
+    )
+    def test_float_moments_match_exact_ones(self, x, y):
+        # m_0 .. m_30 at the float point, against Fractions; the bound is
+        # 1e-12, and the float fold meets it with no error at all, where the
+        # expanded polynomials are off by 5.8e-5 at x = 1 and 3.3e3 at x = -0.3
+        exact = exact_moments(Fraction(x), Fraction(y), 31)
+        for k, (got, want) in enumerate(zip(float_moments(x, y, 31), exact)):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**12), k
+
     def test_dump_table_shape(self):
         table = dump_moment_table(3)
         assert [row["n"] for row in table] == [0, 1, 2, 3]
         assert table[2]["terms"] == [{"c": 1, "a": 0, "b": 0}, {"c": 1, "a": 1, "b": 1}]
+
+
+def exact_moments(x: Fraction, y: Fraction, order: int) -> list[Fraction]:
+    """m_0 .. m_{order-1}, order >= 2, of the triangle in Fractions, by its recursion
+    m_{n+1} = m_{n-1} + (1/x) sum_{l<n} m_l m_{n-l}."""
+    m = [Fraction(1), y]
+    for n in range(1, order - 1):
+        m.append(m[n - 1] + sum(m[l] * m[n - l] for l in range(n)) / x)
+    return m
+
+
+def float_moments(x, y, order: int) -> np.ndarray:
+    """m_0 .. m_{order-1}, order >= 2, from the scan's float fold at the couplings
+    x, y: two floats, or two equal-length vectors laid out as a scan slice."""
+    mvals = np.empty(np.shape(x) + (order,))
+    m = mvals.T
+    m[0], m[1] = 1.0, y
+    bootstrap._fold(m, x, map(bootstrap._TRIANGLE, range(1, order - 1)))
+    return mvals
 
 
 class TestMomentMatrix:
@@ -217,12 +249,10 @@ class TestLargeNSolution:
     def test_feasible_through_order_15(self, x):
         assert feasible(x, gww_large_n(x), 15) == (True, None)
 
-    # float64 moments lose digits and an absolute tol meets minors that
-    # shrink geometrically: the exact answer is ruled out, first at orders
-    # 16, 24 and 29, without a flag
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the scan rules the large-N solution out past order 15")
-    @pytest.mark.parametrize("x", [0.05, 0.2, 0.4])
+    # the expanded polynomials lost digits here and ruled the exact answer
+    # out at orders 16, 24 and 29; |x| > 1/2 is left out, where the absolute
+    # tol hides the sign of minors that shrink geometrically
+    @pytest.mark.parametrize("x", [0.05, -0.05, 0.2, -0.2, 0.4, -0.4])
     def test_feasible_through_order_30(self, x):
         assert feasible(x, gww_large_n(x), 30) == (True, None)
 
@@ -299,21 +329,22 @@ class TestScanRegion:
         # first failing order
         xs, ys = default_grid()
         fmap = scan_region(xs, ys, order)
-        grid = [moment(k).evaluate_grid(xs[:, None], ys[None, :]) for k in range(order)]
+        X, Y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cells = float_moments(X, Y, order).reshape(len(xs), len(ys), order)
         first_failing = fmap.first_failing
         for i in range(0, len(xs), 6):
             for j in range(0, len(ys), 6):
                 x, y = float(xs[i]), float(ys[j])
-                point = np.array([moment(k).evaluate(x, y) for k in range(order)])
-                cell = np.array([g[i, j] for g in grid])
-                np.testing.assert_array_equal(point.view(np.uint64), cell.view(np.uint64))
+                point = float_moments(x, y, order)
+                np.testing.assert_array_equal(point.view(np.uint64), cells[i, j].view(np.uint64))
                 _, first = feasible(x, y, order)
                 assert (first or 0) == first_failing[i, j], (x, y)
 
     @pytest.mark.parametrize("x, y, order", [(1e-25, 0.1, 15), (-1e-25, 0.1, 15), (1e-200, 0.0, 7)])
     def test_feasible_gives_the_scan_verdict_where_a_power_underflows(self, x, y, order):
-        # x^b underflows to 0, so a term y^a / x^b is inf: a point must fail
-        # where the scan's cell does, not raise
+        # each division by x multiplies the moments by 1/|x|, so they overflow
+        # to inf: a point must fail where the scan's cell does, not raise
         fmap = scan_region(np.array([x]), np.array([y]), order)
         assert feasible(x, y, order) == (False, int(fmap.first_failing[0, 0]))
 
@@ -360,7 +391,8 @@ class TestStagedScan:
         np.testing.assert_array_equal(fmap.overflow, overflow)
 
     def test_overflowing_moments_are_flagged(self):
-        # at |x| = 1e-200, y / x**2 in m_3 overflows, so minor 3 is -inf
+        # at |x| = 1e-200, m_2 = (y + x) / x is 2.5e199 or more, so minor 3,
+        # which holds -m_2**2, is -inf
         xs = np.array([-1e-200, 0.0, 1e-200, 0.5])
         ys = np.array([-0.5, -0.25, 0.25, 0.5])
         fmap = scan_region(xs, ys, 5)
@@ -368,7 +400,7 @@ class TestStagedScan:
         assert fmap.overflow.tolist() == [[True] * 4, [False] * 4, [True] * 4, [False] * 4]
 
     def test_nan_moments_fail_the_cell(self):
-        # at y = 0, m_3 = 1/x + y/x**2 is 0 * inf = NaN, so minor 4 is not a number
+        # at y = 0, m_2 = 1 and m_3 = 1/x = 1e200, so minor 4 is not finite
         fmap = scan_region(np.array([1e-200]), np.array([0.0]), 5)
         assert (fmap.first_failing[0, 0], fmap.overflow[0, 0]) == (4, True)
 

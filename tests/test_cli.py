@@ -226,6 +226,8 @@ class TestBootstrap:
             (["--tol", "nan"], "tol must be >= 0"),
             (["--tol", "inf"], "tol must be >= 0"),
             (["--max-order", "0"], "max_order must be >= 1"),
+            # checked before the job's moments, which islice would refuse first
+            (["--max-order", "-3"], "max_order must be >= 1"),
             (["--xres", "0"], "xres must be >= 1"),
             (["--xres", "-1"], "xres must be >= 1"),
             (["--yres", "0"], "yres must be >= 1"),
@@ -236,7 +238,7 @@ class TestBootstrap:
             (["--ymax", "inf"], "ymax must be finite"),
             (["--ymin=-1e308", "--ymax", "1e308"], "ymax - ymin must be finite"),
         ],
-        ids=["negative_tol", "nan_tol", "inf_tol", "zero_order",
+        ids=["negative_tol", "nan_tol", "inf_tol", "zero_order", "negative_order",
              "zero_xres", "negative_xres", "zero_yres", "negative_yres",
              "inf_xmax", "inf_xmin", "nan_ymin", "inf_ymax", "overflowing_y_window"],
     )

@@ -89,7 +89,7 @@ def default_grid_digests():
     return dict(reversed(line.split("  ")) for line in lines)
 
 
-@pytest.mark.parametrize("order", [7, 15])
+@pytest.mark.parametrize("order", [7, 15, 30])
 def test_default_grid_scan_matches_golden_digests(capsys, tmp_path, order):
     # 90,000 cells span many scan slices, so these files cross the slice seams
     csv = tmp_path / f"bootstrap_triangle_order{order}.csv"

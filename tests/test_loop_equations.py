@@ -314,7 +314,7 @@ class TestFactorizeLargeN:
         eq = generate_loop_equation(triangle_quiver, tri_table, ZETA, "e1", mode="large")
         meq = factorize_large_N(eq)
         m2_from_relation = (
-            qg.moment(0) * qg.moment(1) * YXPoly.inv_x() + qg.moment(0)
+            qg.moment(0) * qg.moment(1) / YXPoly.x() + qg.moment(0)
         )
         assert m2_from_relation == qg.moment(2)
         residual = meq.residual_polynomial(
