@@ -13,9 +13,10 @@ region; scanning leading principal minors over a grid reproduces it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import count, groupby
+from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -71,12 +72,14 @@ def _fold(m, x, equations: Iterable[tuple[int, MomentEquation, int]]) -> None:
         m[k] = rest if sign > 0 else -rest
 
 
-def derive_moments(job: Job) -> Iterator[YXPoly]:
-    """Yield m_0, m_1, ... of the job's first loop: its :func:`_equations` solved exactly."""
-    m, solvable = {0: YXPoly.one(), 1: YXPoly.y()}, _equations(job)
-    for n in count():
-        _fold(m, YXPoly.x(), map(solvable, range(len(m) - 1, n)))
-        yield m[n]
+def _fold_key(k: int, meq: MomentEquation, sign: int) -> tuple[int, Counter]:
+    """What :func:`_fold` reads of an equation: k, and its terms times sign by absolute index."""
+    terms = Counter()
+    for c, i, j in meq.lhs:
+        terms[tuple(sorted((abs(i), abs(j))))] += sign * c
+    for mult, _, j in meq.rhs:
+        terms[abs(j),] += sign * mult
+    return k, terms
 
 
 _TRIANGLE, _MOMENTS = cache(_equations(triangle_job())), {0: YXPoly.one(), 1: YXPoly.y()}

@@ -2,7 +2,6 @@ import csv
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from quivergauge import bootstrap
 from quivergauge.bootstrap import (
     default_grid,
-    derive_moments,
     dump_moment_table,
     feasible,
     leading_minors,
@@ -78,10 +76,19 @@ class TestMoments:
                 s = s + moment(l) * moment(n - l)
             assert moment(n + 1) - moment(n - 1) == s / YXPoly.x()
 
-    def test_reversed_loop_derives_the_same_moments(self):
-        # the reversed 3-cycle indexes the generator negatively; reality folds it back
+    def test_fold_key_accepts_the_reversed_loop_and_no_changed_term(self):
+        # the reversed 3-cycle gives the triangle's equations negated, at negative
+        # indices: only the absolute indices times the sign make the keys equal
         job = replace(triangle_job(), loops=[EdgeWord.from_string("e3- e2- e1-")])
-        assert list(islice(derive_moments(job), 10)) == [moment(k) for k in range(10)]
+        reversed_loop, key = bootstrap._equations(job), bootstrap._fold_key
+        for n in range(1, 29):
+            k, meq, sign = bootstrap._TRIANGLE(n)
+            assert key(*reversed_loop(n)) == key(k, meq, sign), n
+            # one lhs coefficient or one rhs multiplicity off by 1
+            for t in range(len(meq.lhs)):
+                assert key(k, replace(meq, lhs=bumped(meq.lhs, t)), sign) != key(k, meq, sign), (n, t)
+            for t in range(len(meq.rhs)):
+                assert key(k, replace(meq, rhs=bumped(meq.rhs, t)), sign) != key(k, meq, sign), (n, t)
 
     @pytest.mark.parametrize(
         "x, y", [(1.0, -0.75), (2.0, -0.875), (-0.3, 0.3), (0.3, -0.3)],
@@ -99,6 +106,11 @@ class TestMoments:
         table = dump_moment_table(3)
         assert [row["n"] for row in table] == [0, 1, 2, 3]
         assert table[2]["terms"] == [{"c": 1, "a": 0, "b": 0}, {"c": 1, "a": 1, "b": 1}]
+
+
+def bumped(terms: tuple, t: int) -> tuple:
+    """``terms`` with the coefficient or multiplicity of term t raised by 1."""
+    return terms[:t] + ((terms[t][0] + 1, *terms[t][1:]),) + terms[t + 1 :]
 
 
 def exact_moments(x: Fraction, y: Fraction, order: int) -> list[Fraction]:
@@ -479,8 +491,8 @@ class TestBlockBudget:
 def test_scan_memory_is_bounded_by_the_map(n):
     # beside the returned arrays, a scan holds one slice of cells at a time
     xs, ys = np.linspace(-3, 3, n), np.linspace(-1.2, 1.2, n)
-    for k in range(15):
-        moment(k)  # memoized outside the measurement
+    for k in range(1, 14):
+        bootstrap._TRIANGLE(k)  # the equations an order-15 scan folds, memoized outside the measurement
     tracemalloc.start()
     try:
         fmap = scan_region(xs, ys, 15)

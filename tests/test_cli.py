@@ -189,6 +189,18 @@ class TestBootstrap:
         assert not out.exists()
 
     def test_triangle_job_matches_builtin(self, tmp_path):
+        # the reversed loop gives the triangle's equations negated, at negative indices
+        with open(TRIANGLE) as fh:
+            triangle = json.load(fh)
+        reversed_loop = tmp_path / "reversed.json"
+        reversed_loop.write_text(json.dumps({**triangle, "loops": ["e3- e2- e1-"]}))
+        # other vertex and edge names, the edges declared in another order
+        relabelled = tmp_path / "relabelled.json"
+        relabelled.write_text(json.dumps({
+            **single_block_job(["a", "b", "c"], [("r", "c", "a"), ("p", "a", "b"), ("q", "b", "c")]),
+            "action": triangle["action"],
+            "loops": ["q+ r+ p+"],
+        }))
         # a 4-cycle with only a quartic coupling has the triangle's loop equations
         square = tmp_path / "square.json"
         verts = ["v1", "v2", "v3", "v4"]
@@ -207,7 +219,7 @@ class TestBootstrap:
         grid = ["--max-order", "7", "--xres", "9", "--yres", "11"]
         b = tmp_path / "builtin.csv"
         assert run(["bootstrap", "builtin:triangle", *grid, "--out", str(b)]) == 0
-        for job in (TRIANGLE, str(square)):
+        for job in (TRIANGLE, str(reversed_loop), str(relabelled), str(square)):
             a = tmp_path / "job.csv"
             assert run(["bootstrap", job, *grid, "--out", str(a)]) == 0
             assert a.read_bytes() == b.read_bytes()
@@ -226,7 +238,8 @@ class TestBootstrap:
             (["--tol", "nan"], "tol must be >= 0"),
             (["--tol", "inf"], "tol must be >= 0"),
             (["--max-order", "0"], "max_order must be >= 1"),
-            # checked before the job's moments, which islice would refuse first
+            # checked before the job: below order 3 no equation is compared, but a
+            # job without a loop would still be refused ahead of the scan
             (["--max-order", "-3"], "max_order must be >= 1"),
             (["--xres", "0"], "xres must be >= 1"),
             (["--xres", "-1"], "xres must be >= 1"),
