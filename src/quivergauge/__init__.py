@@ -23,7 +23,7 @@ from .loop_equations import (
     generate_loop_equation,
 )
 from .haar import DiracSample, KeyedSampler
-from .monte_carlo import EstimatorResult, ResidualResult, check_loop_equation, estimate_wilson
+from .monte_carlo import EstimatorResult, check_loop_equation, estimate_wilson
 from .quiver import (
     CyclicWord,
     EdgeWord,
@@ -53,7 +53,6 @@ __all__ = [
     "PlaquetteTable",
     "Quiver",
     "QuiverError",
-    "ResidualResult",
     "YXPoly",
     "bessel_i",
     "check_loop_equation",

@@ -10,6 +10,7 @@ reweighting's evaluator.  The chains go round-robin to the workers of
 :mod:`~quivergauge.forked`; every result is bit-identical for any batch size
 or worker count.  Each chain tunes its own steps in burn-in, up to pi; the
 error comes from batch means inside each chain, with the R-hat across them.
+An action whose differences could overflow a float is refused by the caller.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import forked
 from .action import PlaquetteTable, TracePlan, weighted_sum
 from .bratteli import BratteliNetwork, gauge_tree
 from .haar import _ginibre, _haar_from_ginibre
-from .monte_carlo import _CHUNK_ENTRIES, _OVERFLOW, EstimatorResult, _evaluate, _gauge_fixed
+from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _evaluate, _gauge_fixed
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
@@ -142,11 +143,11 @@ class _Chains:
 
     def run(self, sweeps: int, thin: int = 0) -> tuple[dict, np.ndarray]:
         """Make ``sweeps`` sweeps at the current step sizes, preparing proposals
-        for as many whole sweeps at a time as about ``_CHUNK_ENTRIES``
-        complex entries of draws hold, at least one.  Returns each site's
+        for as many whole sweeps at a time as about ``_CHUNK_ENTRIES`` complex
+        entries of this copy's draws hold, at least one.  Returns each site's
         accepted proposals per chain and each polynomial on the chains at
         the end of every ``thin``-th sweep, (len(terms), count, sweeps // thin)."""
-        entries = _CHAINS * sum(self.copies[b][0] ** 2 for b in self.sweep)  # per sweep
+        entries = self.count * sum(self.copies[b][0] ** 2 for b in self.sweep)  # per sweep
         dim, batch = self.dim, max(1, _CHUNK_ENTRIES // max(entries, 1))  # sweeps per batch
         accepted = dict.fromkeys(self.sites, 0)
         values = np.empty((len(self.terms), self.count, sweeps // thin if thin else 0), complex)
@@ -217,11 +218,6 @@ def estimate(
     n_batches = max(10, min(50, samples // 20))
     if samples < n_batches:
         raise ValueError(f"metropolis needs at least {n_batches} samples for its batch means")
-    # |Re Tr U| <= N, so no proposal moves N S by more than 2 N^2 sum |weight|:
-    # where that is finite, no difference of actions is inf or NaN
-    (_, weights), _, _ = _gauge_fixed(gauge_tree(net), table, ())
-    if not math.isfinite(2 * net.dim**2 * sum(abs(g) for g in weights)):
-        raise OverflowError(_OVERFLOW)
     # chain c keeps the first counts[c] of its measurements, samples in all
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin

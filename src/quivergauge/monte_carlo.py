@@ -14,6 +14,10 @@ and evaluates them by :func:`_evaluate`.  ``estimate_wilson`` and
   with batch-means errors and R-hat across the chains, in
   :mod:`~quivergauge.metropolis`, which is imported on first use.
 
+Both return an :class:`EstimatorResult`, whose ``residual`` names a loop
+equation's lhs - rhs, and both refuse, before any draw, an action whose log
+weights could leave the float range (:func:`_check_weighable`).
+
 Every configuration is in the maximal-tree gauge: the edges of
 :func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
 word's trace by Haar invariance, so only the other edges are drawn and the
@@ -38,6 +42,7 @@ it serially in the caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +50,7 @@ import numpy as np
 
 from . import forked
 from .action import PlaquetteTable, TracePlan, action_plan, gauge_fixed_table, weighted_sum
-from .bratteli import BratteliNetwork
+from .bratteli import BratteliNetwork, gauge_tree
 from .haar import KeyedSampler
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord, gauge_fixed_steps
@@ -61,7 +66,8 @@ _OVERFLOW = "log weights -N S overflow float arithmetic; weaken the coupling"
 
 @dataclass
 class EstimatorResult:
-    """Normalised Wilson-loop estimate E[(1/N) Tr hol beta].
+    """Estimate of a trace polynomial's Boltzmann-weighted expectation, a
+    Wilson loop's E[(1/N) Tr hol beta] or a loop equation's lhs - rhs.
 
     ``stderr`` is the error of the complex ``mean``, with stderr**2 =
     stderr_re**2 + stderr_im**2; ``stderr_re`` and ``stderr_im`` are the
@@ -79,20 +85,10 @@ class EstimatorResult:
     max_weight_share: float | None = None
     rhat: float | None = None
 
-
-@dataclass
-class ResidualResult:
-    """Loop-equation residual lhs - rhs with its statistical error, which
-    is that of the complex residual, and the health fields of its method,
-    as in :class:`EstimatorResult`."""
-
-    residual: complex
-    stderr: float
-    samples: int
-    effective_samples: float
-    max_weight_share: float | None = None
-    acceptance: float | None = None
-    rhat: float | None = None
+    @property
+    def residual(self) -> complex:
+        """The ``mean``, read as a loop equation's lhs - rhs."""
+        return self.mean
 
 
 def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, polys: Sequence[tuple]) -> tuple:
@@ -161,8 +157,7 @@ def _reweighted_traces(
             for s in range(a, stop, size):
                 b = min(s + size, stop)
                 t = plan.traces({e: u[s - a : b - a] for e, u in chunk.items()})
-                with np.errstate(over="ignore", invalid="ignore"):  # refused in the caller
-                    logs[s:b] = -dim * weighted_sum(weights, t)
+                logs[s:b] = -dim * weighted_sum(weights, t)
                 _evaluate(terms, t[len(action) :], dim, values[:, s:b])
 
     forked.run(fill, workers)
@@ -179,13 +174,9 @@ def _weighted_mean(
     part of v - mean alone; the effective sample size (sum w)^2/sum w^2; and
     the largest weight's share max(w)/sum(w).  Sums run over real arrays,
     real and imaginary parts apart, so a constant observable gives its value
-    and zero errors exactly.  Log weights that overflowed are refused.
+    and zero errors exactly.
     """
-    top = logs.max()
-    if not (math.isfinite(top) and math.isfinite(logs.min())):  # any NaN or inf
-        raise OverflowError(_OVERFLOW)
-    with np.errstate(over="ignore"):  # a spread beyond float range is a weight of 0
-        w = np.exp(logs - top)
+    w = np.exp(logs - logs.max())
     w_sum = w.sum()
     ess = float(w_sum * w_sum / (w * w).sum())
     if ess < _MIN_EFFECTIVE:
@@ -216,6 +207,15 @@ def _check_args(samples: int, seed: int, burnin: int, thin: int, method: str) ->
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if method not in ("reweight", "metropolis"):
         raise ValueError(f"unknown method {method!r}")
+
+
+def _check_weighable(net: BratteliNetwork, table: PlaquetteTable) -> None:
+    """Refuse an action that float arithmetic cannot weigh: |Re Tr U| <= N, so
+    no log weight -N S, spread of two or N times an action difference exceeds
+    2 N^2 sum |g| over the gauge-fixed table, here summed in exact fractions."""
+    couplings = gauge_fixed_table(table, gauge_tree(net)).entries.values()
+    if 2 * net.dim**2 * sum(abs(g) for g in couplings) > sys.float_info.max:
+        raise OverflowError(_OVERFLOW)
 
 
 def _estimate(
@@ -252,6 +252,7 @@ def estimate_wilson(
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
     _check_args(samples, seed, burnin, thin, method)
+    _check_weighable(net, table)
     return _estimate(net, table, beta.steps, samples, seed, method, burnin, thin)
 
 
@@ -264,16 +265,16 @@ def check_loop_equation(
     method: str = "reweight",
     burnin: int = 1000,
     thin: int = 10,
-) -> ResidualResult:
-    """Estimate lhs - rhs of a finite-N loop equation, one polynomial in
-    the traces of one sample stream; correlated terms cancel most of the
-    variance."""
+) -> EstimatorResult:
+    """Estimate lhs - rhs of a finite-N loop equation, read as the result's
+    ``residual``: one polynomial in the traces of one sample stream;
+    correlated terms cancel most of the variance."""
     if eq.mode != "finite":
         raise ValueError("finite-N mode equation required")
     _check_args(samples, seed, burnin, thin, method)
+    _check_weighable(net, table)
     if not eq.lhs and not eq.rhs:
         # both sides structurally empty; nothing to estimate
-        return ResidualResult(residual=0.0, stderr=0.0, samples=0, effective_samples=0.0)
-    est = _estimate(net, table, eq.polynomial(table), samples, seed, method, burnin, thin)
-    return ResidualResult(est.mean, est.stderr, samples, est.effective_samples,
-                          est.max_weight_share, est.acceptance, est.rhat)
+        return EstimatorResult(mean=0j, stderr=0.0, stderr_re=0.0, stderr_im=0.0, samples=0,
+                               effective_samples=0.0, method=method)
+    return _estimate(net, table, eq.polynomial(table), samples, seed, method, burnin, thin)

@@ -467,17 +467,19 @@ class TestMc:
         ids=["mean", "check", "metropolis"],
     )
     def test_overflowing_log_weights_exit_1(self, tmp_path, capsys, check):
+        # 10^400 is beyond a float itself: refused by the same rule, not by its conversion
         data = json.loads(Path(TRIANGLE).read_text())
-        data["action"]["f"] = [0, 0, 0, str(10**307)]
         p, out = tmp_path / "job.json", tmp_path / "mc.json"
-        p.write_text(json.dumps(data))
-        code = run(["mc", str(p), "--loop", "e1+ e2+ e3+", "--samples", "2000", "--seed", "1",
-                    "--out", str(out)] + check)
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: log weights -N S overflow float arithmetic; weaken the coupling\n"
-        )
-        assert not out.exists()
+        for f3 in (10**307, 10**400):
+            data["action"]["f"] = [0, 0, 0, str(f3)]
+            p.write_text(json.dumps(data))
+            code = run(["mc", str(p), "--loop", "e1+ e2+ e3+", "--samples", "2000", "--seed", "1",
+                        "--out", str(out)] + check)
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: log weights -N S overflow float arithmetic; weaken the coupling\n"
+            )
+            assert not out.exists()
 
     def test_metropolis_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -586,36 +586,45 @@ def test_metropolis_refuses_a_high_rate_while_a_step_can_grow():
 
 
 @pytest.mark.parametrize("check", [False, True], ids=["estimate", "check_eq"])
-def test_overflowing_log_weights_are_refused(tri3, check):
-    # f3 = 10^307 makes -N S overflow to +-inf on some draws; their weights
-    # would turn the mean, the errors and the effective size into NaN
+def test_overflowing_log_weights_are_refused(tri3, monkeypatch, check):
+    # f3 = 10^307 puts 2 N^2 sum |g| beyond float range, where a log weight
+    # or a spread of two could overflow, and 10^400 is beyond a float
+    # itself: reweighting refuses them before any draw
     job, _ = tri3
-    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 10**307]))
-    with pytest.raises(OverflowError, match="log weights -N S overflow"):
-        if check:
-            eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
-            check_loop_equation(job.network, table, eq, samples=2000, seed=1)
-        else:
-            estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
+    monkeypatch.setattr(monte_carlo, "_reweighted_traces", None)  # never reached
+    for f3 in (10**307, 10**400):
+        table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, f3]))
+        with pytest.raises(OverflowError, match="log weights -N S overflow float arithmetic"):
+            if check:
+                eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
+                check_loop_equation(job.network, table, eq, samples=2000, seed=1)
+            else:
+                estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
 
 
 def test_metropolis_refuses_an_overflowing_action(tri3, monkeypatch):
-    # f3 = 10^307 puts 2 N^2 sum |weight| beyond float range: refused before
-    # any chain runs, where a proposal's action difference would overflow
+    # the same bound refuses both actions before any chain runs, where a
+    # proposal's action difference would overflow, for an estimate and a check
     job, _ = tri3
-    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 10**307]))
     monkeypatch.setattr(metropolis, "_run_chains", None)  # never reached
-    with pytest.raises(OverflowError, match="log weights -N S overflow float arithmetic"):
-        estimate_wilson(job.network, table, ZETA, samples=200, seed=1, method="metropolis",
-                        burnin=200, thin=1)
+    for f3 in (10**307, 10**400):
+        table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, f3]))
+        eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
+        with pytest.raises(OverflowError, match="log weights -N S overflow float arithmetic"):
+            estimate_wilson(job.network, table, ZETA, samples=200, seed=1, method="metropolis",
+                            burnin=200, thin=1)
+        with pytest.raises(OverflowError, match="log weights -N S overflow float arithmetic"):
+            check_loop_equation(job.network, table, eq, samples=200, seed=1,
+                                method="metropolis", burnin=200, thin=1)
 
 
 def test_log_weights_wider_than_float_range():
-    # at N = 4, -N S = -4.32e307 Re Tr U stays finite, but its spread over
-    # 2000 draws overflows: the lightest weigh 0, so the one heaviest draw is
-    # all the effective size there is
+    # at N = 4 and f3 = 10^300, 2 N^2 sum |g| = 1.92e302 is within float
+    # range, but the log weights of 2000 draws spread by 1.2e302: beside
+    # the one heaviest draw every other weighs 0, so it is all the effective
+    # size there is
     job = qg.triangle_job(dim=4)
-    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 18 * 10**305]))
+    table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 10**300]))
     with pytest.raises(RuntimeError, match="effective sample size 1.0 below"):
         estimate_wilson(job.network, table, ZETA, samples=2000, seed=1)
 
