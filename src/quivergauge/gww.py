@@ -58,9 +58,9 @@ def _levinson_pass(N: int, xs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def partition_function(N: int, x: float) -> float:
-    """det of the N x N Toeplitz matrix [I_{k-m}(-2 x N)]: the product of
-    its longdouble Levinson prediction errors."""
-    return float(np.prod(_levinson_pass(N, x)[0][:N]))
+    """det of the N x N Toeplitz matrix [I_{k-m}(-2 x N)]: the curve's Z at the
+    one coupling x (:func:`first_moment_curve`), inf where it overflows."""
+    return float(first_moment_curve(N, [x]).z[0])
 
 
 @dataclass

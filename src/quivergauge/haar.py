@@ -62,6 +62,11 @@ def _ginibre(u: np.ndarray) -> np.ndarray:
     return z
 
 
+def _philox(entropy: list[int]) -> np.random.Philox:
+    """Every keyed stream's bit generator: Philox at counter 0 keyed by SeedSequence(entropy)."""
+    return np.random.Philox(key=np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+
+
 @dataclass
 class DiracSample:
     """One gauge configuration: a block-diagonal unitary per edge."""
@@ -87,8 +92,7 @@ class KeyedSampler:
         self.sites = net.sites(self.tree)
         self._streams: dict[tuple[str, int], tuple] = {}
         for eid, ei, bi, _, _ in self.sites:
-            key = np.random.SeedSequence([int(seed), ei, bi]).generate_state(2, np.uint64)
-            bitgen = np.random.Philox(key=key)
+            bitgen = _philox([int(seed), ei, bi])
             # the fresh state at counter 0; a chunk rewrites only counter[0]
             self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
 

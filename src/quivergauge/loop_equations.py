@@ -66,9 +66,9 @@ class LoopEquation:
 
     def polynomial(self, table: PlaquetteTable) -> tuple:
         """lhs - rhs as terms (c, w1, w2 or None), c (1/N)Tr w1 (1/N)Tr w2 of
-        the words' steps, lhs first; rhs coefficients enter negated."""
+        the words' steps, lhs first; rhs coefficients enter negated, exact."""
         return tuple((t.coeff, t.words[0].steps, t.words[1].steps) for t in self.lhs) + tuple(
-            (-float(self.rhs_coefficient(table, t)), t.word.steps, None) for t in self.rhs
+            (-self.rhs_coefficient(table, t), t.word.steps, None) for t in self.rhs
         )
 
     def to_json_dict(self, table: PlaquetteTable) -> dict:

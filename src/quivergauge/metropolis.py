@@ -10,7 +10,8 @@ reweighting's evaluator.  The chains go round-robin to the workers of
 :mod:`~quivergauge.forked`; every result is bit-identical for any batch size
 or worker count.  Each chain tunes its own steps in burn-in, up to pi; the
 error comes from batch means inside each chain, with the R-hat across them.
-An action whose differences could overflow a float is refused by the caller.
+The caller's one set-up (:func:`~quivergauge.monte_carlo._gauge_fixed`) refuses
+an action whose differences could overflow a float; the workers build none.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import math
 import numpy as np
 
 from . import forked
-from .action import PlaquetteTable, TracePlan, weighted_sum
-from .bratteli import BratteliNetwork, gauge_tree
-from .haar import _ginibre, _haar_from_ginibre
-from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _evaluate, _gauge_fixed
+from .action import TracePlan, weighted_sum
+from .bratteli import BratteliNetwork
+from .haar import _ginibre, _haar_from_ginibre, _philox
+from .monte_carlo import _CHUNK_ENTRIES, EstimatorResult, _evaluate
 
 # independent Metropolis chains, stacked on a leading axis
 _CHAINS = 10
@@ -34,9 +35,7 @@ def _stream(seed: int, chain: int, edge: int, block: int) -> np.random.Generator
     (seed, chain, edge index, block) as
     :class:`~quivergauge.haar.KeyedSampler` keys its blocks; the tag 0x4D43
     sets the chains' keys apart from the sampler's."""
-    entropy = [int(seed), 0x4D43, chain, edge, block]
-    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(_philox([int(seed), 0x4D43, chain, edge, block]))
 
 
 def _rhat(chains: np.ndarray) -> float | None:
@@ -75,10 +74,11 @@ class _Chains:
     the same law as one on e3).  ``s`` is the batched ``weighted_sum`` of the
     gauge-fixed table: the action without its constant part, which cancels
     in every difference, run through the prebuilt plan ``action``.  The
-    sites are those of :meth:`BratteliNetwork.sites`, whose block sizes and
-    copy slices ``copies`` holds by (edge, block).  ``words`` are the
-    distinct words of the measured polynomials ``polys``, traced on
-    ``assignment`` by the one plan ``measure``; ``terms`` index them.
+    caller's ``setup`` (:func:`~quivergauge.monte_carlo._gauge_fixed`) gives
+    ``plan``, the sites, whose block sizes and copy slices ``copies`` holds
+    by (edge, block), and ``words``, the distinct words of the measured
+    polynomials, traced on ``assignment`` by the one plan ``measure``;
+    ``terms`` index them.
 
     A proposal on an n x n site is R = V diag(exp(i eps theta)) V^-1: V is
     Haar, and theta_k are independent normals of variance n, the mean
@@ -91,16 +91,12 @@ class _Chains:
     uniform.  A chain moves the same whichever chains share its copy.
     """
 
-    def __init__(
-        self, net: BratteliNetwork, table: PlaquetteTable, seed: int, polys=(), rows=slice(None)
-    ):
+    def __init__(self, net: BratteliNetwork, setup: tuple, seed: int, rows=slice(None)):
         self.dim = net.dim
-        tree = gauge_tree(net)
-        self.plan, self.words, self.terms = _gauge_fixed(tree, table, polys)
+        self.plan, self.words, self.terms, sites = setup
         self.action = TracePlan(self.plan[0], self.dim)
         self.measure = TracePlan(self.words, self.dim)
         self.rows, self.count = rows, len(range(_CHAINS)[rows])
-        sites = net.sites(tree)
         self.copies = {(eid, bi): (n, copies) for eid, _, bi, n, copies in sites}
         self.sites = list(self.copies)
         self.streams = {
@@ -175,10 +171,10 @@ class _Chains:
 
 
 def _run_chains(
-    net: BratteliNetwork, table: PlaquetteTable, poly: tuple, seed: int, burnin: int, sweeps: int,
-    thin: int,
+    net: BratteliNetwork, setup: tuple, seed: int, burnin: int, sweeps: int, thin: int
 ) -> tuple[np.ndarray, int, int]:
-    """Burn in, then measure the polynomial ``poly`` every ``thin`` of ``sweeps`` sweeps.
+    """Burn in, then measure the one polynomial of the caller's ``setup``
+    (:func:`~quivergauge.monte_carlo._gauge_fixed`) every ``thin`` of ``sweeps`` sweeps.
     Returns the measurements, (_CHAINS, sweeps // thin), and the proposals
     accepted and made after burn-in, whose rate tuning must leave in [5%, 95%].
     Worker p of :func:`forked.workers` runs chains p, p + workers, ... and
@@ -189,7 +185,7 @@ def _run_chains(
 
     def work(part: int) -> None:
         rows = slice(part, _CHAINS, workers)
-        chains = _Chains(net, table, seed, [poly], rows)
+        chains = _Chains(net, setup, seed, rows)
         chains.burn_in(burnin)
         tally[2, rows] = np.any([eps < math.pi for eps in chains.eps.values()], axis=0)
         accepted, (values[rows],) = chains.run(sweeps, thin)  # the one polynomial's series
@@ -208,12 +204,11 @@ def _run_chains(
 
 
 def estimate(
-    net: BratteliNetwork, table: PlaquetteTable, poly: tuple, samples: int, seed: int, burnin: int,
-    thin: int,
+    net: BratteliNetwork, setup: tuple, samples: int, seed: int, burnin: int, thin: int
 ) -> EstimatorResult:
-    """The Metropolis estimate of the polynomial ``poly`` in normalised
-    traces (:func:`~quivergauge.monte_carlo._gauge_fixed`), words' steps as in
-    the job's quiver: the body of either estimator's ``method="metropolis"``."""
+    """The Metropolis estimate of the one polynomial of the caller's ``setup``
+    (:func:`~quivergauge.monte_carlo._gauge_fixed`): the body of either
+    estimator's ``method="metropolis"``."""
     # batch means absorb residual autocorrelation; no batch spans two chains
     n_batches = max(10, min(50, samples // 20))
     if samples < n_batches:
@@ -221,7 +216,7 @@ def estimate(
     # chain c keeps the first counts[c] of its measurements, samples in all
     counts = [len(c) for c in np.array_split(range(samples), _CHAINS)]
     sweeps = counts[0] * thin
-    values, accepted, attempted = _run_chains(net, table, poly, seed, burnin, sweeps, thin)
+    values, accepted, attempted = _run_chains(net, setup, seed, burnin, sweeps, thin)
     # no off-tree block: nothing moves, as when every proposal is accepted
     rate = accepted / attempted if attempted else 1.0
     runs = [values[c, :m] for c, m in enumerate(counts)]

@@ -15,8 +15,9 @@ and evaluates them by :func:`_evaluate`.  ``estimate_wilson`` and
   :mod:`~quivergauge.metropolis`, which is imported on first use.
 
 Both return an :class:`EstimatorResult`, whose ``residual`` names a loop
-equation's lhs - rhs, and both refuse, before any draw, an action whose log
-weights could leave the float range (:func:`_check_weighable`).
+equation's lhs - rhs.  Each estimator call builds one set-up in the caller,
+before any draw or fork (:func:`_gauge_fixed`), which refuses an action whose
+log weights could leave the float range; forked workers build none.
 
 Every configuration is in the maximal-tree gauge: the edges of
 :func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
@@ -91,19 +92,23 @@ class EstimatorResult:
         return self.mean
 
 
-def _gauge_fixed(tree: Sequence[str], table: PlaquetteTable, polys: Sequence[tuple]) -> tuple:
-    """Either estimator's set-up where the ``tree`` edges carry 1
-    (:func:`~quivergauge.bratteli.gauge_tree`): the action plan of ``table``
-    and the distinct words of ``polys`` in order of appearance, rewritten
-    for that tree, and each polynomial's terms (c, w1, w2 or None) with its
-    words replaced by their rows in that list.  A bare word, whose steps
-    are pairs where terms are triples, stands for its normalised trace."""
-    terms = [p if p and len(p[0]) == 3 else ((1, p, None),) for p in polys]
-    words = list(dict.fromkeys(w for p in terms for _, a, b in p for w in (a, b) if w is not None))
+def _gauge_fixed(net: BratteliNetwork, table: PlaquetteTable, polys: Sequence[tuple]) -> tuple:
+    """Either estimator's one set-up, built in the caller before any draw or
+    fork, where the :func:`~quivergauge.bratteli.gauge_tree` edges carry 1:
+    the gauge-fixed ``table``'s action plan, the distinct words of ``polys``
+    in order of appearance rewritten for that tree, each polynomial's terms
+    (c, w1, w2 or None) with float c and word rows, and ``net.sites(tree)``.
+    It refuses an action float arithmetic cannot weigh: |Re Tr U| <= N, so no
+    log weight -N S, spread of two or N times an action difference exceeds
+    2 N^2 sum |g| over the gauge-fixed table, summed here in exact fractions."""
+    tree = gauge_tree(net)
+    fixed = gauge_fixed_table(table, tree)
+    if 2 * net.dim**2 * sum(abs(g) for g in fixed.entries.values()) > sys.float_info.max:
+        raise OverflowError(_OVERFLOW)
+    words = list(dict.fromkeys(w for p in polys for _, a, b in p for w in (a, b) if w is not None))
     row = {w: k for k, w in enumerate(words)} | {None: None}
-    plan = action_plan(gauge_fixed_table(table, tree))
-    terms = [[(c, row[a], row[b]) for c, a, b in p] for p in terms]
-    return plan, [gauge_fixed_steps(w, tree) for w in words], terms
+    terms = [[(float(c), row[a], row[b]) for c, a, b in p] for p in polys]
+    return action_plan(fixed), [gauge_fixed_steps(w, tree) for w in words], terms, net.sites(tree)
 
 
 def _evaluate(terms: list, raw: Sequence[np.ndarray], dim: int, out: np.ndarray) -> None:
@@ -121,13 +126,13 @@ def _evaluate(terms: list, raw: Sequence[np.ndarray], dim: int, out: np.ndarray)
 
 
 def _reweighted_traces(
-    net: BratteliNetwork, table: PlaquetteTable, polys: Sequence[tuple], samples: int, seed: int
+    net: BratteliNetwork, setup: tuple, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log weights -N S and the polynomials ``polys`` (:func:`_gauge_fixed`) on
-    keyed draws 0..samples-1.
+    """Log weights -N S and the polynomials of the set-up ``setup``
+    (:func:`_gauge_fixed`) on keyed draws 0..samples-1.
 
     Returns ``logs`` of shape (samples,) and ``values`` of shape
-    (len(polys), samples).  Each slice's values are formed where it is
+    (polynomials, samples).  Each slice's values are formed where it is
     traced, so only they are shared and read by the caller.  The constant
     part of S shifts every log weight equally and is left out.  The action
     and the distinct words are traced as rewritten in the sampler's
@@ -136,19 +141,19 @@ def _reweighted_traces(
     place, a trace slice at a time.
     """
     sampler = KeyedSampler(net, seed)
-    (action, weights), words, terms = _gauge_fixed(sampler.tree, table, polys)
+    (action, weights), words, terms, sites = setup
     dim = net.dim
     plan = TracePlan(action + words, dim)
     # traced in slices of dim x dim draws holding about _CHUNK_ENTRIES entries,
     # drawn in spans of whole slices whose off-tree blocks hold about four
     # times as many, since the Haar kernel's numpy calls are per column
     size = max(1, _CHUNK_ENTRIES // dim**2)
-    drawn = sum(n * n for _, _, _, n, _ in sampler.sites)
+    drawn = sum(n * n for _, _, _, n, _ in sites)
     span = size * max(1, 4 * _CHUNK_ENTRIES // (drawn * size)) if drawn else size
     starts = range(0, samples, span)
     workers = forked.workers(len(starts))
     logs = forked.shared_array((samples,), float)
-    values = forked.shared_array((len(polys), samples), complex)
+    values = forked.shared_array((len(terms), samples), complex)
 
     def fill(part: int) -> None:
         for a in starts[part::workers]:
@@ -209,28 +214,25 @@ def _check_args(samples: int, seed: int, burnin: int, thin: int, method: str) ->
         raise ValueError(f"unknown method {method!r}")
 
 
-def _check_weighable(net: BratteliNetwork, table: PlaquetteTable) -> None:
-    """Refuse an action that float arithmetic cannot weigh: |Re Tr U| <= N, so
-    no log weight -N S, spread of two or N times an action difference exceeds
-    2 N^2 sum |g| over the gauge-fixed table, here summed in exact fractions."""
-    couplings = gauge_fixed_table(table, gauge_tree(net)).entries.values()
-    if 2 * net.dim**2 * sum(abs(g) for g in couplings) > sys.float_info.max:
-        raise OverflowError(_OVERFLOW)
-
-
 def _estimate(
     net: BratteliNetwork, table: PlaquetteTable, poly: tuple, samples: int, seed: int,
     method: str, burnin: int, thin: int,
 ) -> EstimatorResult:
     """The one estimator body: the Boltzmann-weighted expectation of the
-    polynomial ``poly`` in normalised traces (:func:`_gauge_fixed`)."""
+    polynomial ``poly`` in normalised traces, set up once (:func:`_gauge_fixed`)
+    after the argument checks; one with no terms is 0, with nothing drawn."""
+    _check_args(samples, seed, burnin, thin, method)
+    setup = _gauge_fixed(net, table, [poly])
+    if not poly:
+        return EstimatorResult(mean=0j, stderr=0.0, stderr_re=0.0, stderr_im=0.0, samples=0,
+                               effective_samples=0.0, method=method)
     if method == "metropolis":
         # imported on first use, since it imports this module; runs that
         # only reweight never compile it
         from . import metropolis
 
-        return metropolis.estimate(net, table, poly, samples, seed, burnin, thin)
-    logs, values = _reweighted_traces(net, table, [poly], samples, seed)
+        return metropolis.estimate(net, setup, samples, seed, burnin, thin)
+    logs, values = _reweighted_traces(net, setup, samples, seed)
     mean, (stderr, stderr_re, stderr_im), ess, share = _weighted_mean(logs, values[0])
     return EstimatorResult(
         mean=mean, stderr=stderr, stderr_re=stderr_re, stderr_im=stderr_im, samples=samples,
@@ -251,9 +253,7 @@ def estimate_wilson(
     """Boltzmann-weighted expectation of the normalised traced holonomy."""
     if net.quiver.is_closed(beta) is False:
         raise ValueError(f"Wilson word {beta} is not closed")
-    _check_args(samples, seed, burnin, thin, method)
-    _check_weighable(net, table)
-    return _estimate(net, table, beta.steps, samples, seed, method, burnin, thin)
+    return _estimate(net, table, ((1, beta.steps, None),), samples, seed, method, burnin, thin)
 
 
 def check_loop_equation(
@@ -271,10 +271,4 @@ def check_loop_equation(
     correlated terms cancel most of the variance."""
     if eq.mode != "finite":
         raise ValueError("finite-N mode equation required")
-    _check_args(samples, seed, burnin, thin, method)
-    _check_weighable(net, table)
-    if not eq.lhs and not eq.rhs:
-        # both sides structurally empty; nothing to estimate
-        return EstimatorResult(mean=0j, stderr=0.0, stderr_re=0.0, stderr_im=0.0, samples=0,
-                               effective_samples=0.0, method=method)
     return _estimate(net, table, eq.polynomial(table), samples, seed, method, burnin, thin)

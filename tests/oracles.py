@@ -21,7 +21,6 @@ from quivergauge.bootstrap import moment
 from quivergauge.bratteli import BratteliNetwork, gauge_tree
 from quivergauge.haar import DiracSample, _ginibre, _haar_from_ginibre
 from quivergauge.metropolis import _CHAINS, _stream
-from quivergauge.monte_carlo import _gauge_fixed
 from quivergauge.quiver import _step_key
 from quivergauge.toeplitz import _toeplitz, leading_minors
 
@@ -179,13 +178,14 @@ def scan_first_failing(xs, ys, order: int, tol: float) -> tuple[np.ndarray, np.n
 class OneAtATimeChains:
     """All ``_CHAINS`` Metropolis chains making one proposal at a time: each
     chain reads the uniforms of one proposal, 2n^2 + 2n + 1 of them, from the
-    keyed stream of its (chain, site), then the chains are stacked."""
+    keyed stream of its (chain, site), then the chains are stacked.  The
+    estimators' ``setup`` gives the action plan and the rewritten words."""
 
-    def __init__(self, net: BratteliNetwork, table: PlaquetteTable, seed: int, words=()):
+    def __init__(self, net: BratteliNetwork, setup: tuple, seed: int):
         q = net.quiver
         self.dim = net.dim
         tree = gauge_tree(net)
-        self.plan, self.words, _ = _gauge_fixed(tree, table, words)
+        self.plan, self.words, _, _ = setup
         self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
         self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]
         self.streams = {
@@ -223,13 +223,15 @@ class OneAtATimeChains:
         return accept
 
 
-def metropolis_chains(net, table, word, seed, burnin, sweeps, thin):
+def metropolis_chains(net, setup, seed, burnin, sweeps, thin):
     """The Metropolis run one proposal at a time: ``burnin`` sweeps tuning
     each chain's step per block over 100-sweep windows, then ``sweeps``
-    sweeps measuring the normalised trace of ``word`` every ``thin``.
+    sweeps measuring every ``thin`` the normalised trace of the one word of
+    ``setup``, the set-up of a one-term polynomial (1, word, None).
     Returns the measurements (_CHAINS, sweeps // thin) and the proposals
     accepted and made after burn-in."""
-    chains = OneAtATimeChains(net, table, seed, [word])
+    chains = OneAtATimeChains(net, setup, seed)
+    assert setup[2] == [[(1.0, 0, None)]]
     (word,) = chains.words
     window = dict.fromkeys(chains.sites, 0)
     for sweep in range(burnin):

@@ -110,6 +110,14 @@ class TestPartitionFunction:
         zm = partition_function(n, -x)
         assert zm == pytest.approx(zp, rel=1e-10)
 
+    def test_overflow_is_inf_without_warnings(self):
+        # the curve's guarded pass at one coupling: Z overflows a float at
+        # N = 60, x = 3 and is inf, as the curve's z is, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert partition_function(60, 3.0) == np.inf
+            assert first_moment_curve(60, [3.0]).z[0] == np.inf
+
 
 class TestFirstMomentCurve:
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])

@@ -34,6 +34,11 @@ from oracles import (
 ZETA = EdgeWord.from_string("e1+ e2+ e3+")
 
 
+def trace_terms(*words):
+    """One-term polynomials: each word's normalised trace."""
+    return [((1, w, None),) for w in words]
+
+
 def one_block_sampler(n, seed):
     """Keyed sampler of a one-edge network whose edge carries one U(n) block;
     a self-loop, so that gauge fixing leaves it drawn."""
@@ -306,7 +311,8 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
         for workers in (1, 2, 3):
             monkeypatch.setattr(forked, "workers", lambda parts: workers)
-            runs.append(monte_carlo._reweighted_traces(job.network, table, words, samples, 3))
+            setup = monte_carlo._gauge_fixed(job.network, table, trace_terms(*words))
+            runs.append(monte_carlo._reweighted_traces(job.network, setup, samples, 3))
             assert os.sched_getaffinity(0) == mask  # only the children are pinned
     for logs, traces in runs[1:]:
         assert np.array_equal(logs, runs[0][0]) and np.array_equal(traces, runs[0][1])
@@ -314,9 +320,10 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     # a polynomial evaluated slice by slice in the workers is that row of the whole
     logs, traces = runs[0]
     poly = ((1, words[0], words[-1]), (-1, words[1], None))
+    setup = monte_carlo._gauge_fixed(job.network, table, [poly])
     for budget in (1, 7 * dim**2):
         monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", budget)
-        combined = monte_carlo._reweighted_traces(job.network, table, [poly], samples, 3)
+        combined = monte_carlo._reweighted_traces(job.network, setup, samples, 3)
         assert np.array_equal(combined[0], logs)
         assert np.array_equal(combined[1], [traces[0] * traces[-1] - traces[1]])
     # and each draw on its own, through the 2-D action sum and loop_trace of
@@ -355,7 +362,7 @@ def test_reweighting_draws_spans_of_trace_slices(monkeypatch):
     # those of one chunk and one slice for all draws
     job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
     table = expand_action(job.quiver, job.action)
-    words = [job.loops[0].steps, ()]
+    setup = monte_carlo._gauge_fixed(job.network, table, trace_terms(job.loops[0].steps, ()))
     samples, dim = 200, job.network.dim
     calls, sample_chunk = [], KeyedSampler.sample_chunk
 
@@ -365,12 +372,12 @@ def test_reweighting_draws_spans_of_trace_slices(monkeypatch):
 
     monkeypatch.setattr(KeyedSampler, "sample_chunk", counting)
     monkeypatch.setattr(forked, "workers", lambda parts: 1)  # every call made here
-    logs, traces = monte_carlo._reweighted_traces(job.network, table, words, samples, 3)
+    logs, traces = monte_carlo._reweighted_traces(job.network, setup, samples, 3)
     slices = -(-samples // (monte_carlo._CHUNK_ENTRIES // dim**2))
     assert 0 < len(calls) < slices
     calls.clear()
     monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRIES", samples * dim**2)
-    one = monte_carlo._reweighted_traces(job.network, table, words, samples, 3)
+    one = monte_carlo._reweighted_traces(job.network, setup, samples, 3)
     assert calls == [(0, samples)]
     assert np.array_equal(logs, one[0]) and np.array_equal(traces, one[1])
 
@@ -407,8 +414,9 @@ def test_failing_worker_raises_and_leaves_no_process(
 
     monkeypatch.setattr(KeyedSampler, "sample_chunk", failing)
     monkeypatch.setattr(forked, "workers", lambda parts: workers)
+    setup = monte_carlo._gauge_fixed(job.network, table, trace_terms(ZETA.steps))
     with pytest.raises(raised) as info:
-        monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 3 * chunk, 3)
+        monte_carlo._reweighted_traces(job.network, setup, 3 * chunk, 3)
     assert message in str(info.value)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -431,8 +439,9 @@ def test_failed_fork_reaps_started_children(monkeypatch):
 
     monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(forked, "workers", lambda parts: 2)
+    setup = monte_carlo._gauge_fixed(job.network, table, trace_terms(ZETA.steps))
     with pytest.raises(OSError, match="injected fork failure"):
-        monte_carlo._reweighted_traces(job.network, table, [ZETA.steps], 1000, 3)
+        monte_carlo._reweighted_traces(job.network, setup, 1000, 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -552,8 +561,9 @@ def test_metropolis_without_off_tree_blocks():
     assert est.acceptance == 1.0 and est.rhat is None
     # the 0-d traces of the all-tree words fill every chain's measurement of
     # every polynomial, not of one alone
-    steps = EdgeWord.from_string("u+ u-").steps
-    chains = metropolis._Chains(triangle_network(q, 2), table, 1, [steps, ((2, steps, steps),)])
+    steps, net = EdgeWord.from_string("u+ u-").steps, triangle_network(q, 2)
+    setup = monte_carlo._gauge_fixed(net, table, trace_terms(steps) + [((2, steps, steps),)])
+    chains = metropolis._Chains(net, setup, 1)
     accepted, values = chains.run(4, 2)
     assert accepted == {} and values.shape == (2, metropolis._CHAINS, 2)
     assert np.all(values == [[[1]], [[2]]])
@@ -618,6 +628,36 @@ def test_metropolis_refuses_an_overflowing_action(tri3, monkeypatch):
                                 method="metropolis", burnin=200, thin=1)
 
 
+@pytest.mark.parametrize("method", ["reweight", "metropolis"])
+@pytest.mark.parametrize("unforked", [True, False], ids=["one_worker", "default_workers"])
+def test_one_set_up_per_call_and_none_in_a_worker(tri3, monkeypatch, method, unforked):
+    # each estimator call gauge-fixes the action once, in the caller before
+    # any fork; a call from a forked worker would be counted in shared memory.
+    # 2000 draws are two reweighting spans at N = 3, so both methods fork
+    # on more than one CPU
+    job, table = tri3
+    eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
+    calls, fix = forked.shared_array((1,), np.int64), monte_carlo.gauge_fixed_table
+
+    def once(table, tree):
+        calls[0] += 1
+        if calls[0] > 1:
+            raise AssertionError("the action was gauge-fixed twice in one estimator call")
+        return fix(table, tree)
+
+    monkeypatch.setattr(monte_carlo, "gauge_fixed_table", once)
+    if unforked:
+        monkeypatch.setattr(forked, "workers", lambda parts: 1)
+    kwargs = dict(samples=2000, seed=1, method=method, burnin=100, thin=1)
+    for estimate in (
+        lambda: estimate_wilson(job.network, table, ZETA, **kwargs),
+        lambda: check_loop_equation(job.network, table, eq, **kwargs),
+    ):
+        calls[0] = 0
+        assert estimate().method == method
+        assert calls[0] == 1
+
+
 def test_log_weights_wider_than_float_range():
     # at N = 4 and f3 = 10^300, 2 N^2 sum |g| = 1.92e302 is within float
     # range, but the log weights of 2000 draws spread by 1.2e302: beside
@@ -642,7 +682,8 @@ def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
     job = qg.load_job(job_path)
     action = job.action if f4 is None else ActionSpec.from_list([0, 0, 0, 0, f4])
     table = expand_action(job.quiver, action)
-    args = (job.network, table, job.loops[0].steps, 11, 250, 36, 3)
+    setup = monte_carlo._gauge_fixed(job.network, table, trace_terms(job.loops[0].steps))
+    args = (job.network, setup, 11, 250, 36, 3)
 
     def estimate():
         return estimate_wilson(job.network, table, job.loops[0], samples=120, seed=11,
@@ -658,7 +699,7 @@ def test_metropolis_matches_one_proposal_at_a_time(monkeypatch, job_path, f4):
         m.setattr(metropolis, "_run_chains", one_at_a_time)
         expected = estimate()
     [(called, (values, accepted, made))] = oracle
-    assert called[0] is args[0] and called[1] is args[1] and called[2:] == args[2:]
+    assert called[0] is args[0] and called[1:] == args[1:]
     assert 0 < accepted < made and np.all(values != 0)
     mask = os.sched_getaffinity(0)
     for budget in (1, metropolis._CHUNK_ENTRIES, 10**9):
@@ -685,18 +726,20 @@ def test_chains_do_not_depend_on_what_they_measure(monkeypatch, job_path, root):
     table = expand_action(job.quiver, job.action)
     eq = qg.generate_loop_equation(job.quiver, table, job.loops[0], root, mode="finite")
     polys = [((1, job.loops[0].steps, None),), eq.polynomial(table)]
+    setup = monte_carlo._gauge_fixed(job.network, table, polys)
     seed, burnin, sweeps, thin = 11, 150, 12, 3
     for budget in (1, metropolis._CHUNK_ENTRIES, 10**9):
         monkeypatch.setattr(metropolis, "_CHUNK_ENTRIES", budget)
         for workers in (1, 2, 3):
             monkeypatch.setattr(forked, "workers", lambda parts: workers)
             alone, accepted, _ = metropolis._run_chains(
-                job.network, table, polys[0], seed, burnin, sweeps, thin
+                job.network, monte_carlo._gauge_fixed(job.network, table, polys[:1]), seed,
+                burnin, sweeps, thin
             )
             beside, total = np.empty_like(alone), 0
             for part in range(workers):
                 rows = slice(part, metropolis._CHAINS, workers)
-                chains = metropolis._Chains(job.network, table, seed, polys, rows)
+                chains = metropolis._Chains(job.network, setup, seed, rows)
                 chains.burn_in(burnin)
                 moved, (beside[rows], residuals) = chains.run(sweeps, thin)
                 total += sum(int(a.sum()) for a in moved.values())
@@ -737,6 +780,11 @@ def test_failing_metropolis_worker_raises_and_leaves_no_process(monkeypatch, cap
         assert "ValueError: injected failure" in capfd.readouterr().err
 
 
+def chain_setup(net, table):
+    """The set-up of chains that measure nothing."""
+    return monte_carlo._gauge_fixed(net, table, [])
+
+
 class TestChains:
     def test_rhat_of_iid_chains_is_one(self, rng):
         assert abs(metropolis._rhat(rng.standard_normal((10, 1000))) - 1) < 0.05
@@ -752,7 +800,7 @@ class TestChains:
     def test_triangle_moves_only_the_off_tree_block(self, tri3):
         # a sweep keeps the network's 3 proposals, all on e3
         job, table = tri3
-        chains = metropolis._Chains(job.network, table, seed=3)
+        chains = metropolis._Chains(job.network, chain_setup(job.network, table), seed=3)
         assert chains.sites == [("e3", 0)] and chains.sweep == [("e3", 0)] * 3
         assert set(chains.assignment) == {"e3"}
         assert chains.plan == ([(("e3", 1),)], [0.4])
@@ -761,7 +809,7 @@ class TestChains:
         # accepted and rejected chains mixed by np.where keep S equal to the state's
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         table = expand_action(job.quiver, job.action)
-        chains = metropolis._Chains(job.network, table, seed=3)
+        chains = metropolis._Chains(job.network, chain_setup(job.network, table), seed=3)
         for b in chains.sites:
             chains.eps[b][:] = 0.05  # small steps: some accepted, some rejected
         accepted = sum(int(a.sum()) for a in chains.run(10)[0].values())
@@ -774,7 +822,7 @@ class TestChains:
         # ov stays U(3)x4 + U(2)x2 and ow stays U(8)x2 in every chain
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
         table = expand_action(job.quiver, ActionSpec.from_list([0, 0, 0, 0, "1/2000"]))
-        chains = metropolis._Chains(job.network, table, seed=3)
+        chains = metropolis._Chains(job.network, chain_setup(job.network, table), seed=3)
         accepted = sum(int(a.sum()) for a in chains.run(5)[0].values())
         assert accepted > 0
         eye = np.eye(job.network.dim)
@@ -787,7 +835,8 @@ class TestChains:
         # R = V diag(exp(i eps theta)) V^-1 is unitary, and the same V with
         # -theta gives R^-1, so the walk proposes R and R^-1 alike
         job = qg.load_job(str(REPO / "jobs" / "two_site.json"))
-        chains = metropolis._Chains(job.network, expand_action(job.quiver, job.action), seed=3)
+        table = expand_action(job.quiver, job.action)
+        chains = metropolis._Chains(job.network, chain_setup(job.network, table), seed=3)
         prepared = chains._prepare(2)
         assert list(prepared) == chains.sites
         for b, proposals in prepared.items():
@@ -859,12 +908,20 @@ class TestCheckLoopEquation:
         assert res.effective_samples > 1000
         assert abs(res.residual) <= 5 * res.stderr
 
-    def test_structurally_empty_equation(self, two_site_quiver, two_site_network):
+    def test_structurally_empty_equation(self, monkeypatch, two_site_quiver, two_site_network):
+        # a polynomial with no terms is 0 with nothing drawn, by either method
+        monkeypatch.setattr(monte_carlo, "_reweighted_traces", None)  # never reached
+        monkeypatch.setattr(metropolis, "_run_chains", None)  # never reached
         table = expand_action(two_site_quiver, ActionSpec.from_list([0, 0, 1]))
         beta = EdgeWord.from_string("ow+ ow+")
         eq = qg.generate_loop_equation(two_site_quiver, table, beta, "e", mode="finite")
-        res = check_loop_equation(two_site_network, table, eq, samples=200, seed=1)
-        assert res.residual == 0.0 and res.stderr == 0.0
+        assert eq.polynomial(table) == ()
+        for method in ("reweight", "metropolis"):
+            res = check_loop_equation(two_site_network, table, eq, samples=200, seed=1,
+                                      method=method)
+            assert res.residual == 0.0 and res.stderr == 0.0
+            assert (res.stderr_re, res.stderr_im) == (0.0, 0.0)
+            assert (res.samples, res.effective_samples, res.method) == (0, 0.0, method)
 
     def test_flat_measure_residual(self, triangle_quiver):
         # zero action: every nontrivial Wilson loop vanishes and so does the residual
