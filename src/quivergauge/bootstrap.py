@@ -13,7 +13,6 @@ region; scanning leading principal minors over a grid reproduces it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
@@ -42,6 +41,7 @@ def _equations(job: Job) -> Callable[[int], tuple[int, MomentEquation, int]]:
         raise ValueError(f"loop {beta} has no non-self-loop edge to root at")
     table = expand_action(job.quiver, job.action)
 
+    @cache
     def solvable(n: int) -> tuple[int, MomentEquation, int]:
         where = f"the large-N loop equation for ({beta})^{n} at root {root}"
         eq = generate_loop_equation(job.quiver, table, beta**n, root, mode="large")
@@ -72,17 +72,7 @@ def _fold(m, x, equations: Iterable[tuple[int, MomentEquation, int]]) -> None:
         m[k] = rest if sign > 0 else -rest
 
 
-def _fold_key(k: int, meq: MomentEquation, sign: int) -> tuple[int, Counter]:
-    """What :func:`_fold` reads of an equation: k, and its terms times sign by absolute index."""
-    terms = Counter()
-    for c, i, j in meq.lhs:
-        terms[tuple(sorted((abs(i), abs(j))))] += sign * c
-    for mult, _, j in meq.rhs:
-        terms[abs(j),] += sign * mult
-    return k, terms
-
-
-_TRIANGLE, _MOMENTS = cache(_equations(triangle_job())), {0: YXPoly.one(), 1: YXPoly.y()}
+_TRIANGLE, _MOMENTS = _equations(triangle_job()), {0: YXPoly.one(), 1: YXPoly.y()}
 
 
 def moment(n: int) -> YXPoly:
@@ -113,7 +103,7 @@ def feasible(x: float, y: float, max_order: int, tol: float = 1e-10) -> tuple[bo
     if x == 0:
         raise ValueError("moments are singular at x = 0")
     _check_scan_args(x, y, max_order, tol)
-    first = int(_verdicts(np.float64(x), np.float64(y), max_order, tol)[0])
+    first = int(_verdicts(_TRIANGLE, np.float64(x), np.float64(y), max_order, tol)[0])
     return first == 0, first or None
 
 
@@ -226,14 +216,14 @@ def _pending(max_feasible: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
         yield cells
 
 
-def _verdicts(X: np.ndarray, Y: np.ndarray, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """First order whose minor drops below -tol or is not finite (0 if none),
-    and whether that minor is not finite, at couplings ``X``, ``Y``: the
-    cells of two equal-length vectors, or one point as two scalars."""
+def _verdicts(equations, X: np.ndarray, Y: np.ndarray, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First order whose minor drops below -tol or is not finite (0 if none), and whether
+    that minor is not finite, of the moments ``equations`` fix at couplings ``X``, ``Y``:
+    the cells of two equal-length vectors, or one point as two scalars."""
     mvals = np.empty(np.shape(X) + (max(order, 2),))
     mvals.T[0], mvals.T[1] = 1.0, Y  # .T[k] is a view of m_k at every cell
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a tiny x overflows
-        _fold(mvals.T, X, map(_TRIANGLE, range(1, order - 1)))
+        _fold(mvals.T, X, map(equations, range(1, order - 1)))
     minors = leading_minors(mvals, order)
     lost = ~np.isfinite(minors)
     bad = (minors < -tol) | lost
@@ -258,9 +248,16 @@ def scan_region(
     so beside the returned arrays memory is bounded by that slice, not by the
     grid.
     """
+    return _scan(_TRIANGLE, xs, ys, max_order, tol)
+
+
+def _scan(equations, xs, ys, max_order: int, tol: float) -> FeasibilityMap:
+    """:func:`scan_region` with the moments that ``equations`` fix."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     _check_scan_args(xs, ys, max_order, tol)
+    for n in range(1, max_order - 1):  # a job they refuse is refused whatever the grid
+        equations(n)
     # the map's arrays, which the stages fill through flat views; max_order
     # marks a cell that no stage has seen fail, and x = 0 cells are never evaluated
     max_feasible = np.full((len(xs), len(ys)), max_order, dtype=np.int64)
@@ -271,7 +268,7 @@ def scan_region(
     while order < max_order:
         order = min(2 * order or _FIRST_STAGE, max_order)
         for cells in _pending(flat, max_order):
-            first, flags[cells] = _verdicts(xs[cells // len(ys)], ys[cells % len(ys)], order, tol)
+            first, flags[cells] = _verdicts(equations, xs[cells // len(ys)], ys[cells % len(ys)], order, tol)
             flat[cells] = np.where(first > 0, first - 1, max_order)
     return FeasibilityMap(xs, ys, max_order, max_feasible, overflow)
 
@@ -285,9 +282,11 @@ def default_grid() -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(g["xmin"], g["xmax"], g["xres"]), np.linspace(g["ymin"], g["ymax"], g["yres"])
 
 
-def dump_moment_table(n_max: int) -> list[dict]:
-    """JSON-ready moment table: [{n, terms: [{c, a, b}]}]."""
+def dump_moment_table(equations, n_max: int) -> list[dict]:
+    """JSON-ready table of the exact m_0 .. m_{n_max} ``equations`` fix: [{n, terms: [{c, a, b}]}]."""
+    m = {0: YXPoly.one(), 1: YXPoly.y()}
+    _fold(m, YXPoly.x(), map(equations, range(1, n_max)))
     return [
-        {"n": n, "terms": [{"c": c, "a": a, "b": b} for a, b, c in moment(n).terms]}
+        {"n": n, "terms": [{"c": c, "a": a, "b": b} for a, b, c in m[n].terms]}
         for n in range(n_max + 1)
     ]

@@ -165,21 +165,14 @@ def _cmd_bootstrap(args) -> int:
     _check_grid(args, ("xres", "yres"), (("xmin", "xmax"), ("ymin", "ymax")))
     xs = np.linspace(args.xmin, args.xmax, args.xres)
     ys = np.linspace(args.ymin, args.ymax, args.yres)
-    bs._check_scan_args(xs, ys, args.max_order, args.tol)  # so a bad order is not blamed on the job
-    job = load_job(args.job)
-    try:  # the equations for beta**n that fix the scan's m_2 .. m_{max_order - 1}
-        solvable, key = bs._equations(job), bs._fold_key
-        if not all(key(*solvable(n)) == key(*bs._TRIANGLE(n)) for n in range(1, args.max_order - 1)):
-            raise ValueError(f"its loop {job.loops[0]} gives other equations")
-    except ValueError as exc:
-        raise JobError(f"the job's equations are not the triangle moment recursion the scan uses: {exc}")
-    fmap = bs.scan_region(xs, ys, args.max_order, tol=args.tol)
+    equations = bs._equations(load_job(args.job))
+    fmap = bs._scan(equations, xs, ys, args.max_order, args.tol)
     fmap.to_csv(args.out)
     if args.svg:
         fmap.to_svg(args.svg)
     if args.moments:
         with open(args.moments, "w") as fh:
-            json.dump(bs.dump_moment_table(args.max_order - 1), fh, indent=2)
+            json.dump(bs.dump_moment_table(equations, args.max_order - 1), fh, indent=2)
     counts = {k: fmap.feasible_cell_count(k) for k in range(1, args.max_order + 1)}
     print(
         f"scanned {len(xs)}x{len(ys)} cells, feasible per order: "

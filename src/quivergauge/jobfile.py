@@ -85,9 +85,13 @@ def parse_job_dict(data: dict) -> Job:
         raise JobError("missing 'network' section")
     network = validate_network(quiver, data["network"])
     try:
-        action = ActionSpec.from_list(data["action"]["f"])
+        f = data["action"]["f"]
     except (KeyError, TypeError) as exc:
         raise JobError(f"bad or missing 'action' section: {exc}") from None
+    if not isinstance(f, list):  # a string or an object would be read as its characters or keys
+        raise JobError(f"action.f must be a list, got {type(f).__name__}")
+    try:
+        action = ActionSpec.from_list(f)
     except ValueError as exc:
         raise JobError(f"bad action coefficient: {exc}") from None
     loops = []

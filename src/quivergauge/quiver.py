@@ -134,6 +134,8 @@ class Quiver:
         for eid, src, dst in edges:
             if eid in self.source:
                 raise QuiverError(f"duplicate edge id {eid!r}")
+            if eid.split() != [eid]:  # a word is whitespace-separated '<edge>+' tokens
+                raise QuiverError(f"edge id {eid!r} is empty or holds whitespace: no word can name it")
             if src not in self._vindex:
                 raise QuiverError(f"edge {eid!r}: unknown source vertex {src!r}")
             if dst not in self._vindex:

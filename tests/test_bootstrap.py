@@ -1,6 +1,6 @@
 import csv
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +17,7 @@ from quivergauge.bootstrap import (
     moment,
     scan_region,
 )
-from quivergauge.jobfile import triangle_job
 from quivergauge.laurent import YXPoly
-from quivergauge.quiver import EdgeWord
 
 from oracles import gww_large_n, moment_matrix, scan_first_failing
 
@@ -76,20 +74,6 @@ class TestMoments:
                 s = s + moment(l) * moment(n - l)
             assert moment(n + 1) - moment(n - 1) == s / YXPoly.x()
 
-    def test_fold_key_accepts_the_reversed_loop_and_no_changed_term(self):
-        # the reversed 3-cycle gives the triangle's equations negated, at negative
-        # indices: only the absolute indices times the sign make the keys equal
-        job = replace(triangle_job(), loops=[EdgeWord.from_string("e3- e2- e1-")])
-        reversed_loop, key = bootstrap._equations(job), bootstrap._fold_key
-        for n in range(1, 29):
-            k, meq, sign = bootstrap._TRIANGLE(n)
-            assert key(*reversed_loop(n)) == key(k, meq, sign), n
-            # one lhs coefficient or one rhs multiplicity off by 1
-            for t in range(len(meq.lhs)):
-                assert key(k, replace(meq, lhs=bumped(meq.lhs, t)), sign) != key(k, meq, sign), (n, t)
-            for t in range(len(meq.rhs)):
-                assert key(k, replace(meq, rhs=bumped(meq.rhs, t)), sign) != key(k, meq, sign), (n, t)
-
     @pytest.mark.parametrize(
         "x, y", [(1.0, -0.75), (2.0, -0.875), (-0.3, 0.3), (0.3, -0.3)],
         ids=["gapped_1", "gapped_2", "ungapped_neg", "ungapped_pos"],
@@ -103,14 +87,14 @@ class TestMoments:
             assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**12), k
 
     def test_dump_table_shape(self):
-        table = dump_moment_table(3)
+        table = dump_moment_table(bootstrap._TRIANGLE, 3)
         assert [row["n"] for row in table] == [0, 1, 2, 3]
         assert table[2]["terms"] == [{"c": 1, "a": 0, "b": 0}, {"c": 1, "a": 1, "b": 1}]
-
-
-def bumped(terms: tuple, t: int) -> tuple:
-    """``terms`` with the coefficient or multiplicity of term t raised by 1."""
-    return terms[:t] + ((terms[t][0] + 1, *terms[t][1:]),) + terms[t + 1 :]
+        # the table folds its own copy of the moments, which are moment()'s
+        for n_max in (0, 1, 12):
+            assert [row["terms"] for row in dump_moment_table(bootstrap._TRIANGLE, n_max)] == [
+                [{"c": c, "a": a, "b": b} for a, b, c in moment(n).terms] for n in range(n_max + 1)
+            ]
 
 
 def exact_moments(x: Fraction, y: Fraction, order: int) -> list[Fraction]:

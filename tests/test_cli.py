@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quivergauge import bootstrap as bs
 from quivergauge.cli import RHAT_LIMIT, run
+from quivergauge.quiver import CyclicWord, EdgeWord
 
 from conftest import REPO
 
@@ -66,6 +69,20 @@ class TestValidate:
         assert run(["validate", str(p)]) == 1
         assert capsys.readouterr().err == "error: loops[0] must be a string, got int\n"
 
+    @pytest.mark.parametrize("eid", ["", "e 1"], ids=["empty", "whitespace"])
+    def test_edge_id_no_word_can_name_is_domain_error(self, tmp_path, capsys, eid):
+        # expand would print words such as '+ e2+ e3+' or 'e 1+ e2+ e3+', which do not parse
+        p = tmp_path / "job.json"
+        p.write_text(json.dumps({
+            **single_block_job(["v1", "v2", "v3"],
+                               [(eid, "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")]),
+            "action": {"f": [0, 0, 0, "1/15"]},
+        }))
+        assert run(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: edge id {eid!r} is empty or holds whitespace: no word can name it\n"
+        )
+
     def test_quiver_without_vertices_is_domain_error(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text(json.dumps({
@@ -90,6 +107,15 @@ class TestExpand:
         assert entries["e+ ow+ e- ov+"] == "4"  # canonical rotation of ov+ e+ ow+ e-
         assert entries["ov+ ov+ ov+ ov+"] == "1"
         assert data["constant_coeff"] == "30"
+
+    @pytest.mark.parametrize("job", [TRIANGLE, TWO_SITE], ids=["triangle", "two_site"])
+    def test_words_parse_back_to_their_class(self, tmp_path, job):
+        out = tmp_path / "table.json"
+        assert run(["expand", job, "--out", str(out)]) == 0
+        words = [entry["word"] for entry in json.loads(out.read_text())["entries"]]
+        assert words
+        for word in words:
+            assert str(CyclicWord.of(EdgeWord.from_string(word).steps)) == word
 
     def test_zero_denominator_is_domain_error(self, tmp_path, capsys):
         data = json.loads(Path(TRIANGLE).read_text())
@@ -164,9 +190,10 @@ class TestBootstrap:
             # the two-site loop equations do not close on one moment sequence
             (TWO_SITE, {}, "not a power of the common generator"),
             (TRIANGLE, {"loops": []}, "needs a job with a loop"),
-            # a coupling on the doubled triangle adds terms the recursion lacks
+            # a coupling on the doubled triangle adds the plaquette beta**2, so the
+            # equation for beta fixes m_3, not m_2
             (TRIANGLE, {"action": {"f": [0, 0, 0, "1/15", 0, 0, "1/10"]}},
-             "not the triangle moment recursion"),
+             "has highest moment m_3 where m_2 is expected"),
             # one vertex with a self-loop: nothing to root the equations at
             (TRIANGLE, {**ONE_SITE, "loops": ["o+"]}, "loop o+ has no non-self-loop edge"),
             # the loop is the square of a 2-cycle, so m_2 appears as m_1 m_1
@@ -180,13 +207,38 @@ class TestBootstrap:
         with open(base) as fh:
             job.write_text(json.dumps({**json.load(fh), **edit}))
         out = tmp_path / "scan.csv"
-        code = run(
-            ["bootstrap", str(job), "--max-order", "3", "--xres", "5", "--yres", "5",
-             "--out", str(out)]
-        )
-        assert code == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        # at x = 0 every cell is undefined and none is folded, yet the job is refused
+        for window in ([], ["--xmin", "0", "--xmax", "0"]):
+            code = run(
+                ["bootstrap", str(job), "--max-order", "3", "--xres", "5", "--yres", "5",
+                 *window, "--out", str(out)]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_job_scan_folds_its_own_equations(self, tmp_path, monkeypatch):
+        # the library's triangle scan and moment table, then every CLI run with
+        # the triangle's memoised equations out of reach
+        xs, ys = np.linspace(-3, 3, 9), np.linspace(-1.2, 1.2, 11)
+        want = tmp_path / "want.csv"
+        bs.scan_region(xs, ys, 9).to_csv(str(want))
+        table = bs.dump_moment_table(bs._TRIANGLE, 8)
+
+        def unreachable(n):
+            raise AssertionError("the scan folded the triangle's equations")
+
+        monkeypatch.setattr(bs, "_TRIANGLE", unreachable)
+        with open(TRIANGLE) as fh:
+            triangle = json.load(fh)
+        reversed_loop = tmp_path / "reversed.json"
+        reversed_loop.write_text(json.dumps({**triangle, "loops": ["e3- e2- e1-"]}))
+        grid = ["--max-order", "9", "--xres", "9", "--yres", "11"]
+        for job in (TRIANGLE, str(reversed_loop)):
+            got, moments = tmp_path / "got.csv", tmp_path / "moments.json"
+            assert run(["bootstrap", job, *grid, "--out", str(got), "--moments", str(moments)]) == 0
+            assert got.read_bytes() == want.read_bytes()
+            assert json.loads(moments.read_text()) == table
 
     def test_triangle_job_matches_builtin(self, tmp_path):
         # the reversed loop gives the triangle's equations negated, at negative indices
@@ -238,8 +290,7 @@ class TestBootstrap:
             (["--tol", "nan"], "tol must be >= 0"),
             (["--tol", "inf"], "tol must be >= 0"),
             (["--max-order", "0"], "max_order must be >= 1"),
-            # checked before the job: below order 3 no equation is compared, but a
-            # job without a loop would still be refused ahead of the scan
+            # checked before any equation is generated: below order 3 none would be
             (["--max-order", "-3"], "max_order must be >= 1"),
             (["--xres", "0"], "xres must be >= 1"),
             (["--xres", "-1"], "xres must be >= 1"),

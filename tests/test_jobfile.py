@@ -95,9 +95,12 @@ class TestLoadJob:
          (lambda d: d["quiver"].update(vertices=["v1", 2, "v3"]),
           r"quiver.vertices\[1\] must be a string, got int"),
          (lambda d: d["quiver"]["edges"][1].update(src=["v2"]),
-          r"quiver.edges\[1\].src must be a string, got list")],
+          r"quiver.edges\[1\].src must be a string, got list"),
+         # neither is read as f = (0, 0, 0, 3) or f = (3,)
+         (lambda d: d["action"].update(f="0003"), "action.f must be a list, got str"),
+         (lambda d: d["action"].update(f={"3": 1}), "action.f must be a list, got dict")],
         ids=["loop_not_string", "loops_not_list", "vertices_not_list", "vertex_not_string",
-             "edge_field_not_string"],
+             "edge_field_not_string", "f_not_list_string", "f_not_list_object"],
     )
     def test_field_of_wrong_type(self, edit, message):
         # each is a JobError naming the field, never an AttributeError or
