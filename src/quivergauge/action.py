@@ -25,6 +25,7 @@ weights trace each class once with its equal-coupling reverse
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -43,8 +44,9 @@ from .quiver import (
 
 
 def parse_rational(value) -> Fraction:
-    """Exact rational from an int or a 'p/q' string; q = 0 is a ValueError."""
-    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+    """Exact rational from an int, a Fraction or an ASCII '[+-]p' or '[+-]p/q' string."""
+    digits = isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value)
+    if digits or isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError:

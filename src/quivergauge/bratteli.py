@@ -11,14 +11,15 @@ every edge forces
 which in turn makes ``<n_v, r_v>`` a single integer ``N`` on a connected
 quiver: the dimension every vertex Hilbert space shares.  The gauge degrees
 of freedom are, per edge, one independent unitary block ``u_{e,j}`` of size
-``n_{t(e),j}`` repeated ``r_{t(e),j}`` times along the diagonal; off a gauge
-tree's edges those blocks are the Haar sites of :meth:`BratteliNetwork.sites`.
+``n_{t(e),j}`` repeated ``r_{t(e),j}`` times along the diagonal; off the
+network's own :attr:`~BratteliNetwork.tree` they are its :attr:`~BratteliNetwork.sites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping
 
 from .quiver import Quiver
 
@@ -49,15 +50,39 @@ class BratteliNetwork:
         layout of its target's block group."""
         return self.layout(self.quiver.target[eid])
 
-    def sites(self, tree: Sequence[str]) -> list[tuple]:
-        """The Haar factors of configurations whose ``tree`` edges carry 1:
+    @cached_property
+    def tree(self) -> tuple[str, ...]:
+        """Edges of the maximal tree whose unitaries a vertex gauge transform
+        sets to 1, in declaration order; grown once per network, on first use.
+
+        Each edge f: s -> t carries U_f in the block group G_t of its target,
+        and the transform U_f -> P_s U_f P_t^-1 keeps it Haar on G_t when P_s
+        and P_t lie in G_t.  A tree grows from a root vertex, whose P is 1:
+        passes over the edges in declaration order take each non-self-loop
+        edge e with a reached end u and a new end w when P_u's group lies in
+        G_t(e) and G_t(e) lies in G_w, until a pass takes none; w's P then
+        lies in G_t(e).  If afterwards some other edge f has P_s outside G_t,
+        that tree is empty.  Each vertex is tried as the root in declaration
+        order: the first tree that reaches every vertex is taken, else the
+        largest, from the earliest root on ties.
+        """
+        trees = []
+        for root in self.quiver.vertices:
+            trees.append(_tree_from(self, root))
+            if len(trees[-1]) == len(self.quiver.vertices) - 1:
+                break  # it spans the connected quiver
+        return max(trees, key=len)
+
+    @cached_property
+    def sites(self) -> list[tuple]:
+        """The Haar factors of configurations whose :attr:`tree` edges carry 1:
         every block of every other edge, in edge order, then summand order,
         as (edge, its index among all edges, block index, block size n, the
         diagonal slices of the block's r copies)."""
         out = []
         for ei, eid in enumerate(self.quiver.edge_ids):
             at = 0
-            for bi, (n, r) in enumerate(() if eid in tree else self.blocks(eid)):
+            for bi, (n, r) in enumerate(() if eid in self.tree else self.blocks(eid)):
                 out.append((eid, ei, bi, n, [slice(a, a + n) for a in range(at, at + n * r, n)]))
                 at += n * r
         return out
@@ -180,7 +205,7 @@ def _contained(inner: Layout | None, outer: Layout) -> bool:
 
 
 def _tree_from(b: BratteliNetwork, root: str) -> tuple[str, ...]:
-    """The gauge tree grown from ``root``, whose P is 1 (see :func:`gauge_tree`)."""
+    """The gauge tree grown from ``root``, whose P is 1 (see :attr:`BratteliNetwork.tree`)."""
     q = b.quiver
     # reached vertex -> layout of the group that holds its P; None where P = 1
     held = {root: None}
@@ -200,27 +225,3 @@ def _tree_from(b: BratteliNetwork, root: str) -> tuple[str, ...]:
     if not all(_contained(held.get(s), b.blocks(e)) for e, s, _ in q.edges if e not in tree):
         return ()
     return tuple(e for e in q.edge_ids if e in tree)
-
-
-def gauge_tree(b: BratteliNetwork) -> tuple[str, ...]:
-    """Edges of the maximal tree whose unitaries a vertex gauge transform sets
-    to 1, in declaration order.
-
-    Each edge f: s -> t carries U_f in the block group G_t of its target,
-    and the transform U_f -> P_s U_f P_t^-1 keeps it Haar on G_t when P_s
-    and P_t lie in G_t.  A tree grows from a root vertex, whose P is 1:
-    passes over the edges in declaration order take each non-self-loop
-    edge e with a reached end u and a new end w when P_u's group lies in
-    G_t(e) and G_t(e) lies in G_w, until a pass takes none; w's P then lies
-    in G_t(e).  If afterwards some other edge f has P_s outside G_t, that
-    tree is empty.  Each vertex is tried as the root in declaration order:
-    the first tree that reaches every vertex is taken, else the largest,
-    from the earliest root on ties.
-    """
-    trees = []
-    for root in b.quiver.vertices:
-        tree = _tree_from(b, root)
-        if len(tree) == len(b.quiver.vertices) - 1:
-            return tree  # it spans the connected quiver
-        trees.append(tree)
-    return max(trees, key=len)

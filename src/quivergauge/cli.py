@@ -16,7 +16,6 @@ import numpy as np
 from . import bootstrap as bs
 from . import gww
 from .action import expand_action
-from .bratteli import gauge_tree
 from .jobfile import JobError, load_job
 from .loop_equations import factorize_large_N, generate_loop_equation
 from .monte_carlo import check_loop_equation, estimate_wilson
@@ -116,7 +115,7 @@ def _cmd_validate(args) -> int:
     for eid in job.quiver.edge_ids:
         parts = (f"U({n})" if r == 1 else f"U({n}) (mult {r})" for n, r in job.network.blocks(eid))
         print(f"{eid}: " + " x ".join(parts))
-    tree = gauge_tree(job.network)
+    tree = job.network.tree
     fixed = f"{' '.join(tree)} ({len(tree)} of {len(job.quiver.edge_ids)})" if tree else "none"
     print(f"gauge-fixed edges: {fixed}")
     if job.loops:

@@ -1,7 +1,7 @@
 """Keyed Haar sampling of block unitaries: the configurations of reweighted
 Monte Carlo.
 
-:class:`KeyedSampler` keys every Haar site of :meth:`BratteliNetwork.sites`
+:class:`KeyedSampler` keys every Haar site of :attr:`BratteliNetwork.sites`
 by (master seed, edge index, block index), and draw i owns a fixed span of
 that Philox stream, so estimates do not depend on the chunking or worker
 partition.  A block is the Q of a Ginibre QR with a positive diagonal on R
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bratteli import BratteliNetwork, gauge_tree
+from .bratteli import BratteliNetwork
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -76,11 +76,11 @@ class DiracSample:
 
 class KeyedSampler:
     """Reproducible per-sample gauge configurations from a master seed, in the
-    maximal-tree gauge: the edges of ``tree`` (:func:`gauge_tree`) are 1.
+    network's maximal-tree gauge: the edges of :attr:`BratteliNetwork.tree` are 1.
 
-    Each off-tree (edge, block) of ``sites`` (:meth:`BratteliNetwork.sites`)
-    owns a Philox stream keyed by (seed, edge index, block); draw i of an n x n
-    block spans B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
+    Each off-tree (edge, block) of :attr:`BratteliNetwork.sites` owns a Philox
+    stream keyed by (seed, edge index, block); draw i of an n x n block spans
+    B = ceil(n**2 / 2) counter blocks of 4 uniforms from counter
     (i*B, 0, 0, 0), the last 2 unused for odd n, so a chunk is one ``random``
     call per block.  Uniform pairs give polar Box-Muller Ginibre entries
     (:func:`_ginibre`); each block is written into its copies' slices.
@@ -88,10 +88,8 @@ class KeyedSampler:
 
     def __init__(self, net: BratteliNetwork, seed: int):
         self.net = net
-        self.tree = gauge_tree(net)
-        self.sites = net.sites(self.tree)
         self._streams: dict[tuple[str, int], tuple] = {}
-        for eid, ei, bi, _, _ in self.sites:
+        for eid, ei, bi, _, _ in net.sites:
             bitgen = _philox([int(seed), ei, bi])
             # the fresh state at counter 0; a chunk rewrites only counter[0]
             self._streams[(eid, bi)] = (bitgen, np.random.Generator(bitgen), bitgen.state)
@@ -105,7 +103,7 @@ class KeyedSampler:
         dim = self.net.dim
         identity = np.broadcast_to(np.eye(dim, dtype=complex), (stop - start, dim, dim))
         unitaries = dict.fromkeys(self.net.quiver.edge_ids, identity)
-        for eid, _, bi, n, copies in self.sites:
+        for eid, _, bi, n, copies in self.net.sites:
             bitgen, gen, state = self._streams[(eid, bi)]
             span = (n * n + 1) // 2
             state["state"]["counter"][0] = start * span

@@ -1,7 +1,7 @@
 """Metropolis estimates of trace polynomials, a Wilson loop's or a loop
-equation's lhs - rhs alike, in the maximal-tree gauge of
-:mod:`~quivergauge.monte_carlo`: 10 chains of random walks U <- R U on the
-sites of :meth:`~quivergauge.bratteli.BratteliNetwork.sites`, R = V diag(exp(i
+equation's lhs - rhs alike, where the edges of ``net.tree`` carry 1 (see
+:mod:`~quivergauge.monte_carlo`): 10 chains of random walks U <- R U on the
+sites of :attr:`~quivergauge.bratteli.BratteliNetwork.sites`, R = V diag(exp(i
 eps theta)) V^-1 with V Haar and theta normal, each (chain, site) drawing
 from its own keyed stream.  Proposals are prepared whole sweeps at a time.
 Trial actions and end-of-sweep measurements run prebuilt

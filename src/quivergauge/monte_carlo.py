@@ -19,10 +19,10 @@ equation's lhs - rhs.  Each estimator call builds one set-up in the caller,
 before any draw or fork (:func:`_gauge_fixed`), which refuses an action whose
 log weights could leave the float range; forked workers build none.
 
-Every configuration is in the maximal-tree gauge: the edges of
-:func:`~quivergauge.bratteli.gauge_tree` carry 1, which changes no closed
-word's trace by Haar invariance, so only the other edges are drawn and the
-action and the words are traced rewritten in those edges
+Every configuration is in the network's own maximal-tree gauge: the edges of
+:attr:`~quivergauge.bratteli.BratteliNetwork.tree` carry 1, which changes no
+closed word's trace by Haar invariance, so only the blocks of ``net.sites``
+are drawn and the action and the words are traced rewritten in those edges
 (:func:`~quivergauge.action.gauge_fixed_table`,
 :func:`~quivergauge.quiver.gauge_fixed_steps`).
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import forked
 from .action import PlaquetteTable, TracePlan, action_plan, gauge_fixed_table, weighted_sum
-from .bratteli import BratteliNetwork, gauge_tree
+from .bratteli import BratteliNetwork
 from .haar import KeyedSampler
 from .loop_equations import LoopEquation
 from .quiver import EdgeWord, gauge_fixed_steps
@@ -94,21 +94,20 @@ class EstimatorResult:
 
 def _gauge_fixed(net: BratteliNetwork, table: PlaquetteTable, polys: Sequence[tuple]) -> tuple:
     """Either estimator's one set-up, built in the caller before any draw or
-    fork, where the :func:`~quivergauge.bratteli.gauge_tree` edges carry 1:
-    the gauge-fixed ``table``'s action plan, the distinct words of ``polys``
-    in order of appearance rewritten for that tree, each polynomial's terms
-    (c, w1, w2 or None) with float c and word rows, and ``net.sites(tree)``.
-    It refuses an action float arithmetic cannot weigh: |Re Tr U| <= N, so no
-    log weight -N S, spread of two or N times an action difference exceeds
-    2 N^2 sum |g| over the gauge-fixed table, summed here in exact fractions."""
-    tree = gauge_tree(net)
-    fixed = gauge_fixed_table(table, tree)
+    fork, where the ``net.tree`` edges carry 1: the gauge-fixed ``table``'s
+    action plan, the distinct words of ``polys`` in order of appearance
+    rewritten for that tree, each polynomial's terms (c, w1, w2 or None) with
+    float c and word rows, and ``net.sites``, read here so no worker computes
+    them.  It refuses an action float arithmetic cannot weigh: |Re Tr U| <= N,
+    so no log weight -N S, spread of two or N times an action difference
+    exceeds 2 N^2 sum |g| over the gauge-fixed table, summed in fractions."""
+    fixed = gauge_fixed_table(table, net.tree)
     if 2 * net.dim**2 * sum(abs(g) for g in fixed.entries.values()) > sys.float_info.max:
         raise OverflowError(_OVERFLOW)
     words = list(dict.fromkeys(w for p in polys for _, a, b in p for w in (a, b) if w is not None))
     row = {w: k for k, w in enumerate(words)} | {None: None}
     terms = [[(float(c), row[a], row[b]) for c, a, b in p] for p in polys]
-    return action_plan(fixed), [gauge_fixed_steps(w, tree) for w in words], terms, net.sites(tree)
+    return action_plan(fixed), [gauge_fixed_steps(w, net.tree) for w in words], terms, net.sites
 
 
 def _evaluate(terms: list, raw: Sequence[np.ndarray], dim: int, out: np.ndarray) -> None:

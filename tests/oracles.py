@@ -18,7 +18,7 @@ from scipy.linalg import block_diag
 
 from quivergauge.action import PlaquetteTable, TracePlan, action_plan, loop_trace, weighted_sum
 from quivergauge.bootstrap import moment
-from quivergauge.bratteli import BratteliNetwork, gauge_tree
+from quivergauge.bratteli import BratteliNetwork
 from quivergauge.haar import DiracSample, _ginibre, _haar_from_ginibre
 from quivergauge.metropolis import _CHAINS, _stream
 from quivergauge.quiver import _step_key
@@ -184,7 +184,7 @@ class OneAtATimeChains:
     def __init__(self, net: BratteliNetwork, setup: tuple, seed: int):
         q = net.quiver
         self.dim = net.dim
-        tree = gauge_tree(net)
+        tree = net.tree
         self.plan, self.words, _, _ = setup
         self.layouts = {eid: net.blocks(eid) for eid in q.edge_ids if eid not in tree}
         self.sites = [(e, bi) for e, layout in self.layouts.items() for bi in range(len(layout))]

@@ -15,7 +15,6 @@ from quivergauge.action import (
     TracePlan,
     loop_trace,
 )
-from quivergauge.bratteli import gauge_tree
 from quivergauge.quiver import CyclicWord, gauge_fixed_steps
 
 from conftest import (
@@ -404,7 +403,7 @@ def assert_gauge_invariant(net, table, words, rng):
     every class, every word and the action trace the same on the full
     configuration and, rewritten, on the gauge-fixed one."""
     n = net.dim
-    tree = gauge_tree(net)
+    tree = net.tree
     # the tree grows from some root, whose P is 1: from one root the
     # transform sets the tree to 1 and keeps every other edge in its group
     for root in net.quiver.vertices:
@@ -516,7 +515,7 @@ class TestGaugeFixing:
 
     def test_two_site(self, two_site_quiver, two_site_network, rng):
         # e is fixed; ow becomes U_e U_ow U_e^-1, still U(8) twice, and ov stays
-        assert gauge_tree(two_site_network) == ("e",)
+        assert two_site_network.tree == ("e",)
         table = expand_action(two_site_quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
         words = some_closed_words(two_site_quiver, 4, 5) + [
             qg.EdgeWord.from_string("ov+ ov+ e+ ow+ ow+ e-").steps
@@ -539,7 +538,7 @@ class TestGaugeFixing:
     )
     def test_layout_networks(self, vertices, edges, layouts, c, tree, rng):
         net = layout_network(vertices, edges, layouts, c)
-        assert gauge_tree(net) == tree
+        assert net.tree == tree
         table = expand_action(net.quiver, ActionSpec.from_list([0, 1, "1/2", "1/3", "-1/5"]))
         assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 3), rng)
 
@@ -549,7 +548,7 @@ class TestGaugeFixing:
         q = qg.Quiver(["w", "v"], [(e, two_site_quiver.source[e], two_site_quiver.target[e])
                                    for e in two_site_quiver.edge_ids])
         net = qg.validate_network(q, TWO_SITE_DATA)
-        assert gauge_tree(net) == ("e",)
+        assert net.tree == ("e",)
         table = expand_action(q, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
         assert_gauge_invariant(net, table, some_closed_words(q, 4, 5), rng)
         _, fixed = tree_gauge(net, ("e",), rng)
@@ -558,16 +557,16 @@ class TestGaugeFixing:
     def test_final_check_empties_the_tree(self, rng):
         # the passes take x -> y and x -> w, which would leave y -> w outside
         # w's group
-        assert gauge_tree(fork_network(("xy", "xw"))) == ("xy", "xw")
+        assert fork_network(("xy", "xw")).tree == ("xy", "xw")
         net = fork_network()
-        assert gauge_tree(net) == ()
+        assert net.tree == ()
         table = expand_action(net.quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
         assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 5), rng)
         _, fixed = tree_gauge(net, ("xy", "xw"), rng)
         assert block_deviation(net.blocks("yw"), fixed["yw"]) > 0.1
         # without x -> w, the tree from y spans
         net = fork_network(("xy", "yw"))
-        assert gauge_tree(net) == ("xy", "yw")
+        assert net.tree == ("xy", "yw")
         table = expand_action(net.quiver, ActionSpec.from_list([0, "1/2", 0, "1/3", 1]))
         assert_gauge_invariant(net, table, some_closed_words(net.quiver, 4, 5), rng)
 

@@ -46,6 +46,13 @@ class TestMoments:
         # no term keeps a zero coefficient
         assert moment(4) * 0 == 0 * moment(4) == YXPoly.zero()
 
+    def test_divides_only_by_x(self):
+        # the recursion's one divisor; any other, even a polynomial by itself, is refused
+        assert YXPoly.y() * YXPoly.x() / YXPoly.x() == YXPoly.y()
+        for other in (YXPoly.y(), YXPoly.one(), YXPoly.x() * YXPoly.x()):
+            with pytest.raises(ValueError, match="divides only by x"):
+                YXPoly.y() / other
+
     @pytest.mark.parametrize("n", sorted(MOMENT_TABLE))
     def test_exact_closed_forms(self, n):
         assert moment(n) == poly(MOMENT_TABLE[n])

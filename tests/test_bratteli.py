@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import quivergauge as qg
-from quivergauge.bratteli import NetworkError, _contained, _tree_from, gauge_tree
+from quivergauge.bratteli import NetworkError, _contained, _tree_from
 
 from conftest import (
     TWO_SITE_DATA,
@@ -182,7 +182,7 @@ class TestSites:
     def test_two_site(self, two_site_network):
         spans = [
             (e, ei, bi, n, [(c.start, c.stop) for c in copies])
-            for e, ei, bi, n, copies in two_site_network.sites(("e",))
+            for e, ei, bi, n, copies in two_site_network.sites
         ]
         assert spans == [
             ("ov", 0, 0, 3, [(0, 3), (3, 6), (6, 9), (9, 12)]),
@@ -192,24 +192,21 @@ class TestSites:
 
     def test_triangle(self, triangle_quiver):
         net = triangle_network(triangle_quiver, 4)
-        assert net.sites(gauge_tree(net)) == [("e3", 2, 0, 4, [slice(0, 4)])]
+        assert net.sites == [("e3", 2, 0, 4, [slice(0, 4)])]
 
     def test_torus(self):
         net = triangle_network(torus_quiver(3), 2)
-        tree = gauge_tree(net)
-        off_tree = [e for e in net.quiver.edge_ids if e not in tree]
+        off_tree = [e for e in net.quiver.edge_ids if e not in net.tree]
         assert len(off_tree) == 10
-        assert [site[0] for site in net.sites(tree)] == off_tree
+        assert [site[0] for site in net.sites] == off_tree
 
-    @pytest.mark.parametrize("case", ["two_site", "two_site_no_tree", "triangle", "torus", "fork"])
+    @pytest.mark.parametrize("case", ["two_site", "triangle", "torus", "fork"])
     def test_matches_a_diagonal_walk(self, case, two_site_network, triangle_quiver):
         net = {
-            "two_site": two_site_network, "two_site_no_tree": two_site_network,
-            "triangle": triangle_network(triangle_quiver, 5),
+            "two_site": two_site_network, "triangle": triangle_network(triangle_quiver, 5),
             "torus": triangle_network(torus_quiver(3), 2), "fork": fork_network(),
         }[case]
-        tree = () if case == "two_site_no_tree" else gauge_tree(net)
-        sites = net.sites(tree)
+        tree, sites = net.tree, net.sites
         assert sites == diagonal_walk(net, tree)
         assert not {e for e, *_ in sites} & set(tree)
         # each off-tree edge's copies tile [0, N) exactly once
@@ -239,39 +236,39 @@ class TestGaugeTree:
 
     def test_triangle(self, triangle_quiver):
         # passes in declaration order: e1 reaches v2, e2 then reaches v3
-        assert gauge_tree(triangle_network(triangle_quiver, 4)) == ("e1", "e2")
+        assert triangle_network(triangle_quiver, 4).tree == ("e1", "e2")
 
     def test_two_site_fixes_e(self, two_site_network):
         # P_v = 1 and P_w = U_e lie in w's U(8)-twice group, which holds
         # every edge into w
-        assert gauge_tree(two_site_network) == ("e",)
+        assert two_site_network.tree == ("e",)
 
     def test_torus_spanning_tree(self):
         q = torus_quiver(3)
-        tree = gauge_tree(triangle_network(q, 2))
+        tree = triangle_network(q, 2).tree
         # 8 edges that join all 9 vertices: a spanning tree
         assert len(tree) == 8 == len(q.vertices) - 1
         assert qg.Quiver(q.vertices, [(e, q.source[e], q.target[e]) for e in tree]).connected
 
     def test_self_loops_and_parallel_edges(self):
         q = qg.Quiver(["a", "b"], [("s", "a", "a"), ("p", "a", "b"), ("p2", "a", "b")])
-        assert gauge_tree(triangle_network(q, 3)) == ("p",)
+        assert triangle_network(q, 3).tree == ("p",)
 
     def test_edge_leaving_the_region_empties_the_tree(self):
         # a and b carry U(2) twice, c one U(4): U(2) twice lies in U(4), so
         # b -> c joins the tree and P_c = U_ab U_bc stays in c's group
         layouts = {"a": (2, 2), "b": (2, 2), "c": (4, 1)}
         edges = [("ab", "a", "b"), ("ba", "b", "a")]
-        assert gauge_tree(layout_network(["a", "b"], edges, layouts, {})) == ("ab",)
+        assert layout_network(["a", "b"], edges, layouts, {}).tree == ("ab",)
         net = layout_network(["a", "b", "c"], edges + [("bc", "b", "c")], layouts, {"bc": 2})
-        assert gauge_tree(net) == ("ab", "bc")
+        assert net.tree == ("ab", "bc")
         # x and y carry the two-site v layout, w U(8) twice. From x, x -> y
         # joins the tree, but P_y lies in y's group, not in w's, so y -> w
         # cannot join the tree nor stay in its ensemble. From y, tried next,
         # P_y = 1 and both edges join
         net = fork_network(("xy", "yw"))
         assert _tree_from(net, "x") == ()
-        assert gauge_tree(net) == ("xy", "yw")
+        assert net.tree == ("xy", "yw")
 
     def test_edge_entering_the_region_keeps_the_tree(self):
         # from a, c -> a ends in the region, in the region's own U(4)
@@ -281,4 +278,4 @@ class TestGaugeTree:
         edges = [("ab", "a", "b"), ("ba", "b", "a"), ("ca", "c", "a")]
         net = layout_network(["a", "b", "c"], edges, layouts, {"ca": 2})
         assert _tree_from(net, "a") == ("ab",)
-        assert gauge_tree(net) == ("ab", "ca")
+        assert net.tree == ("ab", "ca")

@@ -29,6 +29,15 @@ def single_block_job(vertices, edges):
     }
 
 
+def flat_triangle(tmp_path) -> str:
+    """The triangle job with f = (0): an empty plaquette table."""
+    data = json.loads(Path(TRIANGLE).read_text())
+    data["action"]["f"] = [0]
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
 ONE_SITE = single_block_job(["v"], [("o", "v", "v")])
 TWO_CYCLE = single_block_job(["v", "w"], [("a", "v", "w"), ("b", "w", "v")])
 
@@ -156,6 +165,16 @@ class TestLoopeq:
         assert fact["generator"] == "e1+ e2+ e3+"
         assert sorted((t["i"], t["j"]) for t in fact["lhs"]) == [(0, 2), (1, 1)]
         assert sorted(t["k"] for t in fact["rhs"]) == [1, 3]
+
+    def test_equation_without_terms_renders_zero(self, tmp_path):
+        # with an empty table, and no e1 in the constant word, both sides of
+        # its equation have no term
+        out = tmp_path / "eq.json"
+        job = flat_triangle(tmp_path)
+        assert run(["loopeq", job, "--loop", "", "--root", "e1", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert (data["lhs"], data["rhs"]) == ([], [])
+        assert data["rendered"] == "< 0 > = < 0 >   [finite-N, root e1]"
 
     def test_self_loop_root_is_domain_error(self, capsys):
         assert run(["loopeq", TWO_SITE, "--loop", "ov+", "--root", "ov"]) == 1
@@ -498,6 +517,20 @@ class TestMc:
         assert code == 1
         assert f"{name} must be at least" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["reweight", "metropolis"])
+    def test_check_eq_without_terms_draws_nothing(self, tmp_path, capsys, method):
+        # the equation of the constant loop under f = (0) has no term: its
+        # residual is 0 with no draw, and no chain health is reported
+        out = tmp_path / "mc.json"
+        code = run(["mc", flat_triangle(tmp_path), "--loop", "", "--check-eq", "--root", "e1",
+                    "--method", method, "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out}: effective samples 0.0, no draws\n"
+        data = json.loads(out.read_text())
+        assert (data["samples"], data["residual_re"], data["residual_im"]) == (0, 0.0, 0.0)
+        assert data["equation"]["lhs"] == data["equation"]["rhs"] == []
+        assert not {"acceptance", "rhat"} & set(data)
 
     def test_metropolis_on_a_tree_measures_one(self, tmp_path, capsys):
         # one edge between two vertices is all gauge tree: nothing is

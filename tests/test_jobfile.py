@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import quivergauge as qg
+from quivergauge.action import parse_rational
 from quivergauge.jobfile import (
     JobError,
     load_job,
@@ -123,3 +125,38 @@ class TestLoadJob:
         p.write_text(json.dumps(data))
         with pytest.raises(JobError, match="coefficient"):
             load_job(str(p))
+
+
+class TestParseRational:
+    """Job coefficients are ints or ASCII 'p/q' strings, read alike on every Python version."""
+
+    @pytest.mark.parametrize(
+        "value, exact",
+        [(3, Fraction(3)), (-3, Fraction(-3)), (Fraction(2, 3), Fraction(2, 3)),
+         ("7", Fraction(7)), ("-7", Fraction(-7)), ("+7", Fraction(7)), ("1/15", Fraction(1, 15)),
+         ("-2/6", Fraction(-1, 3)), ("+2/3", Fraction(2, 3)), ("007/010", Fraction(7, 10))],
+    )
+    def test_rational_forms_taken(self, value, exact):
+        assert parse_rational(value) == exact
+        data = json.loads((REPO / "jobs" / "triangle.json").read_text())
+        data["action"]["f"] = [0, 0, 0, value]
+        assert parse_job_dict(data).action.coefficients[3] == exact
+
+    @pytest.mark.parametrize(
+        "value",
+        # Fraction(str) takes each of the first seven: "1_000" from Python
+        # 3.11 on, "1 / 3" from 3.12 on and the others on every version
+        ["0.1", "1e-3", "1_000", "1 / 3", "\uff11\uff12", " 1/3", "1/3\n", "1/-3", "/3", "3/",
+         "1/2/3", "", "+", "0x10", True, 0.25, None, [1]],
+    )
+    def test_rational_forms_refused(self, value):
+        with pytest.raises(ValueError, match=r"^expected integer or 'p/q' string, got "):
+            parse_rational(value)
+        data = json.loads((REPO / "jobs" / "triangle.json").read_text())
+        data["action"]["f"] = [0, 0, 0, value]
+        with pytest.raises(JobError, match=r"^bad action coefficient: expected integer or 'p/q'"):
+            parse_job_dict(data)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="^zero denominator in '-1/0'$"):
+            parse_rational("-1/0")

@@ -1,12 +1,13 @@
 import os
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 import quivergauge as qg
-from quivergauge import forked, haar, metropolis, monte_carlo
+from quivergauge import bratteli, forked, haar, metropolis, monte_carlo
 from quivergauge.action import (
     ActionSpec,
     action_plan,
@@ -14,7 +15,6 @@ from quivergauge.action import (
     gauge_fixed_table,
     loop_trace,
 )
-from quivergauge.bratteli import gauge_tree
 from quivergauge.monte_carlo import (
     KeyedSampler,
     check_loop_equation,
@@ -245,12 +245,12 @@ class TestKeyedSampler:
         # each block sits r times on the diagonal; the tree edge e is 1
         net, seed = two_site_network, 11
         sampler = KeyedSampler(net, seed)
-        assert sampler.tree == ("e",)
+        assert net.tree == ("e",)
         assert set(sampler._streams) == {("ov", 0), ("ov", 1), ("ow", 0)}
         for ei, e in enumerate(net.quiver.edge_ids):
             tgt = net.quiver.target[e]
             for i in (0, 5, 17):
-                if e in sampler.tree:
+                if e in net.tree:
                     assert np.array_equal(sampler.sample(i).unitaries[e], np.eye(16))
                     continue
                 copies = []
@@ -269,7 +269,7 @@ class TestKeyedSampler:
         # index 2, so it is the draw of a lone edge under that key
         net, seed = triangle_network(triangle_quiver, 4), 11
         sampler = KeyedSampler(net, seed)
-        assert sampler.tree == ("e1", "e2")
+        assert net.tree == ("e1", "e2")
         assert set(sampler._streams) == {("e3", 0)}
         chunk = sampler.sample_chunk(3, 9)
         for e in ("e1", "e2"):
@@ -329,14 +329,14 @@ def test_reweighted_traces_ignore_chunking(monkeypatch, job_path, root, backward
     # and each draw on its own, through the 2-D action sum and loop_trace of
     # the gauge-fixed table and words
     sampler = KeyedSampler(job.network, 3)
-    assert sampler.tree == (("e1", "e2") if job_path.startswith("builtin") else ("e",))
-    fixed = gauge_fixed_table(table, sampler.tree)
+    assert job.network.tree == (("e1", "e2") if job_path.startswith("builtin") else ("e",))
+    fixed = gauge_fixed_table(table, job.network.tree)
     logs, traces = runs[0]
     for i in range(samples):
         u = sampler.sample(i).unitaries
         assert logs[i] == -dim * action_sum(action_plan(fixed), u, dim)
         for k, w in enumerate(words):
-            t = loop_trace(u, gauge_fixed_steps(w, sampler.tree), dim)
+            t = loop_trace(u, gauge_fixed_steps(w, job.network.tree), dim)
             assert traces[k, i] == complex(t.real / dim, t.imag / dim)
 
 
@@ -477,7 +477,7 @@ class TestEstimateWilson:
         n = 1500
         est = estimate_wilson(net, table, ZETA, samples=n, seed=17)
         sampler = KeyedSampler(net, 17)
-        zeta = gauge_fixed_steps(ZETA.steps, sampler.tree)  # e3+: e1, e2 are gauge-fixed
+        zeta = gauge_fixed_steps(ZETA.steps, net.tree)  # e3+: e1, e2 are gauge-fixed
         assert zeta == (("e3", 1),)
         traces = np.array([loop_trace(sampler.sample(i).unitaries, zeta, 3) / 3 for i in range(n)])
         assert est.mean == complex(traces.real.mean(), traces.imag.mean())
@@ -656,6 +656,33 @@ def test_one_set_up_per_call_and_none_in_a_worker(tri3, monkeypatch, method, unf
         calls[0] = 0
         assert estimate().method == method
         assert calls[0] == 1
+
+
+@pytest.mark.parametrize("method", ["reweight", "metropolis"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_gauge_tree_per_network_and_none_in_a_worker(tri3, monkeypatch, method, workers):
+    # the network grows its gauge tree once, when the caller's set-up first
+    # reads it; the sampler, the chains and the forked workers read it, and a
+    # growth in a worker would be counted in shared memory. The triangle's
+    # first root spans it, so one tree is one call of _tree_from
+    job, table = tri3
+    eq = qg.generate_loop_equation(job.quiver, table, ZETA, "e1", mode="finite")
+    grown, grow = forked.shared_array((1,), np.int64), bratteli._tree_from
+
+    def counted(net, root):
+        grown[0] += 1
+        return grow(net, root)
+
+    monkeypatch.setattr(bratteli, "_tree_from", counted)
+    monkeypatch.setattr(forked, "workers", lambda parts: min(parts, workers))
+    kwargs = dict(samples=2000, seed=1, method=method, burnin=100, thin=1)
+    for estimate, target in ((estimate_wilson, ZETA), (check_loop_equation, eq)):
+        net = replace(job.network)  # the same network, with no tree grown yet
+        grown[0] = 0
+        assert estimate(net, table, target, **kwargs).method == method
+        assert grown[0] == 1
+        assert estimate(net, table, target, **kwargs).method == method
+        assert grown[0] == 1  # a second call reads the tree the first grew
 
 
 def test_log_weights_wider_than_float_range():
@@ -879,7 +906,7 @@ class TestCheckLoopEquation:
         rhs = {str(t.word) for t in eq.rhs}
         assert "e1+ e2+ e4+ e5+" in rhs and "e1+ e2+ e3+ e5- e4- e3+" in rhs
         # gauge-fixed, every traced word lies in the off-tree unitaries e3, e5
-        tree = gauge_tree(net)
+        tree = net.tree
         assert tree == ("e1", "e2", "e4")
         words = [w.steps for t in eq.lhs for w in t.words] + [t.word.steps for t in eq.rhs]
         edges = {e for w in words for e, _ in gauge_fixed_steps(w, tree)}
@@ -892,7 +919,7 @@ class TestCheckLoopEquation:
         q = torus_quiver(3)
         net = triangle_network(q, 2)
         table = expand_action(q, ActionSpec.from_list([0, 0, 0, 0, "1/40"]))
-        assert "h00" in gauge_tree(net)
+        assert "h00" in net.tree
         word = EdgeWord.from_string("h00+ u10+ h01- u00-")
         eq = qg.generate_loop_equation(q, table, word, "h00", mode="finite")
         res = check_loop_equation(net, table, eq, samples=20000, seed=7)
